@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -159,6 +160,12 @@ def load_scenario(path: str | Path) -> Scenario:
     fd_scheme = pairs.get("fd_scheme", "central")
     if fd_scheme not in ("central", "forward"):
         raise ScenarioError(f"{path}: fd_scheme must be 'central' or 'forward'")
+    flight_dt = None
+    if "flight_sample_dt_s" in pairs:
+        flight_dt = _as_float(pairs, "flight_sample_dt_s", path)
+        if not (math.isfinite(flight_dt) and flight_dt > 0):
+            raise ScenarioError(
+                f"{path}: flight_sample_dt_s must be finite and > 0")
     if "fd_step" in pairs:
         fd_step = _as_float(pairs, "fd_step", path)
     else:
@@ -170,8 +177,7 @@ def load_scenario(path: str | Path) -> Scenario:
         deadband=(_as_float(pairs, "deadband", path)
                   if "deadband" in pairs else 1e-3),
         r_policy=r_policy,
-        flight_dt=(_as_float(pairs, "flight_sample_dt_s", path)
-                   if "flight_sample_dt_s" in pairs else None),
+        flight_dt=flight_dt,
         q_diag=(_as_tuple(pairs["q_diag"], 5, "q_diag", path)
                 if "q_diag" in pairs else (1.0,) * 5),
         r_diag=(_as_tuple(pairs["r_diag"], 2, "r_diag", path)
@@ -203,14 +209,15 @@ def _write_impulses_csv(log: EpisodeLog, path: Path) -> None:
 
 
 def _write_trajectory_csv(log: EpisodeLog, path: Path) -> None:
+    # the bytes csv.writer would write: CRLF line ends, nothing quoted
+    row = ",".join([FLOAT_FMT] * 4) + "\r\n"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "hx", "hy", "theta"])
+        fh.write("t,hx,hy,theta\r\n")
         for trace in log.flights:
-            for sample in trace.samples:
-                st = sample.state
-                writer.writerow([FLOAT_FMT % v for v in (
-                    trace.t0 + sample.t, st.h[0], st.h[1], st.theta)])
+            s = trace.samples
+            fh.write("".join(row % values for values in zip(
+                (trace.t0 + s.t).tolist(), s.h[:, 0].tolist(),
+                s.h[:, 1].tolist(), s.theta.tolist())))
 
 
 def _summary(scenario: Scenario, log: EpisodeLog) -> dict:

@@ -12,18 +12,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, Infeasible
+from .errors import Degenerate, Infeasible, ScenarioError
 from .model import FullState, ImpulseCmd, JuggleSpec, StickParams, parity_sign
 
 RATE_EPS = 1e-12  # post-impulse angular rate below this is rejected
+MAX_FLIGHT_SAMPLES = 1_000_000  # per flight; bounds sampling time and memory
 
 
-@dataclass(frozen=True)
-class FlightSample:
-    """State at time t since the start of a flight."""
+@dataclass(frozen=True, eq=False)
+class FlightSamples:
+    """Pose along one flight: times t (n,) since its start, positions h
+    (n, 2) and orientations theta (n,). Arrays are read-only.
+    """
 
-    t: float
-    state: FullState
+    t: np.ndarray
+    h: np.ndarray
+    theta: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 def impulsive_update(s: FullState, impulse: float, offset: float,
@@ -85,16 +92,43 @@ def time_of_flight(omega: float, impulse: float, offset: float, k: int,
 
 
 def sample_flight(s_plus: FullState, delta: float, dt: float,
-                  params: StickParams) -> list[FlightSample]:
-    """Sample a flight at t = 0, dt, 2*dt, ..., delta (endpoint exact)."""
-    if dt <= 0:
-        raise ValueError(f"sample spacing must be > 0, got {dt}")
-    ts = [i * dt for i in range(int(math.floor(delta / dt)) + 1)]
-    if not ts or ts[-1] < delta - 1e-15 * max(1.0, delta):
-        ts.append(delta)
-    else:
-        ts[-1] = delta
-    return [FlightSample(t=t, state=flight(s_plus, t, params)) for t in ts]
+                  params: StickParams) -> FlightSamples:
+    """Sample a flight at t = 0, dt, 2*dt, ..., delta (endpoint exact).
+
+    Each row equals the pose of flight(s_plus, t) bitwise: the columns are
+    evaluated with the same operations in the same order. Raises
+    ScenarioError, before allocating, when the flight needs more than
+    MAX_FLIGHT_SAMPLES samples.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"sample spacing must be finite and > 0, got {dt}")
+    if not delta >= 0:
+        raise ValueError(f"flight time must be >= 0, got {delta}")
+    steps = delta / dt
+    n = (math.floor(steps) + 1 if steps < MAX_FLIGHT_SAMPLES
+         else MAX_FLIGHT_SAMPLES + 1)
+    if (n - 1) * dt < delta - 1e-15 * max(1.0, delta):
+        n += 1
+    if n > MAX_FLIGHT_SAMPLES:
+        raise ScenarioError(
+            f"a {delta:.6g} s flight sampled every {dt:g} s needs more than "
+            f"{MAX_FLIGHT_SAMPLES} samples")
+    t = np.arange(n) * dt
+    t[-1] = delta
+    g = params.g
+    (hx, hy), (vx, vy) = s_plus.h.tolist(), s_plus.v.tolist()
+    h = np.empty((n, 2))
+    # + 0.0 is flight's horizontal gravity term: it turns -0.0 into 0.0.
+    # float_power calls the C library pow, like float ** in flight; numpy's
+    # t**2 squares by multiplication and can differ in the last bit.
+    h[:, 0] = hx + vx * t + 0.0
+    h[:, 1] = hy + vy * t + -0.5 * g * np.float_power(t, 2.0)
+    theta = s_plus.theta + s_plus.omega * t
+    if not (np.isfinite(h).all() and np.isfinite(theta).all()):
+        raise ValueError("state entries must be finite")
+    for arr in (t, h, theta):
+        arr.setflags(write=False)
+    return FlightSamples(t=t, h=h, theta=theta)
 
 
 def mechanical_energy(s: FullState, params: StickParams) -> float:

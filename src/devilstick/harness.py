@@ -15,7 +15,7 @@ import numpy as np
 
 from . import stabilizer as stab
 from .dvhc import check_rod, dvhc_control, phi, psi, residuals
-from .dynamics import (FlightSample, flight, impulsive_update, sample_flight,
+from .dynamics import (FlightSamples, flight, impulsive_update, sample_flight,
                        time_of_flight)
 from .dzd import OrbitSpec
 from .errors import JugglingError, OffSchedule
@@ -63,7 +63,7 @@ class FlightTrace:
 
     k: int
     t0: float                  # episode time at the impulse
-    samples: list[FlightSample]
+    samples: FlightSamples
 
 
 @dataclass(eq=False)

@@ -23,26 +23,6 @@ def parity_sign(k: int) -> float:
 
 
 @dataclass(frozen=True)
-class KParity:
-    """Impulse index with derived parity; indices start at 1 (odd)."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"impulse index must be >= 1, got {self.k}")
-
-    @property
-    def is_odd(self) -> bool:
-        return self.k % 2 == 1
-
-    @property
-    def sign(self) -> float:
-        """(-1)**k."""
-        return parity_sign(self.k)
-
-
-@dataclass(frozen=True)
 class StickParams:
     """Physical constants of the stick.
 

@@ -198,20 +198,7 @@ def dlqr(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
     R = np.asarray(R, dtype=float)
     if np.any(np.linalg.eigvalsh(0.5 * (R + R.T)) <= 0):
         raise ValueError("R must be positive definite")
-    P = Q.copy()
-    for _ in range(RICCATI_MAX_ITER):
-        BtP = B.T @ P
-        K = -np.linalg.solve(R + BtP @ B, BtP @ A)
-        P_next = Q + A.T @ P @ (A + B @ K)
-        if np.max(np.abs(P_next)) > 1e100:
-            raise RiccatiDiverged("cost-to-go iteration blew up")
-        if np.max(np.abs(P_next - P)) < RICCATI_TOL:
-            P = P_next
-            break
-        P = P_next
-    else:
-        raise RiccatiDiverged(
-            f"no fixed point within {RICCATI_MAX_ITER} iterations")
+    P = riccati_solution(A, B, Q, R)
     K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
     radius = np.max(np.abs(np.linalg.eigvals(A + B @ K)))
     if radius >= 1.0 - SPECTRAL_MARGIN:
@@ -229,7 +216,7 @@ def dare_residual(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
 
 def riccati_solution(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
                      R: np.ndarray) -> np.ndarray:
-    """Converged cost-to-go matrix from the same iteration dlqr uses."""
+    """Converged cost-to-go matrix of the Riccati fixed-point iteration."""
     P = np.asarray(Q, dtype=float).copy()
     for _ in range(RICCATI_MAX_ITER):
         BtP = B.T @ P

@@ -9,7 +9,8 @@ import pytest
 from devilstick import ScenarioError
 from devilstick.cli import cmd_analyze, load_scenario, main
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 SIM_VHC = SCENARIOS / "sim_vhc.cfg"
 SIM_ORBIT = SCENARIOS / "sim_orbit.cfg"
 
@@ -102,6 +103,42 @@ def test_simulate_outputs(tmp_path):
     assert summary["completed"] is True
     assert summary["n_impulses"] == 20
     assert summary["sim_duration_s"] == pytest.approx(9.80, abs=0.05)
+
+
+@pytest.mark.parametrize("name", ["sim_vhc", "sim_orbit"])
+def test_simulate_matches_shipped_outputs(tmp_path, name):
+    code = main(["simulate", "--scenario", str(SCENARIOS / f"{name}.cfg"),
+                 "--out", str(tmp_path)])
+    assert code == 0
+    golden, fresh = ROOT / "out" / name, tmp_path / name
+    for csv_name in ("impulses.csv", "trajectory.csv"):
+        assert (fresh / csv_name).read_bytes() == \
+            (golden / csv_name).read_bytes(), csv_name
+    summary = json.loads((fresh / "summary.json").read_text())
+    expected = json.loads((golden / "summary.json").read_text())
+    del summary["wall_time_s"], expected["wall_time_s"]
+    assert summary == expected
+
+
+@pytest.mark.parametrize("value", ["0", "-0.01", "nan", "inf"])
+def test_flight_sample_dt_must_be_positive_and_finite(tmp_path, value):
+    bad = tmp_path / "dt.cfg"
+    bad.write_text(SIM_VHC.read_text().replace(
+        "flight_sample_dt_s = 0.01", f"flight_sample_dt_s = {value}"))
+    with pytest.raises(ScenarioError, match="flight_sample_dt_s"):
+        load_scenario(bad)
+
+
+def test_sample_budget_exceeded_ends_episode_with_summary(tmp_path):
+    # the first flight (0.467 s) at 1e-9 s spacing needs ~5e8 samples
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text(SIM_VHC.read_text().replace(
+        "flight_sample_dt_s = 0.01", "flight_sample_dt_s = 1e-9"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(cfg), "--out", str(out)]) == 3
+    summary = json.loads((out / "fine" / "summary.json").read_text())
+    assert summary["termination"].startswith("ScenarioError")
+    assert summary["n_impulses"] == 1
 
 
 def test_simulate_round_trip_is_lossless(tmp_path, ic_state, spec, params):

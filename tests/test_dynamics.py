@@ -6,8 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from devilstick import (FullState, ImpulseCmd, Infeasible, Degenerate,
-                        flight, hybrid_step, impulsive_update,
-                        mechanical_energy, sample_flight, time_of_flight)
+                        ScenarioError, StickParams, flight, hybrid_step,
+                        impulsive_update, mechanical_energy, sample_flight,
+                        time_of_flight)
+from devilstick.dynamics import MAX_FLIGHT_SAMPLES
 
 from refvals import DELTA_EVEN, DELTA_ODD
 
@@ -163,9 +165,12 @@ def test_sample_flight_counts_and_endpoint(params):
     s = FullState(h=np.array([0.0, 3.0]), v=np.array([1.0, 2.0]),
                   theta=0.5, omega=4.0)
     samples = sample_flight(s, 0.5, 0.25, params)
-    assert [round(x.t, 10) for x in samples] == [0.0, 0.25, 0.5]
+    assert len(samples) == 3
+    assert samples.h.shape == (3, 2) and samples.theta.shape == (3,)
+    assert [round(t, 10) for t in samples.t.tolist()] == [0.0, 0.25, 0.5]
     end = flight(s, 0.5, params)
-    assert np.array_equal(samples[-1].state.as_array(), end.as_array())
+    assert np.array_equal(samples.h[-1], end.h)
+    assert samples.theta[-1] == end.theta
     with pytest.raises(ValueError):
         sample_flight(s, 0.5, 0.0, params)
 
@@ -174,7 +179,45 @@ def test_sample_flight_matches_closed_form(params):
     # oracle: hy(t) = hy0 + vy0*t - g*t^2/2
     s = FullState(h=np.array([0.0, 3.0]), v=np.array([1.0, 2.0]),
                   theta=0.5, omega=4.0)
-    for sample in sample_flight(s, 0.8, 0.13, params):
-        t = sample.t
-        hy = 3.0 + 2.0 * t - 0.5 * params.g * t * t
-        assert sample.state.h[1] == pytest.approx(hy, abs=1e-15)
+    samples = sample_flight(s, 0.8, 0.13, params)
+    for t, hy in zip(samples.t.tolist(), samples.h[:, 1].tolist()):
+        assert hy == pytest.approx(3.0 + 2.0 * t - 0.5 * params.g * t * t,
+                                   abs=1e-15)
+
+
+@given(hx=finite, hy=finite, vx=finite, vy=finite, theta=finite,
+       omega=finite, delta=st.floats(min_value=0.0, max_value=3.0),
+       dt=st.floats(min_value=1e-2, max_value=1.0))
+def test_sample_flight_rows_equal_flight(hx, hy, vx, vy, theta, omega,
+                                         delta, dt):
+    params = StickParams(m=0.1, ell=0.5)
+    s = FullState(h=np.array([hx, hy]), v=np.array([vx, vy]), theta=theta,
+                  omega=omega)
+    samples = sample_flight(s, delta, dt, params)
+    assert samples.t[-1] == delta
+    assert np.all(np.diff(samples.t) > 0)
+    for i, t in enumerate(samples.t.tolist()):
+        end = flight(s, t, params)
+        assert samples.h[i].tobytes() == end.h.tobytes()
+        assert samples.theta[i] == end.theta
+
+
+def test_sample_flight_from_rest_is_bitwise(params):
+    # from rest at the origin hy(t) is the gravity term alone, so a square
+    # rounded differently from flight's delta**2 shows in the last bit; the
+    # signed zeros check that hx is +0.0, never -0.0, as in flight
+    s = FullState(h=np.array([-0.0, 0.0]), v=np.array([-0.0, 0.0]),
+                  theta=0.0, omega=0.0)
+    samples = sample_flight(s, 2.0, 1e-4, params)
+    expected = [flight(s, t, params).h for t in samples.t.tolist()]
+    assert samples.h.tobytes() == np.array(expected).tobytes()
+
+
+def test_sample_flight_budget(params):
+    # 5e8 samples: rejected from the count alone, before any allocation
+    s = FullState(h=np.array([0.0, 3.0]), v=np.array([1.0, 2.0]),
+                  theta=0.5, omega=4.0)
+    with pytest.raises(ScenarioError, match=str(MAX_FLIGHT_SAMPLES)):
+        sample_flight(s, 0.5, 1e-9, params)
+    with pytest.raises(ScenarioError):
+        sample_flight(s, math.inf, 0.01, params)

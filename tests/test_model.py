@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from devilstick import (FullState, JuggleSpec, KParity, StickParams, validate)
+from devilstick import FullState, JuggleSpec, StickParams, validate
 
 
 def test_reference_spec_validates(spec, params):
@@ -60,15 +60,6 @@ def test_symmetric_specs_have_mirrored_tangents(theta_odd):
     assert s.symmetric
     assert math.tan(s.theta_even) == pytest.approx(-math.tan(s.theta_odd),
                                                    abs=1e-10)
-
-
-def test_kparity():
-    assert KParity(1).is_odd
-    assert KParity(1).sign == -1.0
-    assert not KParity(2).is_odd
-    assert KParity(2).sign == 1.0
-    with pytest.raises(ValueError):
-        KParity(0)
 
 
 def test_schedule_helpers(spec):
