@@ -1,0 +1,158 @@
+#!/usr/bin/env python3
+"""Compare the outputs of two source trees of the package, bit for bit.
+
+    python scripts/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that contain the `devilstick` package
+(a checkout's `src/`). Each tree runs in its own subprocess, with only that
+directory on PYTHONPATH, over:
+
+- the two shipped scenarios (`simulate`, and `linearize` for sim_orbit),
+- the 40 seed-0 batch scenarios of `perfbench/gen.py`,
+- the seed-0 long_horizon episodes and synthesis designs, with the inputs
+  built by `perfbench/workloads.py` and not modified.
+
+Episode records and design matrices are written as hexadecimal floats.
+Prints the first differing file and line, or `identical`; the exit status
+is 0 when identical and 1 otherwise. `wall_time_s` in summaries is ignored.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+SHIPPED = ("sim_vhc", "sim_orbit")
+SEED = 0
+
+
+def _floats(values) -> str:
+    return " ".join(float(v).hex() for v in values)
+
+
+def _episode_lines(log) -> list[str]:
+    lines = [f"termination {log.termination}",
+             f"sim_duration {_floats([log.sim_duration])}"]
+    for rec in log.records:
+        lines.append(f"k={rec.k} " + _floats(
+            [rec.theta, rec.omega, *rec.rho, *rec.drho, rec.delta, rec.I,
+             rec.r, *rec.u]))
+    return lines
+
+
+def dump(out: Path) -> None:
+    """Write every compared output of the package on sys.path under out."""
+    import devilstick
+    from devilstick.cli import main
+
+    sys.path.insert(0, str(PERFBENCH))
+    import gen
+    import workloads
+
+    out.mkdir(parents=True)
+    (out / "package").write_text(devilstick.__file__ + "\n")
+    scenarios = [str(ROOT / "scenarios" / f"{name}.cfg") for name in SHIPPED]
+    argv = ["simulate", "--out", str(out / "shipped")]
+    for path in scenarios:
+        argv += ["--scenario", path]
+    main(argv)
+    main(["linearize", "--scenario", scenarios[1],
+          "--out", str(out / "shipped" / "sim_orbit")])
+
+    paths = gen.write_scenarios(gen.batch_scenarios(SEED), out / "scenarios")
+    argv = ["simulate", "--out", str(out / "batch")]
+    for path in paths:
+        argv += ["--scenario", str(path)]
+    main(argv)
+
+    ctx = workloads.LongHorizon.prepare(SEED, None)
+    lines = []
+    for i, item in enumerate(ctx["items"]):
+        for stabilized in (False, True):
+            lines.append(f"input {i} stabilized={stabilized}")
+            target = item["orbit"] if stabilized else item["spec"]
+            cfg = item["on" if stabilized else "off"]
+            lines += _episode_lines(devilstick.run_episode(
+                item["s0"], target, ctx["params"], cfg))
+    (out / "long_horizon.txt").write_text("\n".join(lines) + "\n")
+
+    ctx = workloads.Synthesis.prepare(SEED, None)
+    lines = []
+    for omega_star in ctx["omegas"]:
+        for scheme in workloads.Synthesis.SCHEMES:
+            lines.append(f"omega_star {omega_star!r} {scheme}")
+            try:
+                lin, rank, gain = workloads.Synthesis.design(
+                    ctx, omega_star, scheme, gen.FD_STEP[scheme])
+            except devilstick.JugglingError as exc:
+                lines.append(f"{type(exc).__name__}: {exc}")
+                continue
+            lines += [f"rank {rank}", "A " + _floats(lin.A.ravel()),
+                      "B " + _floats(lin.B.ravel()),
+                      "K " + _floats(gain.K.ravel())]
+    (out / "synthesis.txt").write_text("\n".join(lines) + "\n")
+
+
+def _compared_files(root: Path) -> list[Path]:
+    return sorted(p.relative_to(root) for p in root.rglob("*")
+                  if p.is_file() and p.name != "package"
+                  and p.parts[len(root.parts)] != "scenarios")
+
+
+def _lines(path: Path) -> list[str]:
+    if path.name == "summary.json":
+        summary = json.loads(path.read_text())
+        summary.pop("wall_time_s", None)
+        return json.dumps(summary, indent=2, sort_keys=True).splitlines()
+    return path.read_text().splitlines()
+
+
+def first_difference(old: Path, new: Path) -> str | None:
+    """The first file or line at which two dumps differ, or None."""
+    old_files, new_files = _compared_files(old), _compared_files(new)
+    if old_files != new_files:
+        only = sorted(set(old_files) ^ set(new_files))
+        return f"file sets differ: {only[0]} is in one tree only"
+    for rel in old_files:
+        a, b = _lines(old / rel), _lines(new / rel)
+        for n, (la, lb) in enumerate(zip(a, b), start=1):
+            if la != lb:
+                return f"{rel}:{n}\n  old: {la}\n  new: {lb}"
+        if len(a) != len(b):
+            return f"{rel}: {len(a)} lines vs {len(b)} lines"
+    return None
+
+
+def _run_tree(src: Path, out: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, __file__, "--dump", str(out)], env=env,
+                   check=True, stdout=subprocess.DEVNULL)
+    package = Path((out / "package").read_text().strip()).resolve()
+    if src.resolve() not in package.parents:
+        raise SystemExit(f"{src}: imported devilstick from {package}")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--dump":
+        dump(Path(argv[1]))
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [Path(tmp) / "old", Path(tmp) / "new"]
+        for src, out in zip(argv, outs):
+            _run_tree(Path(src), out)
+        diff = first_difference(*outs)
+    print(diff or "identical")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -11,7 +11,7 @@ from .dynamics import (FlightSamples, flight, hybrid_step, impulsive_update,
 from .dzd import (DzdState, OrbitSpec, design_orbit, dzd_step, growth_factor,
                   steady_impulse, symmetric_omega_star)
 from .errors import (AsymmetricSpec, Degenerate, FDInconsistent, Infeasible,
-                     JugglingError, NoPositiveRoot, NotOnSection,
+                     JugglingError, NonFinite, NoPositiveRoot, NotOnSection,
                      NotStabilizing, OffSchedule, RiccatiDiverged, RodExceeded,
                      ScenarioError, SingularOrientation, WrongRotationSign,
                      WrongSign)

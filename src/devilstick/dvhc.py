@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (Degenerate, NoPositiveRoot, OffSchedule, RodExceeded,
-                     SingularOrientation, WrongRotationSign)
-from .model import (SCHEDULE_TOL, FullState, ImpulseCmd, JuggleSpec,
+from .errors import (Degenerate, NoPositiveRoot, NonFinite, OffSchedule,
+                     RodExceeded, SingularOrientation, WrongRotationSign)
+from .model import (SCHEDULE_TOL, FullState, ImpulseCmd, JuggleSpec, State,
                     StickParams, parity_sign)
 
 log = logging.getLogger(__name__)
@@ -35,11 +35,16 @@ class Residuals:
     drho: np.ndarray
 
 
-def phi(theta: float, spec: JuggleSpec) -> np.ndarray:
-    """Constrained center-of-mass location [alpha*tan(theta), beta]."""
+def _phi_x(theta: float, spec: JuggleSpec) -> float:
+    """Horizontal component alpha*tan(theta) of the constraint map."""
     if abs(math.remainder(theta - math.pi / 2, math.pi)) < TAN_SINGULARITY_TOL:
         raise SingularOrientation(f"theta={theta} is at a tangent singularity")
-    return np.array([spec.alpha * math.tan(theta), spec.beta])
+    return spec.alpha * math.tan(theta)
+
+
+def phi(theta: float, spec: JuggleSpec) -> np.ndarray:
+    """Constrained center-of-mass location [alpha*tan(theta), beta]."""
+    return np.array([_phi_x(theta, spec), spec.beta])
 
 
 def phi_increment(theta: float, k: int, spec: JuggleSpec) -> np.ndarray:
@@ -49,13 +54,8 @@ def phi_increment(theta: float, k: int, spec: JuggleSpec) -> np.ndarray:
     return phi(spec.theta_after(k), spec) - phi(theta, spec)
 
 
-def psi(theta: float, omega: float, k: int, spec: JuggleSpec,
-        params: StickParams) -> np.ndarray:
-    """Constrained velocity at impulse k.
-
-    Derived by requiring the constraint to hold at both ends of the previous
-    flight; depends only on (theta, omega) and the parity of k.
-    """
+def _psi(theta: float, omega: float, k: int, spec: JuggleSpec,
+         params: StickParams) -> tuple[float, float]:
     if abs(omega) < OMEGA_EPS:
         raise Degenerate(f"angular rate {omega} too small for velocity constraint")
     sign = parity_sign(k)  # feasible rotation: omega < 0 odd, > 0 even
@@ -67,18 +67,53 @@ def psi(theta: float, omega: float, k: int, spec: JuggleSpec,
     vx = (sign * omega / spec.delta_theta) * spec.alpha * (
         math.tan(theta) - math.tan(theta_next))
     vy = -sign * params.g * spec.delta_theta / (2.0 * omega)
-    return np.array([vx, vy])
+    return vx, vy
+
+
+def psi(theta: float, omega: float, k: int, spec: JuggleSpec,
+        params: StickParams) -> np.ndarray:
+    """Constrained velocity at impulse k.
+
+    Derived by requiring the constraint to hold at both ends of the previous
+    flight; depends only on (theta, omega) and the parity of k.
+    """
+    return np.array(_psi(theta, omega, k, spec, params))
+
+
+def _residuals(x: State, k: int, spec: JuggleSpec,
+               params: StickParams) -> tuple[float, float, float, float]:
+    """(rho_x, rho_y, drho_x, drho_y) of a kernel state at impulse k."""
+    hx, hy, vx, vy, theta, omega = x
+    theta_sched = spec.theta_at(k)
+    if abs(theta - theta_sched) > SCHEDULE_TOL:
+        raise OffSchedule(
+            f"theta={theta} does not match scheduled {theta_sched} at k={k}")
+    rho_x = hx - _phi_x(theta, spec)
+    rho_y = hy - spec.beta
+    psi_x, psi_y = _psi(theta, omega, k, spec, params)
+    return rho_x, rho_y, vx - psi_x, vy - psi_y
+
+
+def _quadratic(x: State, k: int, rho_x: float, rho_y: float,
+               spec: JuggleSpec, params: StickParams
+               ) -> tuple[float, float, float, float]:
+    """(a, b, c) of a*delta^2 + b*delta + c = 0 and the increment eta_x."""
+    _, _, vx, vy, theta, _ = x
+    eta_x = _phi_x(spec.theta_after(k), spec) - _phi_x(theta, spec)
+    eta_y = spec.beta - spec.beta
+    cot = 1.0 / math.tan(theta)
+    c = (eta_x * cot + eta_y
+         + (spec.lambda_x - 1.0) * rho_x * cot
+         + (spec.lambda_y - 1.0) * rho_y)
+    return 0.5 * params.g, -(vx * cot + vy), c, eta_x
 
 
 def residuals(s: FullState, k: int, spec: JuggleSpec,
               params: StickParams) -> Residuals:
     """Measure both constraint residuals at a scheduled impulse instant."""
-    theta_sched = spec.theta_at(k)
-    if abs(s.theta - theta_sched) > SCHEDULE_TOL:
-        raise OffSchedule(
-            f"theta={s.theta} does not match scheduled {theta_sched} at k={k}")
-    return Residuals(rho=s.h - phi(s.theta, spec),
-                     drho=s.v - psi(s.theta, s.omega, k, spec, params))
+    rho_x, rho_y, drho_x, drho_y = _residuals(s.floats(), k, spec, params)
+    return Residuals(rho=np.array([rho_x, rho_y]),
+                     drho=np.array([drho_x, drho_y]))
 
 
 def _positive_roots(a: float, b: float, c: float) -> list[float]:
@@ -96,11 +131,19 @@ def _positive_roots(a: float, b: float, c: float) -> list[float]:
     return sorted({r for r in roots if r > 0})
 
 
-def check_rod(r: float, params: StickParams, policy: str) -> None:
-    """Enforce the rod bound |r| < ell/2: raise under strict, log under warn."""
-    if abs(r) < params.ell / 2:
+def check_command(k: int, impulse: float, offset: float, delta: float,
+                  params: StickParams, policy: str) -> None:
+    """Reject a non-finite command, then enforce the rod bound |r| < ell/2
+    on its offset: raise under strict, log under warn.
+    """
+    if not (math.isfinite(impulse) and math.isfinite(offset)
+            and math.isfinite(delta)):
+        raise NonFinite(f"non-finite command at k={k}: I={impulse}, "
+                        f"r={offset}, delta={delta}")
+    if abs(offset) < params.ell / 2:
         return
-    msg = f"impulse offset r={r:.6g} outside the stick (+-{params.ell / 2:.6g})"
+    msg = (f"impulse offset r={offset:.6g} outside the stick "
+           f"(+-{params.ell / 2:.6g})")
     if policy == "strict":
         raise RodExceeded(msg)
     log.warning(msg)
@@ -114,40 +157,42 @@ def _nominal_delta(theta: float, omega: float, k: int, spec: JuggleSpec,
             / (params.g * spec.delta_theta) * tan_ratio)
 
 
-def dvhc_control(s: FullState, k: int, spec: JuggleSpec, params: StickParams,
-                 r_policy: str = "strict") -> ImpulseCmd:
-    """Inputs that contract the position residual by diag(lambda) this step.
-
-    Eliminating the impulse from the two position-update components leaves a
-    quadratic in the time of flight; its positive root fixes delta, then the
-    impulse follows from the horizontal component and the offset from the
-    scheduled rotation requirement. The returned command satisfies
-    rho_{k+1} = lambda * rho_k and drho_{k+1} = (lambda - 1) * rho_k / delta_k
-    exactly.
+def control(x: State, k: int, spec: JuggleSpec, params: StickParams,
+            r_policy: str = "strict"
+            ) -> tuple[float, float, float, float, float, float, float]:
+    """Residuals (rho_x, rho_y, drho_x, drho_y) of the kernel state x at
+    impulse k and the command (I, r, delta) that contracts them: rho_{k+1}
+    = lambda * rho_k exactly. Eliminating the impulse from the two
+    position-update components leaves a quadratic in the time of flight;
+    its positive root fixes delta, then the impulse follows from the
+    horizontal component and the offset from the scheduled rotation. A
+    non-finite command raises NonFinite.
     """
-    res = residuals(s, k, spec, params)
-    theta = s.theta
-    eta = phi_increment(theta, k, spec)
-    cot = 1.0 / math.tan(theta)
-    # quadratic a*delta^2 + b*delta + c = 0; note v = drho + psi
-    a = 0.5 * params.g
-    b = -(s.v[0] * cot + s.v[1])
-    c = (eta[0] * cot + eta[1]
-         + (spec.lambda_x - 1.0) * res.rho[0] * cot
-         + (spec.lambda_y - 1.0) * res.rho[1])
+    _, _, vx, _, theta, omega = x
+    rho_x, rho_y, drho_x, drho_y = _residuals(x, k, spec, params)
+    a, b, c, eta_x = _quadratic(x, k, rho_x, rho_y, spec, params)
     roots = _positive_roots(a, b, c)
     if not roots:
         raise NoPositiveRoot(
             f"no positive time-of-flight root at k={k} (a={a}, b={b}, c={c})")
-    d_nom = _nominal_delta(theta, s.omega, k, spec, params)
+    d_nom = _nominal_delta(theta, omega, k, spec, params)
     delta = min(roots, key=lambda r: (abs(r - d_nom), r))
-    impulse = -params.m * ((spec.lambda_x - 1.0) * res.rho[0] + eta[0]
-                           - s.v[0] * delta) / (delta * math.sin(theta))
+    impulse = -params.m * ((spec.lambda_x - 1.0) * rho_x + eta_x
+                           - vx * delta) / (delta * math.sin(theta))
     if abs(impulse) < IMPULSE_EPS:
         raise Degenerate(f"impulse magnitude {impulse} too small to place")
     offset = (-parity_sign(k) * params.inertia * spec.delta_theta
-              / (impulse * delta) - params.inertia * s.omega / impulse)
-    check_rod(offset, params, r_policy)
+              / (impulse * delta) - params.inertia * omega / impulse)
+    check_command(k, impulse, offset, delta, params, r_policy)
+    return rho_x, rho_y, drho_x, drho_y, impulse, offset, delta
+
+
+def dvhc_control(s: FullState, k: int, spec: JuggleSpec, params: StickParams,
+                 r_policy: str = "strict") -> ImpulseCmd:
+    """Inputs that contract the position residual by diag(lambda) this step:
+    the command of control on s.floats().
+    """
+    *_, impulse, offset, delta = control(s.floats(), k, spec, params, r_policy)
     return ImpulseCmd(I=impulse, r=offset, delta=delta)
 
 
@@ -162,28 +207,23 @@ def steady_inputs(omega: float, k: int, spec: JuggleSpec,
     if abs(tan_ratio) < 1e-12:
         raise Degenerate("tangent-ratio factor vanishes")
     dth = spec.delta_theta
-    delta = sign * 2.0 * omega * spec.alpha / (params.g * dth) * tan_ratio
+    delta = _nominal_delta(theta, omega, k, spec, params)
     impulse = (sign * params.m / math.cos(theta)) * (
         omega * spec.alpha / dth * tan_ratio + params.g * dth / (2.0 * omega))
     offset = (-sign * params.inertia * dth * math.cos(theta)
               / (params.m * spec.alpha * tan_ratio))
     if delta <= 0:
         raise NoPositiveRoot(f"steady time of flight {delta} not positive")
-    check_rod(offset, params, r_policy)
+    check_command(k, impulse, offset, delta, params, r_policy)
     return ImpulseCmd(I=impulse, r=offset, delta=delta)
 
 
 def quadratic_coeffs(s: FullState, k: int, spec: JuggleSpec,
                      params: StickParams) -> tuple[float, float, float]:
     """(a, b, c) of the time-of-flight quadratic, for root verification."""
-    res = residuals(s, k, spec, params)
-    eta = phi_increment(s.theta, k, spec)
-    cot = 1.0 / math.tan(s.theta)
-    return (0.5 * params.g,
-            -(s.v[0] * cot + s.v[1]),
-            eta[0] * cot + eta[1]
-            + (spec.lambda_x - 1.0) * res.rho[0] * cot
-            + (spec.lambda_y - 1.0) * res.rho[1])
+    x = s.floats()
+    rho_x, rho_y, _, _ = _residuals(x, k, spec, params)
+    return _quadratic(x, k, rho_x, rho_y, spec, params)[:3]
 
 
 def on_constraint_state(omega: float, k: int, spec: JuggleSpec,

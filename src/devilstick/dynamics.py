@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, Infeasible, ScenarioError
-from .model import FullState, ImpulseCmd, JuggleSpec, StickParams, parity_sign
+from .errors import Degenerate, Infeasible, NonFinite, ScenarioError
+from .model import (FullState, ImpulseCmd, JuggleSpec, State, StickParams,
+                    parity_sign)
 
 RATE_EPS = 1e-12  # post-impulse angular rate below this is rejected
 MAX_FLIGHT_SAMPLES = 1_000_000  # per flight; bounds sampling time and memory
@@ -33,20 +34,40 @@ class FlightSamples:
         return len(self.t)
 
 
+def jump(x: State, impulse: float, offset: float,
+         params: StickParams) -> State:
+    """impulsive_update on a kernel state (hx, hy, vx, vy, theta, omega)."""
+    hx, hy, vx, vy, theta, omega = x
+    scale = impulse / params.m
+    return (hx, hy, vx + scale * -math.sin(theta),
+            vy + scale * math.cos(theta), theta,
+            omega + impulse * offset / params.inertia)
+
+
+def land(x: State, delta: float, theta_next: float,
+         params: StickParams) -> State:
+    """flight on a kernel state, landing at the orientation theta_next;
+    raises NonFinite unless the landed state is finite.
+    """
+    hx, hy, vx, vy, _, omega = x
+    g = params.g
+    try:  # float ** calls the C library pow, which can overflow
+        # + 0.0 is the zero horizontal gravity term: it turns -0.0 into 0.0
+        x = (hx + vx * delta + 0.0, hy + vy * delta + -0.5 * g * delta**2,
+             vx + 0.0, vy + -g * delta, theta_next, omega)
+    except OverflowError:
+        raise NonFinite(f"flight of {delta} s overflows") from None
+    if not all(map(math.isfinite, x)):
+        raise NonFinite(f"landed state {x} is not finite")
+    return x
+
+
 def impulsive_update(s: FullState, impulse: float, offset: float,
                      params: StickParams) -> FullState:
     """Apply an impulse normal to the stick at distance offset from the
     center-of-mass. Positions and orientation are unchanged; velocities jump.
     """
-    if not (math.isfinite(impulse) and math.isfinite(offset)):
-        raise ValueError("impulse and offset must be finite")
-    n = np.array([-math.sin(s.theta), math.cos(s.theta)])
-    return FullState(
-        h=s.h,
-        v=s.v + (impulse / params.m) * n,
-        theta=s.theta,
-        omega=s.omega + impulse * offset / params.inertia,
-    )
+    return FullState.from_floats(jump(s.floats(), impulse, offset, params))
 
 
 def flight(s_plus: FullState, delta: float, params: StickParams) -> FullState:
@@ -55,13 +76,8 @@ def flight(s_plus: FullState, delta: float, params: StickParams) -> FullState:
     """
     if delta < 0:
         raise ValueError(f"flight time must be >= 0, got {delta}")
-    g = params.g
-    return FullState(
-        h=s_plus.h + s_plus.v * delta + np.array([0.0, -0.5 * g * delta**2]),
-        v=s_plus.v + np.array([0.0, -g * delta]),
-        theta=s_plus.theta + s_plus.omega * delta,
-        omega=s_plus.omega,
-    )
+    x = s_plus.floats()
+    return FullState.from_floats(land(x, delta, x[4] + x[5] * delta, params))
 
 
 def hybrid_step(s: FullState, cmd: ImpulseCmd, params: StickParams) -> FullState:
@@ -98,7 +114,7 @@ def sample_flight(s_plus: FullState, delta: float, dt: float,
     Each row equals the pose of flight(s_plus, t) bitwise: the columns are
     evaluated with the same operations in the same order. Raises
     ScenarioError, before allocating, when the flight needs more than
-    MAX_FLIGHT_SAMPLES samples.
+    MAX_FLIGHT_SAMPLES samples, and NonFinite when a sampled pose overflows.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"sample spacing must be finite and > 0, got {dt}")
@@ -113,19 +129,22 @@ def sample_flight(s_plus: FullState, delta: float, dt: float,
         raise ScenarioError(
             f"a {delta:.6g} s flight sampled every {dt:g} s needs more than "
             f"{MAX_FLIGHT_SAMPLES} samples")
-    t = np.arange(n) * dt
-    t[-1] = delta
     g = params.g
     (hx, hy), (vx, vy) = s_plus.h.tolist(), s_plus.v.tolist()
     h = np.empty((n, 2))
-    # + 0.0 is flight's horizontal gravity term: it turns -0.0 into 0.0.
-    # float_power calls the C library pow, like float ** in flight; numpy's
-    # t**2 squares by multiplication and can differ in the last bit.
-    h[:, 0] = hx + vx * t + 0.0
-    h[:, 1] = hy + vy * t + -0.5 * g * np.float_power(t, 2.0)
-    theta = s_plus.theta + s_plus.omega * t
+    # an overflow is reported below as NonFinite, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.arange(n) * dt
+        t[-1] = delta
+        # + 0.0 is flight's horizontal gravity term: it turns -0.0 into 0.0.
+        # float_power calls the C library pow, like float ** in flight;
+        # numpy's t**2 squares by multiplication and can differ in the last
+        # bit.
+        h[:, 0] = hx + vx * t + 0.0
+        h[:, 1] = hy + vy * t + -0.5 * g * np.float_power(t, 2.0)
+        theta = s_plus.theta + s_plus.omega * t
     if not (np.isfinite(h).all() and np.isfinite(theta).all()):
-        raise ValueError("state entries must be finite")
+        raise NonFinite(f"sampled {delta:.6g} s flight is not finite")
     for arr in (t, h, theta):
         arr.setflags(write=False)
     return FlightSamples(t=t, h=h, theta=theta)

@@ -34,6 +34,10 @@ class NoPositiveRoot(JugglingError):
     """The time-of-flight quadratic has no positive real root."""
 
 
+class NonFinite(JugglingError):
+    """A commanded input or a plant state is not a finite number."""
+
+
 class RodExceeded(JugglingError):
     """Impulse application point falls outside the stick."""
 

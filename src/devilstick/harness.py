@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stabilizer as stab
-from .dvhc import check_rod, dvhc_control, phi, psi, residuals
-from .dynamics import (FlightSamples, flight, impulsive_update, sample_flight,
-                       time_of_flight)
+from .dvhc import check_command, control, phi, psi
+from .dvhc import dvhc_control, residuals  # noqa: F401 (perfbench traces them)
+from .dynamics import FlightSamples, jump, land, sample_flight, time_of_flight
+from .dynamics import flight, impulsive_update  # noqa: F401 (perfbench traces)
 from .dzd import OrbitSpec
 from .errors import JugglingError, OffSchedule
-from .model import (SCHEDULE_TOL, FullState, ImpulseCmd, JuggleSpec,
-                    StickParams)
+from .model import SCHEDULE_TOL, FullState, JuggleSpec, StickParams
 
 
 @dataclass(frozen=True)
@@ -125,38 +125,41 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
             log.wall_time = time.perf_counter() - t_start
             return log
 
-    s = s0
+    x = s0.floats()
     t = 0.0
     for k in range(1, cfg.k_max + 1):
         try:
-            res = residuals(s, k, spec, params)
-            cmd = dvhc_control(s, k, spec, params, r_policy=cfg.r_policy)
+            rho_x, rho_y, drho_x, drho_y, impulse, offset, delta = control(
+                x, k, spec, params, r_policy=cfg.r_policy)
             u = np.zeros(2)
             if cfg.stabilize and k % 2 == 1:
-                z = stab.to_section(s, spec)
-                u = stab.feedback(z, lin, gain)
+                # K @ e can overflow for a huge section error; the infinite
+                # correction then fails time_of_flight or check_command
+                with np.errstate(over="ignore", invalid="ignore"):
+                    u = stab.feedback(stab.section_coords(x, spec), lin, gain)
                 if u.any():
-                    impulse, offset = cmd.I + u[0], cmd.r + u[1]
-                    delta = time_of_flight(s.omega, impulse, offset, k,
+                    du_I, du_r = u.tolist()
+                    impulse, offset = impulse + du_I, offset + du_r
+                    delta = time_of_flight(x[5], impulse, offset, k,
                                            spec, params)
-                    check_rod(offset, params, cfg.r_policy)
-                    cmd = ImpulseCmd(I=impulse, r=offset, delta=delta)
+                    check_command(k, impulse, offset, delta, params,
+                                  cfg.r_policy)
             log.records.append(ImpulseRecord(
-                k=k, theta=s.theta, omega=s.omega, rho=res.rho, drho=res.drho,
-                delta=cmd.delta, I=cmd.I, r=cmd.r, u=u))
+                k=k, theta=x[4], omega=x[5], rho=np.array([rho_x, rho_y]),
+                drho=np.array([drho_x, drho_y]), delta=delta, I=impulse,
+                r=offset, u=u))
             if k < cfg.k_max:
-                s_plus = impulsive_update(s, cmd.I, cmd.r, params)
+                x_plus = jump(x, impulse, offset, params)
+                # the commanded delta lands exactly on the schedule; pin the
+                # orientation so float roundoff cannot accumulate across k.
+                # land raises NonFinite first, so x_plus is finite below.
+                x = land(x_plus, delta, spec.theta_at(k + 1), params)
                 if cfg.flight_dt is not None:
                     log.flights.append(FlightTrace(
                         k=k, t0=t,
-                        samples=sample_flight(s_plus, cmd.delta,
-                                              cfg.flight_dt, params)))
-                s = flight(s_plus, cmd.delta, params)
-                # the commanded delta lands exactly on the schedule; pin the
-                # orientation so float roundoff cannot accumulate across k
-                s = FullState(h=s.h, v=s.v, theta=spec.theta_at(k + 1),
-                              omega=s.omega)
-                t += cmd.delta
+                        samples=sample_flight(FullState.from_floats(x_plus),
+                                              delta, cfg.flight_dt, params)))
+                t += delta
         except JugglingError as exc:
             log.termination = f"{type(exc).__name__}: {exc}"
             break

@@ -16,6 +16,9 @@ import numpy as np
 SCHEDULE_TOL = 1e-9          # orientation match tolerance for scheduled instants
 SYMMETRY_TOL = 1e-12         # tolerance on theta_even = pi - theta_odd
 
+# (hx, hy, vx, vy, theta, omega): the state of the plain-float kernels
+State = tuple[float, float, float, float, float, float]
+
 
 def parity_sign(k: int) -> float:
     """(-1)**k for impulse index k."""
@@ -100,6 +103,16 @@ class FullState:
         v.setflags(write=False)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "v", v)
+
+    @classmethod
+    def from_floats(cls, x: State) -> FullState:
+        """Validated state from (hx, hy, vx, vy, theta, omega)."""
+        return cls(h=x[:2], v=x[2:4], theta=x[4], omega=x[5])
+
+    def floats(self) -> State:
+        """(hx, hy, vx, vy, theta, omega) as plain floats, for the kernels."""
+        return (*self.h.tolist(), *self.v.tolist(), float(self.theta),
+                float(self.omega))
 
     def as_array(self) -> np.ndarray:
         """[hx, hy, theta, vx, vy, omega] in generalized-coordinate order."""

@@ -11,17 +11,17 @@ top of the odd-instant inputs steer the remaining directions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dvhc import dvhc_control, psi
-from .dynamics import hybrid_step, time_of_flight
+from .dvhc import control, on_constraint_state
+from .dvhc import dvhc_control  # noqa: F401 (perfbench traces it)
+from .dynamics import jump, land, time_of_flight
 from .dzd import OrbitSpec, steady_impulse
 from .errors import (FDInconsistent, NotOnSection, NotStabilizing,
                      RiccatiDiverged)
-from .model import SCHEDULE_TOL, FullState, ImpulseCmd, JuggleSpec
+from .model import SCHEDULE_TOL, FullState, JuggleSpec, State
 
 RICCATI_TOL = 1e-12
 RICCATI_MAX_ITER = 100_000
@@ -48,19 +48,31 @@ class FeedbackGain:
     deadband: float = 1e-3
 
 
+def section_coords(x: State, spec: JuggleSpec) -> np.ndarray:
+    """Section coordinates [hx, hy, vx, vy, omega] of a pre-impulse kernel
+    state (hx, hy, vx, vy, theta, omega).
+    """
+    hx, hy, vx, vy, theta, omega = x
+    if abs(theta - spec.theta_odd) > SCHEDULE_TOL:
+        raise NotOnSection(f"theta={theta} is not the odd orientation")
+    if omega >= 0:
+        raise NotOnSection(f"omega={omega} must be negative on the section")
+    return np.array([hx, hy, vx, vy, omega])
+
+
 def to_section(s: FullState, spec: JuggleSpec) -> np.ndarray:
     """Section coordinates [hx, hy, vx, vy, omega] of a pre-impulse state."""
-    if abs(s.theta - spec.theta_odd) > SCHEDULE_TOL:
-        raise NotOnSection(f"theta={s.theta} is not the odd orientation")
-    if s.omega >= 0:
-        raise NotOnSection(f"omega={s.omega} must be negative on the section")
-    return np.array([s.h[0], s.h[1], s.v[0], s.v[1], s.omega])
+    return section_coords(s.floats(), spec)
+
+
+def _on_section(z: np.ndarray, spec: JuggleSpec) -> State:
+    hx, hy, vx, vy, omega = np.asarray(z, dtype=float).tolist()
+    return hx, hy, vx, vy, spec.theta_odd, omega
 
 
 def from_section(z: np.ndarray, spec: JuggleSpec) -> FullState:
     """Inverse of to_section; exact round trip."""
-    z = np.asarray(z, dtype=float)
-    return FullState(h=z[:2], v=z[2:4], theta=spec.theta_odd, omega=z[4])
+    return FullState.from_floats(_on_section(z, spec))
 
 
 def poincare_map(z: np.ndarray, impulse: float, offset: float,
@@ -69,27 +81,20 @@ def poincare_map(z: np.ndarray, impulse: float, offset: float,
     constraint-enforcing inputs at the even one. Infeasible inputs raise.
     """
     spec, params = orbit.spec, orbit.params
-    s = from_section(z, spec)
-    delta = time_of_flight(s.omega, impulse, offset, 1, spec, params)
-    s = hybrid_step(s, ImpulseCmd(I=impulse, r=offset, delta=delta), params)
-    # the flight lands on the scheduled orientation by construction; pin it
-    # to remove float roundoff before re-measuring residuals
-    s = FullState(h=s.h, v=s.v, theta=spec.theta_even, omega=s.omega)
-    cmd = dvhc_control(s, 2, spec, params)
-    s = hybrid_step(s, cmd, params)
-    s = FullState(h=s.h, v=s.v, theta=spec.theta_odd, omega=s.omega)
-    return to_section(s, spec)
+    x = _on_section(z, spec)
+    delta = time_of_flight(x[5], impulse, offset, 1, spec, params)
+    # each flight lands on the scheduled orientation by construction; pin
+    # it to remove float roundoff before re-measuring residuals
+    x = land(jump(x, impulse, offset, params), delta, spec.theta_even, params)
+    *_, impulse, offset, delta = control(x, 2, spec, params)
+    x = land(jump(x, impulse, offset, params), delta, spec.theta_odd, params)
+    return section_coords(x, spec)
 
 
 def fixed_point(orbit: OrbitSpec) -> tuple[np.ndarray, float, float]:
     """Section state and inputs that the return map leaves unchanged."""
-    spec, params = orbit.spec, orbit.params
-    theta = spec.theta_odd
-    h_star = np.array([spec.alpha * math.tan(theta), spec.beta])
-    v_star = psi(theta, orbit.omega_star, 1, spec, params)
-    z_star = np.array([h_star[0], h_star[1], v_star[0], v_star[1],
-                       orbit.omega_star])
-    return z_star, steady_impulse(orbit, 1), orbit.r_star
+    s = on_constraint_state(orbit.omega_star, 1, orbit.spec, orbit.params)
+    return to_section(s, orbit.spec), steady_impulse(orbit, 1), orbit.r_star
 
 
 def _closed_loop_return(z: np.ndarray, u: np.ndarray,
@@ -98,9 +103,10 @@ def _closed_loop_return(z: np.ndarray, u: np.ndarray,
     u added to the odd-instant inputs; this is the map the linearization and
     the closed-loop episodes both use.
     """
-    s = from_section(z, orbit.spec)
-    cmd = dvhc_control(s, 1, orbit.spec, orbit.params)
-    return poincare_map(z, cmd.I + u[0], cmd.r + u[1], orbit)
+    *_, impulse, offset, _ = control(_on_section(z, orbit.spec), 1,
+                                     orbit.spec, orbit.params)
+    du_I, du_r = u.tolist()
+    return poincare_map(z, impulse + du_I, offset + du_r, orbit)
 
 
 def _fd_jacobians(orbit: OrbitSpec, z_star: np.ndarray, steps_z: np.ndarray,

@@ -227,6 +227,13 @@ def test_linearize_command(tmp_path, capsys):
     assert abs(K[0, 0] - 0.0961) < 5e-3
 
 
+def test_linearize_matches_shipped_output(tmp_path):
+    assert main(["linearize", "--scenario", str(SIM_ORBIT),
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "linearization.json").read_bytes() == \
+        (ROOT / "out" / "sim_orbit" / "linearization.json").read_bytes()
+
+
 def test_plot_outputs_and_determinism(tmp_path):
     main(["simulate", "--scenario", str(SIM_VHC), "--out", str(tmp_path)])
     impulses = tmp_path / "sim_vhc" / "impulses.csv"
@@ -283,3 +290,14 @@ def test_failed_first_impulse_still_writes_summary(tmp_path):
     assert summary["termination"].startswith("NoPositiveRoot")
     assert summary["n_impulses"] == 0
     assert (out / "sink" / "impulses.csv").exists()
+
+
+def test_non_finite_command_exits_3_with_summary(tmp_path):
+    text = SIM_VHC.read_text().replace("v_y0_mps = -2.0", "v_y0_mps = 1e300")
+    cfg = tmp_path / "blowup.cfg"
+    cfg.write_text(text + "r_policy = warn\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(cfg), "--out", str(out)]) == 3
+    summary = json.loads((out / "blowup" / "summary.json").read_text())
+    assert summary["termination"].startswith("NonFinite")
+    assert summary["n_impulses"] == 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from devilstick import (FullState, ImpulseCmd, Infeasible, Degenerate,
-                        ScenarioError, StickParams, flight, hybrid_step,
-                        impulsive_update, mechanical_energy, sample_flight,
-                        time_of_flight)
+                        NonFinite, ScenarioError, StickParams, flight,
+                        hybrid_step, impulsive_update, mechanical_energy,
+                        sample_flight, time_of_flight)
 from devilstick.dynamics import MAX_FLIGHT_SAMPLES
 
 from refvals import DELTA_EVEN, DELTA_ODD
@@ -221,3 +222,16 @@ def test_sample_flight_budget(params):
         sample_flight(s, 0.5, 1e-9, params)
     with pytest.raises(ScenarioError):
         sample_flight(s, math.inf, 0.01, params)
+
+def test_overflowing_flight_is_non_finite(params):
+    rest = FullState(h=np.zeros(2), v=np.zeros(2), theta=0.5, omega=-1.0)
+    fast = FullState(h=np.zeros(2), v=np.array([0.0, 1e300]), theta=0.5,
+                     omega=-1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            flight(rest, 1e200, params)         # delta**2 overflows
+        with pytest.raises(NonFinite):
+            flight(fast, 1e10, params)          # vy * delta overflows
+        with pytest.raises(NonFinite):
+            sample_flight(fast, 1e10, 1e9, params)

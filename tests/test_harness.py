@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devilstick import (EpisodeConfig, FullState, OffSchedule,
                         StickParams, metrics, on_constraint_state,
@@ -194,3 +198,34 @@ def test_stabilizer_setup_failure_is_data(ic_state, orbit_sym, params):
     assert not log.completed
     assert log.termination.startswith("FDInconsistent")
     assert log.records == []
+
+
+@pytest.mark.parametrize("h, v", [((0.7, 2.5), (0.9, 1e300)),
+                                  ((1e300, 1e300), (1e300, 1e300))])
+@pytest.mark.parametrize("r_policy", ["strict", "warn"])
+def test_non_finite_command_terminates(spec, params, h, v, r_policy):
+    # the time-of-flight root is infinite, so the first command is not finite
+    s0 = FullState(h=np.array(h), v=np.array(v), theta=spec.theta_odd,
+                   omega=-5.7)
+    log = run_episode(s0, spec, params,
+                      EpisodeConfig(k_max=10, r_policy=r_policy))
+    assert log.termination.startswith("NonFinite: non-finite command at k=1")
+    assert log.records == []
+
+
+huge = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hx=huge, hy=huge, vx=huge, vy=huge, omega=huge,
+       r_policy=st.sampled_from(["strict", "warn"]), stabilize=st.booleans())
+def test_any_finite_start_ends_with_a_log(spec, params, orbit_sym, hx, hy, vx,
+                                          vy, omega, r_policy, stabilize):
+    s0 = FullState(h=np.array([hx, hy]), v=np.array([vx, vy]),
+                   theta=spec.theta_odd, omega=omega)
+    cfg = EpisodeConfig(k_max=12, stabilize=stabilize, r_policy=r_policy,
+                        r_diag=(2.0, 2.0), fd_scheme="forward", fd_step=2e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = run_episode(s0, orbit_sym if stabilize else spec, params, cfg)
+    assert log.completed == (len(log.records) == cfg.k_max)
