@@ -4,12 +4,12 @@ Hybrid plant simulation, discrete constraint-enforcing control, constrained
 passive dynamics and orbit design, and return-map orbital stabilization.
 """
 
-from .dvhc import (Residuals, dvhc_control, on_constraint_state, phi,
-                   phi_increment, psi, residuals, steady_inputs)
-from .dynamics import (FlightSamples, flight, hybrid_step, impulsive_update,
+from .dvhc import (Residuals, dvhc_control, on_constraint_state, phi, psi,
+                   residuals, steady_inputs)
+from .dynamics import (FlightSamples, flight, impulsive_update,
                        mechanical_energy, sample_flight, time_of_flight)
 from .dzd import (DzdState, OrbitSpec, design_orbit, dzd_step, growth_factor,
-                  steady_impulse, symmetric_omega_star)
+                  symmetric_omega_star)
 from .errors import (AsymmetricSpec, Degenerate, FDInconsistent, Infeasible,
                      JugglingError, NonFinite, NoPositiveRoot, NotOnSection,
                      NotStabilizing, OffSchedule, RiccatiDiverged, RodExceeded,
@@ -17,8 +17,7 @@ from .errors import (AsymmetricSpec, Degenerate, FDInconsistent, Infeasible,
                      WrongSign)
 from .harness import (EpisodeConfig, EpisodeLog, EpisodeMetrics, metrics,
                       run_episode)
-from .model import (FullState, ImpulseCmd, JuggleSpec, StickParams,
-                    ValidationReport, validate)
+from .model import FullState, ImpulseCmd, JuggleSpec, StickParams, validate
 from .stabilizer import (FeedbackGain, LinearizedMap, controllability,
                          dare_residual, dlqr, feedback, fixed_point, from_section,
                          linearize, poincare_map, riccati_solution, to_section)

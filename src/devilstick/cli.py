@@ -27,15 +27,47 @@ from .svgplot import Panel, figure
 
 FLOAT_FMT = "%.17g"
 
-_REQUIRED_KEYS = (
-    "m_kg", "ell_m", "alpha_m", "beta_m", "theta_odd_rad", "theta_even_rad",
-    "h_x0_m", "h_y0_m", "v_x0_mps", "v_y0_mps", "omega0_radps",
-)
-_OPTIONAL_KEYS = (
-    "J_kgm2", "g_mps2", "lambda_x", "lambda_y", "theta0_rad", "k_max",
-    "stabilizer", "omega_star_radps", "deadband", "r_policy",
-    "flight_sample_dt_s", "q_diag", "r_diag", "fd_scheme", "fd_step",
-)
+_REQUIRED = object()  # default of the keys a scenario must set
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(","))
+
+
+def _rate(text: str) -> float | str:
+    return "symmetric" if text.lower() == "symmetric" else float(text)
+
+
+# key: (parser, default when the file does not set the key) and, for some
+# keys, a check that a parsed value must pass and the reason it failed
+_KEYS = {
+    **dict.fromkeys(("m_kg", "ell_m", "alpha_m", "beta_m", "theta_odd_rad",
+                     "theta_even_rad", "h_x0_m", "h_y0_m", "v_x0_mps",
+                     "v_y0_mps", "omega0_radps"), (float, _REQUIRED)),
+    "J_kgm2": (float, None),                 # None: m*ell**2/12
+    "g_mps2": (float, 9.81),
+    "lambda_x": (float, 0.5),
+    "lambda_y": (float, 0.5),
+    "theta0_rad": (float, None),             # None: theta_odd_rad
+    "k_max": (lambda s: int(float(s)), 20, lambda n: n >= 1, "must be >= 1"),
+    "stabilizer": (str.lower, "off", lambda s: s in ("on", "off"),
+                   "must be 'on' or 'off'"),
+    "omega_star_radps": (_rate, None,
+                         lambda x: x == "symmetric" or not x >= 0,
+                         "must be < 0 or 'symmetric'"),
+    "deadband": (float, 1e-3),
+    "r_policy": (str, "strict", lambda s: s in ("strict", "warn"),
+                 "must be 'strict' or 'warn'"),
+    "flight_sample_dt_s": (float, None, lambda x: math.isfinite(x) and x > 0,
+                           "must be finite and > 0"),
+    "q_diag": (_floats, (1.0,) * 5, lambda t: len(t) == 5,
+               "needs 5 comma-separated values"),
+    "r_diag": (_floats, (1.0, 1.0), lambda t: len(t) == 2,
+               "needs 2 comma-separated values"),
+    "fd_scheme": (str, "central", lambda s: s in ("central", "forward"),
+                  "must be 'central' or 'forward'"),
+    "fd_step": (float, None),                # None: 1e-6 central, 2e-3 forward
+}
 
 
 @dataclass(frozen=True)
@@ -53,7 +85,6 @@ def _parse_kv(path: Path) -> dict[str, str]:
         text = path.read_text()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    known = set(_REQUIRED_KEYS) | set(_OPTIONAL_KEYS)
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -62,7 +93,7 @@ def _parse_kv(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ScenarioError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in _KEYS:
             raise ScenarioError(f"{path}:{lineno}: unknown key {key!r}")
         if key in pairs:
             raise ScenarioError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -72,119 +103,63 @@ def _parse_kv(path: Path) -> dict[str, str]:
     return pairs
 
 
-def _as_float(pairs: dict[str, str], key: str, path: Path) -> float:
-    try:
-        return float(pairs[key])
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: key {key!r}: {exc}") from exc
-
-
-def _as_tuple(value: str, n: int, key: str, path: Path) -> tuple[float, ...]:
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) != n:
-        raise ScenarioError(f"{path}: key {key!r} needs {n} comma-separated values")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: key {key!r}: {exc}") from exc
-
-
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and fully validate a scenario file."""
     path = Path(path)
     pairs = _parse_kv(path)
-    missing = [key for key in _REQUIRED_KEYS if key not in pairs]
+    missing = [key for key, (_, default, *_) in _KEYS.items()
+               if default is _REQUIRED and key not in pairs]
     if missing:
         raise ScenarioError(f"{path}: missing required keys: {', '.join(missing)}")
+    val = {}
+    for key, (parse, default, *check) in _KEYS.items():
+        try:
+            val[key] = parse(pairs[key]) if key in pairs else default
+            if key in pairs and check and not check[0](val[key]):
+                raise ValueError(check[1])
+        except (ValueError, OverflowError) as exc:
+            raise ScenarioError(f"{path}: key {key!r}: {exc}") from exc
 
-    params = StickParams(
-        m=_as_float(pairs, "m_kg", path),
-        ell=_as_float(pairs, "ell_m", path),
-        J=_as_float(pairs, "J_kgm2", path) if "J_kgm2" in pairs else None,
-        g=_as_float(pairs, "g_mps2", path) if "g_mps2" in pairs else 9.81,
-    )
-    spec = JuggleSpec(
-        theta_odd=_as_float(pairs, "theta_odd_rad", path),
-        theta_even=_as_float(pairs, "theta_even_rad", path),
-        alpha=_as_float(pairs, "alpha_m", path),
-        beta=_as_float(pairs, "beta_m", path),
-        lambda_x=_as_float(pairs, "lambda_x", path) if "lambda_x" in pairs else 0.5,
-        lambda_y=_as_float(pairs, "lambda_y", path) if "lambda_y" in pairs else 0.5,
-    )
-    report = validate(spec, params)
-    if not report.ok:
-        raise ScenarioError(
-            f"{path}: invalid parameters: {', '.join(report.failures())}")
+    params = StickParams(m=val["m_kg"], ell=val["ell_m"], J=val["J_kgm2"],
+                         g=val["g_mps2"])
+    spec = JuggleSpec(theta_odd=val["theta_odd_rad"],
+                      theta_even=val["theta_even_rad"], alpha=val["alpha_m"],
+                      beta=val["beta_m"], lambda_x=val["lambda_x"],
+                      lambda_y=val["lambda_y"])
+    failures = validate(spec, params)
+    if failures:
+        raise ScenarioError(f"{path}: invalid parameters: {', '.join(failures)}")
 
-    theta0 = (_as_float(pairs, "theta0_rad", path)
-              if "theta0_rad" in pairs else spec.theta_odd)
+    theta0 = spec.theta_odd if val["theta0_rad"] is None else val["theta0_rad"]
     try:
-        s0 = FullState(
-            h=np.array([_as_float(pairs, "h_x0_m", path),
-                        _as_float(pairs, "h_y0_m", path)]),
-            v=np.array([_as_float(pairs, "v_x0_mps", path),
-                        _as_float(pairs, "v_y0_mps", path)]),
-            theta=theta0,
-            omega=_as_float(pairs, "omega0_radps", path),
-        )
+        s0 = FullState(h=np.array([val["h_x0_m"], val["h_y0_m"]]),
+                       v=np.array([val["v_x0_mps"], val["v_y0_mps"]]),
+                       theta=theta0, omega=val["omega0_radps"])
     except ValueError as exc:
         raise ScenarioError(f"{path}: bad initial state: {exc}") from exc
 
-    stabilize_raw = pairs.get("stabilizer", "off").lower()
-    if stabilize_raw not in ("on", "off"):
-        raise ScenarioError(f"{path}: stabilizer must be 'on' or 'off'")
-    stabilize = stabilize_raw == "on"
-
-    omega_star: float | None = None
-    if "omega_star_radps" in pairs:
-        raw = pairs["omega_star_radps"].lower()
-        if raw == "symmetric":
-            if not spec.symmetric:
-                raise ScenarioError(
-                    f"{path}: omega_star_radps = symmetric needs a symmetric "
-                    f"orientation schedule")
-            omega_star = symmetric_omega_star(spec, params)
-        else:
-            omega_star = _as_float(pairs, "omega_star_radps", path)
-            if omega_star >= 0:
-                raise ScenarioError(f"{path}: omega_star_radps must be < 0")
+    stabilize = val["stabilizer"] == "on"
+    omega_star = val["omega_star_radps"]
+    if omega_star == "symmetric":
+        if not spec.symmetric:
+            raise ScenarioError(
+                f"{path}: omega_star_radps = symmetric needs a symmetric "
+                f"orientation schedule")
+        omega_star = symmetric_omega_star(spec, params)
     if stabilize and omega_star is None:
         raise ScenarioError(f"{path}: stabilizer = on requires omega_star_radps")
     if stabilize and not spec.symmetric:
         raise ScenarioError(
             f"{path}: stabilizer = on requires a symmetric orientation schedule")
 
-    r_policy = pairs.get("r_policy", "strict")
-    if r_policy not in ("strict", "warn"):
-        raise ScenarioError(f"{path}: r_policy must be 'strict' or 'warn'")
-    fd_scheme = pairs.get("fd_scheme", "central")
-    if fd_scheme not in ("central", "forward"):
-        raise ScenarioError(f"{path}: fd_scheme must be 'central' or 'forward'")
-    flight_dt = None
-    if "flight_sample_dt_s" in pairs:
-        flight_dt = _as_float(pairs, "flight_sample_dt_s", path)
-        if not (math.isfinite(flight_dt) and flight_dt > 0):
-            raise ScenarioError(
-                f"{path}: flight_sample_dt_s must be finite and > 0")
-    if "fd_step" in pairs:
-        fd_step = _as_float(pairs, "fd_step", path)
-    else:
-        fd_step = 1e-6 if fd_scheme == "central" else 2e-3
-
+    fd_step = val["fd_step"]
+    if fd_step is None:
+        fd_step = 1e-6 if val["fd_scheme"] == "central" else 2e-3
     config = EpisodeConfig(
-        k_max=int(_as_float(pairs, "k_max", path)) if "k_max" in pairs else 20,
-        stabilize=stabilize,
-        deadband=(_as_float(pairs, "deadband", path)
-                  if "deadband" in pairs else 1e-3),
-        r_policy=r_policy,
-        flight_dt=flight_dt,
-        q_diag=(_as_tuple(pairs["q_diag"], 5, "q_diag", path)
-                if "q_diag" in pairs else (1.0,) * 5),
-        r_diag=(_as_tuple(pairs["r_diag"], 2, "r_diag", path)
-                if "r_diag" in pairs else (1.0, 1.0)),
-        fd_scheme=fd_scheme,
-        fd_step=fd_step,
-    )
+        k_max=val["k_max"], stabilize=stabilize, deadband=val["deadband"],
+        r_policy=val["r_policy"], flight_dt=val["flight_sample_dt_s"],
+        q_diag=val["q_diag"], r_diag=val["r_diag"],
+        fd_scheme=val["fd_scheme"], fd_step=fd_step)
     return Scenario(name=path.stem, params=params, spec=spec, s0=s0,
                     config=config, omega_star=omega_star)
 
@@ -412,8 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default="out", help="output directory")
     sim.add_argument("--jobs", type=int, default=1,
                      help="parallel workers for batches")
-    sim.add_argument("--seed", type=int, default=None,
-                     help="reserved; the dynamics are deterministic")
 
     ana = sub.add_parser("analyze", help="orbit family table for a rate sweep")
     ana.add_argument("--scenario", required=True)

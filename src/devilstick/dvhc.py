@@ -47,13 +47,6 @@ def phi(theta: float, spec: JuggleSpec) -> np.ndarray:
     return np.array([_phi_x(theta, spec), spec.beta])
 
 
-def phi_increment(theta: float, k: int, spec: JuggleSpec) -> np.ndarray:
-    """Constraint-map increment phi(theta_{k+1}) - phi(theta_k) across one
-    flight; its vertical component vanishes for the constant-height map.
-    """
-    return phi(spec.theta_after(k), spec) - phi(theta, spec)
-
-
 def _psi(theta: float, omega: float, k: int, spec: JuggleSpec,
          params: StickParams) -> tuple[float, float]:
     if abs(omega) < OMEGA_EPS:

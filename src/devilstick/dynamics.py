@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, Infeasible, NonFinite, ScenarioError
-from .model import (FullState, ImpulseCmd, JuggleSpec, State, StickParams,
-                    parity_sign)
+from .model import FullState, JuggleSpec, State, StickParams, parity_sign
 
 RATE_EPS = 1e-12  # post-impulse angular rate below this is rejected
 MAX_FLIGHT_SAMPLES = 1_000_000  # per flight; bounds sampling time and memory
@@ -78,13 +77,6 @@ def flight(s_plus: FullState, delta: float, params: StickParams) -> FullState:
         raise ValueError(f"flight time must be >= 0, got {delta}")
     x = s_plus.floats()
     return FullState.from_floats(land(x, delta, x[4] + x[5] * delta, params))
-
-
-def hybrid_step(s: FullState, cmd: ImpulseCmd, params: StickParams) -> FullState:
-    """One impulsive actuation followed by its flight."""
-    if cmd.delta <= 0:
-        raise Infeasible(f"time of flight must be > 0, got {cmd.delta}")
-    return flight(impulsive_update(s, cmd.I, cmd.r, params), cmd.delta, params)
 
 
 def time_of_flight(omega: float, impulse: float, offset: float, k: int,

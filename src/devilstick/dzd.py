@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AsymmetricSpec, Degenerate, WrongSign
-from .model import JuggleSpec, StickParams, parity_sign
+from .model import JuggleSpec, StickParams
 
 TAN_FACTOR_EPS = 1e-12
 
@@ -87,11 +87,6 @@ def design_orbit(spec: JuggleSpec, omega_star: float,
     return OrbitSpec(spec=spec, params=params, omega_star=omega_star,
                      omega_even=omega_even, delta_odd=delta_odd,
                      delta_even=delta_even, I_mag=I_mag, r_star=r_star)
-
-
-def steady_impulse(orbit: OrbitSpec, k: int) -> float:
-    """Signed impulse at parity k on the orbit: positive odd, negative even."""
-    return -parity_sign(k) * orbit.I_mag
 
 
 def symmetric_omega_star(spec: JuggleSpec, params: StickParams) -> float:

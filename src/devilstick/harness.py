@@ -19,8 +19,8 @@ from .dvhc import dvhc_control, residuals  # noqa: F401 (perfbench traces them)
 from .dynamics import FlightSamples, jump, land, sample_flight, time_of_flight
 from .dynamics import flight, impulsive_update  # noqa: F401 (perfbench traces)
 from .dzd import OrbitSpec
-from .errors import JugglingError, OffSchedule
-from .model import SCHEDULE_TOL, FullState, JuggleSpec, StickParams
+from .errors import JugglingError, OffSchedule, ScenarioError
+from .model import SCHEDULE_TOL, FullState, JuggleSpec, StickParams, validate
 
 
 @dataclass(frozen=True)
@@ -84,21 +84,16 @@ class EpisodeLog:
 
 @dataclass(eq=False)
 class EpisodeMetrics:
-    n_impulses: int
-    rho_ratios: np.ndarray          # (n-1, 2) componentwise rho_{k+1}/rho_k
     rho_contraction_dev: float      # max |rho_{k+1} - lambda*rho_k|
-    omega_two_step_ratios: np.ndarray
-    terminal_error: float | None
-    elapsed: float
-    completed: bool
-    termination: str
+    terminal_error: float | None    # section distance of the last odd record
 
 
 def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                 params: StickParams, cfg: EpisodeConfig) -> EpisodeLog:
     """Run up to cfg.k_max impulses from s0 (which must sit at the odd
     scheduled orientation, k = 1). Identical inputs produce bitwise
-    identical logs.
+    identical logs. Parameters that model.validate rejects end the episode
+    before its first impulse with a ScenarioError termination.
     """
     t_start = time.perf_counter()
     if isinstance(target, OrbitSpec):
@@ -114,16 +109,19 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
 
     log = EpisodeLog(spec=spec, params=params, orbit=orbit)
     lin = gain = None
-    if cfg.stabilize:
-        try:
+    try:
+        failures = validate(spec, params)
+        if failures:
+            raise ScenarioError(f"invalid parameters: {', '.join(failures)}")
+        if cfg.stabilize:
             lin = stab.linearize(orbit, step_scale=cfg.fd_step,
                                  scheme=cfg.fd_scheme)
             gain = stab.dlqr(lin.A, lin.B, np.diag(cfg.q_diag),
                              np.diag(cfg.r_diag), deadband=cfg.deadband)
-        except JugglingError as exc:
-            log.termination = f"{type(exc).__name__}: {exc}"
-            log.wall_time = time.perf_counter() - t_start
-            return log
+    except JugglingError as exc:
+        log.termination = f"{type(exc).__name__}: {exc}"
+        log.wall_time = time.perf_counter() - t_start
+        return log
 
     x = s0.floats()
     t = 0.0
@@ -180,18 +178,10 @@ def metrics(log: EpisodeLog) -> EpisodeMetrics:
     """Convergence summary of an episode log."""
     if not log.records:
         raise ValueError("empty episode log")
-    n = len(log.records)
     rho = np.array([rec.rho for rec in log.records])
-    ratios = np.full((n - 1, 2), np.nan)
-    for i in range(n - 1):
-        for j in range(2):
-            if abs(rho[i, j]) > 1e-300:
-                ratios[i, j] = rho[i + 1, j] / rho[i, j]
     lam = np.array([log.spec.lambda_x, log.spec.lambda_y])
     dev = max((float(np.max(np.abs(rho[i + 1] - lam * rho[i])))
-               for i in range(n - 1)), default=0.0)
-    omega = np.array([rec.omega for rec in log.records])
-    two_step = np.abs(omega[2:] / omega[:-2]) if n >= 3 else np.empty(0)
+               for i in range(len(rho) - 1)), default=0.0)
     terminal_error = None
     if log.orbit is not None:
         z_star, _, _ = stab.fixed_point(log.orbit)
@@ -200,13 +190,5 @@ def metrics(log: EpisodeLog) -> EpisodeMetrics:
         if last_odd is not None:
             z = section_state_of(last_odd, log.spec, log.params)
             terminal_error = float(np.linalg.norm(z - z_star))
-    return EpisodeMetrics(
-        n_impulses=n,
-        rho_ratios=ratios,
-        rho_contraction_dev=dev,
-        omega_two_step_ratios=two_step,
-        terminal_error=terminal_error,
-        elapsed=log.sim_duration,
-        completed=log.completed,
-        termination=log.termination,
-    )
+    return EpisodeMetrics(rho_contraction_dev=dev,
+                          terminal_error=terminal_error)

@@ -9,7 +9,7 @@ theta_even in (pi/2, pi) for even ones, with the index k starting at 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,11 +114,6 @@ class FullState:
         return (*self.h.tolist(), *self.v.tolist(), float(self.theta),
                 float(self.omega))
 
-    def as_array(self) -> np.ndarray:
-        """[hx, hy, theta, vx, vy, omega] in generalized-coordinate order."""
-        return np.array([self.h[0], self.h[1], self.theta,
-                         self.v[0], self.v[1], self.omega])
-
 
 @dataclass(frozen=True)
 class ImpulseCmd:
@@ -129,26 +124,10 @@ class ImpulseCmd:
     delta: float
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Per-field pass/fail plus the 2-periodic feasibility flag."""
-
-    checks: dict[str, bool] = field(default_factory=dict)
-    periodic_feasible: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return all(self.checks.values())
-
-    def failures(self) -> list[str]:
-        return [name for name, passed in self.checks.items() if not passed]
-
-
-def validate(spec: JuggleSpec, params: StickParams) -> ValidationReport:
-    """Check physical and scheduling parameters; never raises.
-
-    periodic_feasible is True iff the orientations are symmetric about the
-    vertical, which is necessary and sufficient for a 2-periodic juggle.
+def validate(spec: JuggleSpec, params: StickParams) -> list[str]:
+    """Names of the failed physical and scheduling checks, empty when all
+    pass; never raises. Whether a 2-periodic juggle exists is a separate
+    question, answered by spec.symmetric.
     """
     checks = {
         "m": params.m > 0,
@@ -163,4 +142,4 @@ def validate(spec: JuggleSpec, params: StickParams) -> ValidationReport:
         "lambda_x": 0.0 <= spec.lambda_x < 1.0,
         "lambda_y": 0.0 <= spec.lambda_y < 1.0,
     }
-    return ValidationReport(checks=checks, periodic_feasible=spec.symmetric)
+    return [name for name, passed in checks.items() if not passed]

@@ -18,7 +18,7 @@ import numpy as np
 from .dvhc import control, on_constraint_state
 from .dvhc import dvhc_control  # noqa: F401 (perfbench traces it)
 from .dynamics import jump, land, time_of_flight
-from .dzd import OrbitSpec, steady_impulse
+from .dzd import OrbitSpec
 from .errors import (FDInconsistent, NotOnSection, NotStabilizing,
                      RiccatiDiverged)
 from .model import SCHEDULE_TOL, FullState, JuggleSpec, State
@@ -94,7 +94,7 @@ def poincare_map(z: np.ndarray, impulse: float, offset: float,
 def fixed_point(orbit: OrbitSpec) -> tuple[np.ndarray, float, float]:
     """Section state and inputs that the return map leaves unchanged."""
     s = on_constraint_state(orbit.omega_star, 1, orbit.spec, orbit.params)
-    return to_section(s, orbit.spec), steady_impulse(orbit, 1), orbit.r_star
+    return to_section(s, orbit.spec), orbit.I_mag, orbit.r_star
 
 
 def _closed_loop_return(z: np.ndarray, u: np.ndarray,
@@ -109,37 +109,28 @@ def _closed_loop_return(z: np.ndarray, u: np.ndarray,
     return poincare_map(z, impulse + du_I, offset + du_r, orbit)
 
 
-def _fd_jacobians(orbit: OrbitSpec, z_star: np.ndarray, steps_z: np.ndarray,
-                  steps_u: np.ndarray, scheme: str) -> tuple[np.ndarray, np.ndarray]:
-    A = np.zeros((5, 5))
-    B = np.zeros((5, 2))
-    u0 = np.zeros(2)
-    if scheme == "central":
-        for i in range(5):
-            zp, zm = z_star.copy(), z_star.copy()
-            zp[i] += steps_z[i]
-            zm[i] -= steps_z[i]
-            A[:, i] = (_closed_loop_return(zp, u0, orbit)
-                       - _closed_loop_return(zm, u0, orbit)) / (2 * steps_z[i])
-        for i in range(2):
-            up, um = u0.copy(), u0.copy()
-            up[i] += steps_u[i]
-            um[i] -= steps_u[i]
-            B[:, i] = (_closed_loop_return(z_star, up, orbit)
-                       - _closed_loop_return(z_star, um, orbit)) / (2 * steps_u[i])
-    elif scheme == "forward":
-        base = _closed_loop_return(z_star, u0, orbit)
-        for i in range(5):
-            zp = z_star.copy()
-            zp[i] += steps_z[i]
-            A[:, i] = (_closed_loop_return(zp, u0, orbit) - base) / steps_z[i]
-        for i in range(2):
-            up = u0.copy()
-            up[i] += steps_u[i]
-            B[:, i] = (_closed_loop_return(z_star, up, orbit) - base) / steps_u[i]
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return A, B
+def _fd_jacobian(orbit: OrbitSpec, z_star: np.ndarray, steps: np.ndarray,
+                 scheme: str) -> np.ndarray:
+    """[A | B]: one difference quotient of the closed-loop return map per
+    input of (z, u), about (z*, 0).
+    """
+    def moved(i: int, step: float) -> np.ndarray:
+        z, u = z_star.copy(), np.zeros(2)
+        if i < 5:
+            z[i] += step
+        else:
+            u[i - 5] += step
+        return _closed_loop_return(z, u, orbit)
+
+    if scheme == "forward":
+        base = _closed_loop_return(z_star, np.zeros(2), orbit)
+    J = np.empty((5, 7))
+    for i, step in enumerate(steps):
+        if scheme == "central":
+            J[:, i] = (moved(i, step) - moved(i, -step)) / (2 * step)
+        else:
+            J[:, i] = (moved(i, step) - base) / step
+    return J
 
 
 def linearize(orbit: OrbitSpec, step_scale: float = 1e-6,
@@ -155,15 +146,17 @@ def linearize(orbit: OrbitSpec, step_scale: float = 1e-6,
     z_star, I_star, r_star = fixed_point(orbit)
     u_star = np.array([I_star, r_star])
     if scheme == "central":
-        steps_z = step_scale * np.maximum(1.0, np.abs(z_star))
-        steps_u = step_scale * np.maximum(1.0, np.abs(u_star))
+        steps = step_scale * np.maximum(
+            1.0, np.abs(np.concatenate([z_star, u_star])))
+    elif scheme == "forward":
+        steps = np.full(7, step_scale)
     else:
-        steps_z = np.full(5, step_scale)
-        steps_u = np.full(2, step_scale)
-    A, B = _fd_jacobians(orbit, z_star, steps_z, steps_u, scheme)
+        raise ValueError(f"unknown scheme {scheme!r}")
+    J = _fd_jacobian(orbit, z_star, steps, scheme)
     if scheme == "central":
-        A2, B2 = _fd_jacobians(orbit, z_star, steps_z / 2, steps_u / 2, scheme)
-        for name, M, M2 in (("A", A, A2), ("B", B, B2)):
+        J2 = _fd_jacobian(orbit, z_star, steps / 2, scheme)
+        for name, cols in (("A", slice(0, 5)), ("B", slice(5, 7))):
+            M, M2 = J[:, cols], J2[:, cols]
             tol = np.maximum(1e-4, 1e-3 * np.abs(M))
             if np.any(np.abs(M - M2) > tol):
                 worst = np.unravel_index(np.argmax(np.abs(M - M2) - tol), M.shape)
@@ -171,9 +164,10 @@ def linearize(orbit: OrbitSpec, step_scale: float = 1e-6,
                 raise FDInconsistent(
                     f"{name}[{i},{j}] fails step-halving: "
                     f"|{M[worst]:.6g} - {M2[worst]:.6g}| > {tol[worst]:.2g}")
-        A, B = A2, B2
-    return LinearizedMap(A=A, B=B, z_star=z_star, u_star=u_star,
-                         scheme=scheme, step=step_scale)
+        J = J2
+    # copies, so A and B are contiguous like any other matrix
+    return LinearizedMap(A=J[:, :5].copy(), B=J[:, 5:].copy(), z_star=z_star,
+                         u_star=u_star, scheme=scheme, step=step_scale)
 
 
 def controllability(A: np.ndarray, B: np.ndarray) -> tuple[int, bool]:

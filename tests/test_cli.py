@@ -1,10 +1,13 @@
 import csv
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devilstick import ScenarioError
 from devilstick.cli import cmd_analyze, load_scenario, main
@@ -32,8 +35,10 @@ def test_load_sim_vhc():
     assert sc.spec.alpha == 0.6131 and sc.spec.beta == 3.0
     assert sc.spec.theta_odd == pytest.approx(math.pi / 6, abs=1e-15)
     assert sc.spec.lambda_x == 0.5 and sc.spec.lambda_y == 0.5
-    assert sc.s0.as_array() == pytest.approx(
-        [0.7, 2.5, math.pi / 6, 0.9, -2.0, -5.7], abs=1e-12)
+    assert sc.s0.h.tolist() == [0.7, 2.5]
+    assert sc.s0.v.tolist() == [0.9, -2.0]
+    assert sc.s0.theta == pytest.approx(math.pi / 6, abs=1e-12)
+    assert sc.s0.omega == -5.7
     assert not sc.config.stabilize
     assert sc.config.k_max == 20
 
@@ -46,6 +51,175 @@ def test_load_sim_orbit():
     assert sc.config.r_diag == (2.0, 2.0)
     assert sc.config.fd_scheme == "forward"
     assert sc.config.fd_step == 2e-3
+
+
+REQUIRED = {
+    "m_kg": "0.2", "ell_m": "0.8", "alpha_m": "0.5", "beta_m": "2.5",
+    "theta_odd_rad": "0.5235987755982988",
+    "theta_even_rad": "2.6179938779914944",
+    "h_x0_m": "0.25", "h_y0_m": "2.0", "v_x0_mps": "0.5",
+    "v_y0_mps": "-1.5", "omega0_radps": "-4.5",
+}
+ASYMMETRIC_EVEN = "2.0943951023931953"
+
+
+def write_scenario(tmp_path, name="sc", **keys):
+    """Scenario file of the required keys, overridden and extended by keys;
+    a value of None drops the key."""
+    pairs = {**REQUIRED, **keys}
+    path = tmp_path / f"{name}.cfg"
+    path.write_text("".join(f"{key} = {value}\n"
+                            for key, value in pairs.items()
+                            if value is not None))
+    return path
+
+
+def test_load_every_key(tmp_path):
+    sc = load_scenario(write_scenario(
+        tmp_path, "full", J_kgm2="0.011", g_mps2="9.5", lambda_x="0.25",
+        lambda_y="0.75", theta0_rad="0.5235987755982988", k_max="12.9",
+        stabilizer="ON", omega_star_radps="-3.5", deadband="0.002",
+        r_policy="warn", flight_sample_dt_s="0.02", q_diag="1, 2,3,4,5",
+        r_diag="0.5,1.5", fd_scheme="forward", fd_step="0.001"))
+    assert sc.name == "full"
+    assert (sc.params.m, sc.params.ell, sc.params.J, sc.params.g) == \
+        (0.2, 0.8, 0.011, 9.5)
+    spec = sc.spec
+    assert (spec.theta_odd, spec.theta_even, spec.alpha, spec.beta,
+            spec.lambda_x, spec.lambda_y) == (
+        0.5235987755982988, 2.6179938779914944, 0.5, 2.5, 0.25, 0.75)
+    assert sc.s0.h.tolist() == [0.25, 2.0]
+    assert sc.s0.v.tolist() == [0.5, -1.5]
+    assert (sc.s0.theta, sc.s0.omega) == (0.5235987755982988, -4.5)
+    assert sc.omega_star == -3.5
+    cfg = sc.config
+    assert (cfg.k_max, cfg.stabilize, cfg.deadband, cfg.r_policy,
+            cfg.flight_dt, cfg.q_diag, cfg.r_diag, cfg.fd_scheme,
+            cfg.fd_step) == (12, True, 0.002, "warn", 0.02,
+                             (1.0, 2.0, 3.0, 4.0, 5.0), (0.5, 1.5),
+                             "forward", 0.001)
+
+
+def test_load_required_keys_only(tmp_path):
+    sc = load_scenario(write_scenario(tmp_path, "bare"))
+    assert sc.name == "bare"
+    assert (sc.params.m, sc.params.ell, sc.params.g) == (0.2, 0.8, 9.81)
+    assert sc.params.J == 0.2 * 0.8**2 / 12.0
+    spec = sc.spec
+    assert (spec.theta_odd, spec.theta_even, spec.alpha, spec.beta,
+            spec.lambda_x, spec.lambda_y) == (
+        0.5235987755982988, 2.6179938779914944, 0.5, 2.5, 0.5, 0.5)
+    assert sc.s0.h.tolist() == [0.25, 2.0]
+    assert sc.s0.v.tolist() == [0.5, -1.5]
+    assert (sc.s0.theta, sc.s0.omega) == (spec.theta_odd, -4.5)
+    assert sc.omega_star is None
+    cfg = sc.config
+    assert (cfg.k_max, cfg.stabilize, cfg.deadband, cfg.r_policy,
+            cfg.flight_dt, cfg.q_diag, cfg.r_diag, cfg.fd_scheme,
+            cfg.fd_step) == (20, False, 1e-3, "strict", None, (1.0,) * 5,
+                             (1.0, 1.0), "central", 1e-6)
+
+
+def test_load_scheme_default_step_and_symmetric_rate(tmp_path):
+    from devilstick import symmetric_omega_star
+    sc = load_scenario(write_scenario(
+        tmp_path, fd_scheme="forward", omega_star_radps="Symmetric"))
+    assert sc.config.fd_step == 2e-3
+    assert sc.omega_star == symmetric_omega_star(sc.spec, sc.params)
+
+
+@pytest.mark.parametrize("keys, named", [
+    ({"stabilizer": "maybe"}, "stabilizer"),
+    ({"r_policy": "Warn"}, "r_policy"),
+    ({"r_policy": "lenient"}, "r_policy"),
+    ({"fd_scheme": "Central"}, "fd_scheme"),
+    ({"fd_scheme": "backward"}, "fd_scheme"),
+    ({"omega_star_radps": "0"}, "omega_star_radps"),
+    ({"omega_star_radps": "2.5"}, "omega_star_radps"),
+    ({"omega_star_radps": "fast"}, "omega_star_radps"),
+    ({"omega_star_radps": "symmetric", "theta_even_rad": ASYMMETRIC_EVEN},
+     "omega_star_radps"),
+    ({"stabilizer": "on"}, "stabilizer"),
+    ({"stabilizer": "on", "omega_star_radps": "-3.0",
+      "theta_even_rad": ASYMMETRIC_EVEN}, "stabilizer"),
+    ({"q_diag": "1,1,1,1"}, "q_diag"),
+    ({"q_diag": "1,1,x,1,1"}, "q_diag"),
+    ({"r_diag": "1,2,3"}, "r_diag"),
+    ({"k_max": "ten"}, "k_max"),
+    ({"flight_sample_dt_s": "-1"}, "flight_sample_dt_s"),
+    ({"m_kg": "heavy"}, "m_kg"),
+    ({"lambda_y": "1.0"}, "lambda_y"),
+    ({"omega0_radps": None}, "omega0_radps"),
+])
+def test_invalid_key_rejected_by_name(tmp_path, keys, named):
+    with pytest.raises(ScenarioError, match=named):
+        load_scenario(write_scenario(tmp_path, **keys))
+
+
+@pytest.mark.parametrize("value", ["0", "0.5", "-3", "nan", "inf"])
+def test_k_max_must_be_a_count(tmp_path, value):
+    # k_max is int(float(value)); a count below 1 or a non-finite value is a
+    # scenario error naming the key, and the CLI exits 2
+    path = write_scenario(tmp_path, k_max=value)
+    with pytest.raises(ScenarioError, match="k_max"):
+        load_scenario(path)
+    assert main(["simulate", "--scenario", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
+@st.composite
+def random_scenario_keys(draw):
+    """Random physical parameters, schedule, rates, start, policy and
+    stabilizer; one draw in three sets one parameter out of range."""
+    def number(lo, hi):
+        return repr(draw(st.floats(lo, hi)))
+
+    theta_odd = draw(st.floats(0.05, math.pi / 2 - 0.05))
+    keys = {
+        "m_kg": number(1e-3, 10.0), "ell_m": number(1e-2, 5.0),
+        "g_mps2": number(0.1, 30.0), "alpha_m": number(0.05, 5.0),
+        "beta_m": number(0.1, 10.0), "theta_odd_rad": repr(theta_odd),
+        "theta_even_rad": repr(draw(st.just(math.pi - theta_odd) | st.floats(
+            math.pi / 2 + 0.05, math.pi - 0.05))),
+        "lambda_x": number(0.0, 0.99), "lambda_y": number(0.0, 0.99),
+        "h_x0_m": number(-10.0, 10.0), "h_y0_m": number(-10.0, 10.0),
+        "v_x0_mps": number(-10.0, 10.0), "v_y0_mps": number(-10.0, 10.0),
+        "omega0_radps": number(-10.0, -0.1), "k_max": number(1.0, 20.0),
+        "r_policy": draw(st.sampled_from(["strict", "warn"])),
+    }
+    # no flight_sample_dt_s: flight times of random scenarios reach hours
+    # (rates near zero, geometric growth on asymmetric schedules), and one
+    # sampled example can write 100 MB of trajectory.csv. Sampling of random
+    # episodes is covered in-process by test_random_episode_ends_with_a_log.
+    if float(keys["theta_even_rad"]) == math.pi - theta_odd \
+            and draw(st.booleans()):
+        keys.update(stabilizer="on", fd_scheme="forward",
+                    omega_star_radps=draw(st.just("symmetric")
+                                          | st.floats(-8.0, -0.5).map(repr)))
+    broken = draw(st.sampled_from(
+        [None] * 8 + ["m_kg", "g_mps2", "alpha_m", "lambda_x"]))
+    if broken is not None:
+        keys[broken] = "1.0" if broken == "lambda_x" else "0.0"
+    return keys
+
+
+@settings(max_examples=30, deadline=None)
+@given(keys=random_scenario_keys())
+def test_random_scenario_exit_codes(keys):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_scenario(Path(tmp), **keys)
+        try:
+            load_scenario(path)
+            accepted = True
+        except ScenarioError:
+            accepted = False
+        out = Path(tmp) / "out"
+        code = main(["simulate", "--scenario", str(path), "--out", str(out)])
+        if accepted:
+            assert code in (0, 3)
+            assert (out / path.stem / "summary.json").exists()
+        else:
+            assert code == 2
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -264,12 +438,6 @@ def test_plot_empty_csv_fails(tmp_path):
 
 def test_plot_requires_input(tmp_path):
     assert main(["plot", "--out", str(tmp_path)]) == 2
-
-
-def test_seed_flag_accepted(tmp_path):
-    code = main(["simulate", "--scenario", str(SIM_VHC),
-                 "--out", str(tmp_path), "--seed", "7"])
-    assert code == 0
 
 
 def test_failed_first_impulse_still_writes_summary(tmp_path):

@@ -5,9 +5,9 @@ import pytest
 
 from devilstick import (Degenerate, FullState, NoPositiveRoot, OffSchedule,
                         RodExceeded, SingularOrientation, WrongRotationSign,
-                        dvhc_control, flight, hybrid_step, impulsive_update,
-                        on_constraint_state, phi, phi_increment, psi,
-                        residuals, steady_inputs)
+                        dvhc_control, flight, impulsive_update,
+                        on_constraint_state, phi, psi, residuals,
+                        steady_inputs)
 from devilstick.dvhc import quadratic_coeffs
 
 from refvals import IMPULSE_2P, OFFSET
@@ -31,7 +31,7 @@ def test_phi_singularity(spec):
 
 
 def test_phi_increment_is_horizontal(spec):
-    eta = phi_increment(spec.theta_odd, 1, spec)
+    eta = phi(spec.theta_after(1), spec) - phi(spec.theta_odd, spec)
     assert eta[1] == 0.0
     assert eta[0] == pytest.approx(
         spec.alpha * (math.tan(spec.theta_even) - math.tan(spec.theta_odd)),
@@ -116,7 +116,8 @@ def test_control_contracts_residuals_from_reference_start(ic_state, spec,
     # oracle: apply the command through the plant and re-measure
     res1 = residuals(ic_state, 1, spec, params)
     cmd = dvhc_control(ic_state, 1, spec, params)
-    s2 = hybrid_step(ic_state, cmd, params)
+    s2 = flight(impulsive_update(ic_state, cmd.I, cmd.r, params), cmd.delta,
+                params)
     s2 = FullState(h=s2.h, v=s2.v, theta=spec.theta_even, omega=s2.omega)
     res2 = residuals(s2, 2, spec, params)
     assert res2.rho == pytest.approx(0.5 * res1.rho, abs=1e-9)

@@ -6,21 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from devilstick import (FullState, ImpulseCmd, Infeasible, Degenerate,
-                        NonFinite, ScenarioError, StickParams, flight,
-                        hybrid_step, impulsive_update, mechanical_energy,
-                        sample_flight, time_of_flight)
+from devilstick import (FullState, Infeasible, Degenerate, NonFinite,
+                        ScenarioError, StickParams, flight, impulsive_update,
+                        mechanical_energy, sample_flight, time_of_flight)
 from devilstick.dynamics import MAX_FLIGHT_SAMPLES
 
 from refvals import DELTA_EVEN, DELTA_ODD
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
-
-
-def random_state(rng):
-    return FullState(h=rng.uniform(-2, 2, 2), v=rng.uniform(-5, 5, 2),
-                     theta=rng.uniform(0.2, 2.9), omega=rng.uniform(-8, 8))
 
 
 def test_zero_impulse_is_identity(params):
@@ -100,22 +94,11 @@ def test_flight_conserves_vx_omega_energy(hx, hy, vx, vy, omega, delta):
                                                      abs=1e-12)
 
 
-def test_hybrid_step_is_the_composition(params, rng):
-    for _ in range(1000):
-        s = random_state(rng)
-        cmd = ImpulseCmd(I=rng.uniform(-1, 1), r=rng.uniform(-0.2, 0.2),
-                         delta=rng.uniform(0.05, 1.5))
-        combined = hybrid_step(s, cmd, params)
-        composed = flight(impulsive_update(s, cmd.I, cmd.r, params),
-                          cmd.delta, params)
-        assert np.array_equal(combined.as_array(), composed.as_array())
-
-
 def test_hybrid_step_reaches_even_state_on_orbit(spec, params, orbit_2p):
     from devilstick import on_constraint_state, steady_inputs
     s = on_constraint_state(orbit_2p.omega_star, 1, spec, params)
     cmd = steady_inputs(orbit_2p.omega_star, 1, spec, params)
-    s2 = hybrid_step(s, cmd, params)
+    s2 = flight(impulsive_update(s, cmd.I, cmd.r, params), cmd.delta, params)
     assert s2.theta == pytest.approx(spec.theta_even, abs=1e-9)
     assert s2.omega == pytest.approx(5.5532, abs=1e-3)
 

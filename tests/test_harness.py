@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devilstick import (EpisodeConfig, FullState, OffSchedule,
-                        StickParams, metrics, on_constraint_state,
-                        run_episode)
+from devilstick import (EpisodeConfig, FullState, JuggleSpec, OffSchedule,
+                        StickParams, design_orbit, metrics,
+                        on_constraint_state, run_episode, validate)
 from devilstick.dzd import growth_factor
 
 from refvals import (DELTA_EVEN, DELTA_ODD, DURATION_2P, DURATION_SYM,
@@ -160,19 +161,20 @@ def test_start_off_schedule_rejected(spec, params):
 
 def test_metrics_two_periodic(log_2p):
     m = metrics(log_2p)
-    assert m.n_impulses == 20
-    finite = m.rho_ratios[np.isfinite(m.rho_ratios)]
-    assert finite == pytest.approx(0.5 * np.ones_like(finite), abs=1e-6)
+    assert len(log_2p.records) == 20
+    rho = np.array([rec.rho for rec in log_2p.records])
+    ratios = rho[1:] / rho[:-1]
+    assert ratios == pytest.approx(0.5 * np.ones_like(ratios), abs=1e-6)
     assert m.rho_contraction_dev < 1e-9
-    assert m.completed
+    assert log_2p.completed
 
 
 def test_metrics_asymmetric_growth(asym_spec, params):
     s0 = on_constraint_state(-3.0, 1, asym_spec, params)
     log = run_episode(s0, asym_spec, params, EpisodeConfig(k_max=9))
     assert log.completed
-    m = metrics(log)
-    odd_ratios = m.omega_two_step_ratios[0::2]
+    omega = np.array([rec.omega for rec in log.records])
+    odd_ratios = np.abs(omega[2::2] / omega[:-2:2])
     factor = growth_factor(asym_spec)
     assert odd_ratios == pytest.approx(factor * np.ones_like(odd_ratios),
                                        rel=1e-6)
@@ -229,3 +231,92 @@ def test_any_finite_start_ends_with_a_log(spec, params, orbit_sym, hx, hy, vx,
         warnings.simplefilter("error")
         log = run_episode(s0, orbit_sym if stabilize else spec, params, cfg)
     assert log.completed == (len(log.records) == cfg.k_max)
+
+
+@pytest.mark.parametrize("spec_kw, params_kw, failures", [
+    # delta_theta = 0 divided the constrained velocity by zero
+    ({"theta_odd": 0.5, "theta_even": 0.5, "alpha": 0.6, "beta": 3.0},
+     {"m": 0.1, "ell": 0.5}, "theta_even, delta_theta"),
+    # g = 0 divided the nominal time of flight by zero
+    (None, {"m": 0.1, "ell": 0.5, "g": 0.0}, "g"),
+])
+def test_invalid_parameters_end_episode_as_data(spec, spec_kw, params_kw,
+                                                failures):
+    spec = JuggleSpec(**spec_kw) if spec_kw else spec
+    s0 = FullState(h=np.array([0.7, 2.5]), v=np.array([0.9, -2.0]),
+                   theta=spec.theta_odd, omega=-5.7)
+    log = run_episode(s0, spec, StickParams(**params_kw),
+                      EpisodeConfig(k_max=10))
+    assert log.termination == f"ScenarioError: invalid parameters: {failures}"
+    assert log.records == []
+
+
+# out-of-range parameter sets, each failing one validate check
+BROKEN = [{"m": 0.0}, {"g": 0.0}, {"alpha": -1.0}, {"lambda_x": 1.0},
+          {"theta_odd": math.pi / 2}, {"theta_even": 0.5, "theta_odd": 0.5}]
+
+
+@st.composite
+def random_episodes(draw):
+    """Physical parameters, a schedule (symmetric or asymmetric), contraction
+    rates, policy, sampling and a start with entries up to 10; one draw in
+    three takes one set of BROKEN.
+    """
+    broken = draw(st.sampled_from([{}] * 12 + BROKEN))
+    params_kw = {"m": draw(st.floats(1e-3, 10.0)),
+                 "ell": draw(st.floats(1e-2, 5.0)),
+                 "J": draw(st.none() | st.floats(1e-6, 1.0)),
+                 "g": draw(st.floats(0.1, 30.0))}
+    theta_odd = draw(st.floats(0.05, math.pi / 2 - 0.05))
+    spec_kw = {"theta_odd": theta_odd,
+               "theta_even": draw(st.just(math.pi - theta_odd) | st.floats(
+                   math.pi / 2 + 0.05, math.pi - 0.05)),
+               "alpha": draw(st.floats(0.05, 5.0)),
+               "beta": draw(st.floats(0.1, 10.0)),
+               "lambda_x": draw(st.floats(0.0, 0.99)),
+               "lambda_y": draw(st.floats(0.0, 0.99))}
+    for key, bad in broken.items():
+        (params_kw if key in params_kw else spec_kw)[key] = bad
+    params, spec = StickParams(**params_kw), JuggleSpec(**spec_kw)
+    start = st.floats(-10.0, 10.0)
+    s0 = FullState(h=np.array([draw(start), draw(start)]),
+                   v=np.array([draw(start), draw(start)]),
+                   theta=spec.theta_odd,
+                   omega=draw(st.floats(-10.0, -0.1) | start))
+    flight_dt = draw(st.none() | st.floats(0.01, 1.0))
+    stabilize = (spec.symmetric and not validate(spec, params)
+                 and draw(st.booleans()))
+    cfg = EpisodeConfig(k_max=40 if flight_dt is None else 8,
+                        stabilize=stabilize,
+                        r_policy=draw(st.sampled_from(["strict", "warn"])),
+                        flight_dt=flight_dt, fd_scheme="forward",
+                        fd_step=2e-3)
+    target = (design_orbit(spec, draw(st.floats(-8.0, -0.5)), params)
+              if stabilize else spec)
+    return s0, target, params, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(episode=random_episodes())
+def test_random_episode_ends_with_a_log(episode):
+    s0, target, params, cfg = episode
+    spec = getattr(target, "spec", target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = run_episode(s0, target, params, cfg)
+    assert log.completed == (len(log.records) == cfg.k_max)
+    failures = validate(spec, params)
+    if failures:
+        assert log.termination == (
+            f"ScenarioError: invalid parameters: {', '.join(failures)}")
+        assert log.records == []
+    if not log.completed or cfg.stabilize:
+        return
+    # each command contracts the position residual by lambda exactly, up to
+    # roundoff in the landed position, which scales with the flight's size
+    lam = np.array([spec.lambda_x, spec.lambda_y])
+    for prev, nxt in zip(log.records, log.records[1:]):
+        scale = np.maximum(np.abs(prev.rho), max(
+            1.0, params.g * prev.delta**2,
+            abs(spec.alpha * math.tan(prev.theta))))
+        assert np.all(np.abs(nxt.rho - lam * prev.rho) <= 1e-9 * scale)

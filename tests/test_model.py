@@ -9,31 +9,25 @@ from devilstick import FullState, JuggleSpec, StickParams, validate
 
 
 def test_reference_spec_validates(spec, params):
-    report = validate(spec, params)
-    assert report.ok
-    assert report.periodic_feasible
-    assert report.failures() == []
+    assert validate(spec, params) == []
+    assert spec.symmetric
 
 
 def test_boundary_theta_odd_fails(params):
     bad = JuggleSpec(theta_odd=math.pi / 2, theta_even=5 * math.pi / 6,
                      alpha=0.6131, beta=3.0)
-    report = validate(bad, params)
-    assert not report.checks["theta_odd"]
-    assert not report.ok
+    assert validate(bad, params) == ["theta_odd"]
 
 
 def test_asymmetric_spec_passes_but_not_periodic(asym_spec, params):
-    report = validate(asym_spec, params)
-    assert report.ok
-    assert not report.periodic_feasible
+    assert validate(asym_spec, params) == []
+    assert not asym_spec.symmetric
 
 
 def test_validate_is_pure_and_idempotent(spec, params):
-    r1 = validate(spec, params)
-    r2 = validate(spec, params)
-    assert r1.checks == r2.checks
-    assert r1.periodic_feasible == r2.periodic_feasible
+    bad = StickParams(m=-1.0, ell=0.5, g=0.0)
+    assert validate(spec, bad) == validate(spec, bad) == ["m", "J", "g"]
+    assert validate(spec, params) == validate(spec, params)
 
 
 def test_inertia_default_is_exact_rod_value():
