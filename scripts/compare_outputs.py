@@ -10,7 +10,15 @@ directory on PYTHONPATH, over:
 - the two shipped scenarios (`simulate`, and `linearize` for sim_orbit),
 - the 40 seed-0 batch scenarios of `perfbench/gen.py`,
 - the seed-0 long_horizon episodes and synthesis designs, with the inputs
-  built by `perfbench/workloads.py` and not modified.
+  built by `perfbench/workloads.py` and not modified,
+- the same long_horizon episodes under `r_policy = "warn"`, with the rod
+  warnings they log,
+- a fixed set of starts and schedules that end in a typed termination
+  (wrong rotation sign, non-finite command, no positive root, degenerate
+  rate, tangent singularities, rod bound, and error pairs that test which
+  check comes first), run as episodes and as direct `control` calls; the
+  direct calls include invalid schedules that `run_episode` rejects, so
+  untyped errors such as `ZeroDivisionError` are compared too.
 
 Episode records and design matrices are written as hexadecimal floats.
 Prints the first differing file and line, or `identical`; the exit status
@@ -19,7 +27,10 @@ is 0 when identical and 1 otherwise. `wall_time_s` in summaries is ignored.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import logging
+import math
 import os
 import subprocess
 import sys
@@ -43,6 +54,94 @@ def _episode_lines(log) -> list[str]:
         lines.append(f"k={rec.k} " + _floats(
             [rec.theta, rec.omega, *rec.rho, *rec.drho, rec.delta, rec.I,
              rec.r, *rec.u]))
+    return lines
+
+
+class _Messages(logging.Handler):
+    """Keeps the package's log messages instead of printing them."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
+def _termination_lines(devilstick, handler: _Messages) -> list[str]:
+    """Episodes and direct control calls that end in an error, each
+    followed by the warnings it logged."""
+    import numpy as np
+    from devilstick.dvhc import control
+
+    params = devilstick.StickParams(m=0.1, ell=0.5)
+    odd, even = 0.5235987755982988, 2.6179938779914944
+    near_pole = math.pi / 2 + 1e-10
+    schedules = {
+        "reference": (odd, even),
+        "odd at a pole": (math.pi / 2 - 1e-10, near_pole),
+        "even at a pole": (odd, near_pole),
+    }
+    # (schedule, hx, hy, vx, vy, omega)
+    starts = [
+        ("reference", 0.7, 2.5, 0.9, -2.0, -5.7),       # completes
+        ("reference", 0.7, 2.5, 0.9, -2.0, 5.7),        # WrongRotationSign
+        ("reference", 0.7, 2.5, 0.9, 1e300, -5.7),      # NonFinite
+        ("reference", 1e300, 1e300, 1e300, 1e300, -5.7),
+        ("reference", 0.7, -7.0, 0.0, -5.0, -5.7),      # NoPositiveRoot
+        ("reference", 3.0, 2.5, 0.9, 5.0, -5.7),        # ... at k=2
+        ("reference", 0.7, 2.5, 0.9, -2.0, -1e-12),     # Degenerate
+        ("reference", -3.0, 2.5, 0.9, 5.0, -5.7),       # RodExceeded
+        ("reference", -3.0, 2.5, 0.9, 15.0, -5.7),
+        ("odd at a pole", 0.7, 2.5, 0.9, -2.0, -5.7),   # SingularOrientation
+        ("odd at a pole", 0.7, 2.5, 0.9, -2.0, 5.7),    # ... before the sign
+        ("even at a pole", 0.7, 2.5, 0.9, -2.0, -5.7),  # next orientation
+        ("even at a pole", 0.7, 2.5, 0.9, -2.0, 5.7),   # sign comes first
+        ("even at a pole", 0.7, 2.5, 0.9, -2.0, 0.0),   # Degenerate first
+    ]
+    lines = []
+    for name, hx, hy, vx, vy, omega in starts:
+        theta_odd, theta_even = schedules[name]
+        spec = devilstick.JuggleSpec(theta_odd=theta_odd,
+                                     theta_even=theta_even, alpha=0.6131,
+                                     beta=3.0)
+        s0 = devilstick.FullState(h=np.array([hx, hy]), v=np.array([vx, vy]),
+                                  theta=theta_odd, omega=omega)
+        for policy in ("strict", "warn"):
+            lines.append(f"episode {name} {_floats([hx, hy, vx, vy, omega])}"
+                         f" {policy}")
+            lines += _episode_lines(devilstick.run_episode(
+                s0, spec, params,
+                devilstick.EpisodeConfig(k_max=20, r_policy=policy)))
+            lines += handler.messages
+            handler.messages.clear()
+    # direct calls, invalid schedules included: (theta_odd, theta_even, g,
+    # theta, omega, k)
+    calls = [
+        (odd, odd, 9.81, odd, -5.7, 1),          # delta_theta = 0
+        (odd, odd, 9.81, odd, 5.7, 1),
+        (odd, even, 0.0, odd, -5.7, 1),          # g = 0
+        (1e-10, even, 9.81, 0.0, -5.7, 1),       # tan(theta) = 0
+        (odd, even, 9.81, odd + 2e-9, -5.7, 1),  # OffSchedule
+        (odd, even, 9.81, even, 5.7, 2),
+        (odd, math.inf, 9.81, odd, -5.7, 1),
+        (odd, math.inf, 9.81, odd, 5.7, 1),
+        (odd, math.nan, 9.81, odd, -5.7, 1),
+    ]
+    for theta_odd, theta_even, g, theta, omega, k in calls:
+        spec = devilstick.JuggleSpec(theta_odd=theta_odd,
+                                     theta_even=theta_even, alpha=0.6131,
+                                     beta=3.0)
+        call_params = devilstick.StickParams(m=0.1, ell=0.5, g=g)
+        x = (0.7, 2.5, 0.9, -2.0, theta, omega)
+        try:
+            result = _floats(control(x, k, spec, call_params, "warn"))
+        except Exception as exc:  # compared by name and message
+            result = f"{type(exc).__name__}: {exc}"
+        lines.append(f"control {_floats([theta_odd, theta_even, g, theta])} "
+                     f"{omega!r} k={k}: {result}")
+        lines += handler.messages
+        handler.messages.clear()
     return lines
 
 
@@ -81,6 +180,27 @@ def dump(out: Path) -> None:
             lines += _episode_lines(devilstick.run_episode(
                 item["s0"], target, ctx["params"], cfg))
     (out / "long_horizon.txt").write_text("\n".join(lines) + "\n")
+
+    handler = _Messages()
+    package_log = logging.getLogger("devilstick")
+    package_log.addHandler(handler)
+    package_log.propagate = False
+    lines = []
+    for i, item in enumerate(ctx["items"]):
+        for stabilized in (False, True):
+            lines.append(f"input {i} stabilized={stabilized} r_policy=warn")
+            target = item["orbit"] if stabilized else item["spec"]
+            cfg = dataclasses.replace(item["on" if stabilized else "off"],
+                                      r_policy="warn")
+            handler.messages.clear()
+            lines += _episode_lines(devilstick.run_episode(
+                item["s0"], target, ctx["params"], cfg))
+            lines.append(f"{len(handler.messages)} warnings")
+            lines += handler.messages
+    (out / "long_horizon_warn.txt").write_text("\n".join(lines) + "\n")
+    handler.messages.clear()
+    lines = _termination_lines(devilstick, handler)
+    (out / "terminations.txt").write_text("\n".join(lines) + "\n")
 
     ctx = workloads.Synthesis.prepare(SEED, None)
     lines = []

@@ -60,10 +60,12 @@ _KEYS = {
                  "must be 'strict' or 'warn'"),
     "flight_sample_dt_s": (float, None, lambda x: math.isfinite(x) and x > 0,
                            "must be finite and > 0"),
-    "q_diag": (_floats, (1.0,) * 5, lambda t: len(t) == 5,
-               "needs 5 comma-separated values"),
-    "r_diag": (_floats, (1.0, 1.0), lambda t: len(t) == 2,
-               "needs 2 comma-separated values"),
+    "q_diag": (_floats, (1.0,) * 5,
+               lambda t: len(t) == 5 and all(0 <= q < math.inf for q in t),
+               "needs 5 comma-separated finite values >= 0"),
+    "r_diag": (_floats, (1.0, 1.0),
+               lambda t: len(t) == 2 and all(0 < r < math.inf for r in t),
+               "needs 2 comma-separated finite values > 0"),
     "fd_scheme": (str, "central", lambda s: s in ("central", "forward"),
                   "must be 'central' or 'forward'"),
     "fd_step": (float, None),                # None: 1e-6 central, 2e-3 forward
@@ -265,11 +267,11 @@ def cmd_analyze(scenario: Scenario, omega_stars: list[float]) -> int:
     return 0
 
 
-def _matrix_lines(name: str, M: np.ndarray) -> list[str]:
+def _matrix_text(name: str, M: np.ndarray) -> str:
     lines = [f"{name} ="]
     for row in np.atleast_2d(M):
         lines.append("  " + "  ".join(f"{v:>10.4f}" for v in row))
-    return lines
+    return "\n".join(lines)
 
 
 def cmd_linearize(scenario: Scenario, outdir: Path | None) -> int:
@@ -286,13 +288,10 @@ def cmd_linearize(scenario: Scenario, outdir: Path | None) -> int:
     print(f"fixed point z* = [{', '.join(f'{v:.4f}' for v in z_star)}]")
     print(f"steady inputs I* = {I_star:.4f}, r* = {r_star:.4f}")
     print(f"fd scheme: {lin.scheme}, step scale {lin.step:g}")
-    for line in _matrix_lines("A", lin.A):
-        print(line)
-    for line in _matrix_lines("B", lin.B):
-        print(line)
+    print(_matrix_text("A", lin.A))
+    print(_matrix_text("B", lin.B))
     print(f"controllability rank: {rank}/5 ({'' if controllable else 'NOT '}controllable)")
-    for line in _matrix_lines("K", gain.K):
-        print(line)
+    print(_matrix_text("K", gain.K))
     print("closed-loop |eig|: " + ", ".join(f"{v:.6f}" for v in eigs))
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)

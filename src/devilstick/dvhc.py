@@ -35,20 +35,20 @@ class Residuals:
     drho: np.ndarray
 
 
-def _phi_x(theta: float, spec: JuggleSpec) -> float:
-    """Horizontal component alpha*tan(theta) of the constraint map."""
+def _pole_check(theta: float) -> None:
+    """Reject an orientation within TAN_SINGULARITY_TOL of a pole of tan."""
     if abs(math.remainder(theta - math.pi / 2, math.pi)) < TAN_SINGULARITY_TOL:
         raise SingularOrientation(f"theta={theta} is at a tangent singularity")
-    return spec.alpha * math.tan(theta)
 
 
 def phi(theta: float, spec: JuggleSpec) -> np.ndarray:
     """Constrained center-of-mass location [alpha*tan(theta), beta]."""
-    return np.array([_phi_x(theta, spec), spec.beta])
+    _pole_check(theta)
+    return np.array([spec.alpha * math.tan(theta), spec.beta])
 
 
-def _psi(theta: float, omega: float, k: int, spec: JuggleSpec,
-         params: StickParams) -> tuple[float, float]:
+def _rate_sign(omega: float, k: int) -> float:
+    """parity_sign(k), once omega can carry the velocity constraint at k."""
     if abs(omega) < OMEGA_EPS:
         raise Degenerate(f"angular rate {omega} too small for velocity constraint")
     sign = parity_sign(k)  # feasible rotation: omega < 0 odd, > 0 even
@@ -56,10 +56,14 @@ def _psi(theta: float, omega: float, k: int, spec: JuggleSpec,
         raise WrongRotationSign(
             f"omega={omega} has the wrong sign for k={k} "
             f"(expected {'negative' if sign < 0 else 'positive'})")
-    theta_next = spec.theta_after(k)
-    vx = (sign * omega / spec.delta_theta) * spec.alpha * (
-        math.tan(theta) - math.tan(theta_next))
-    vy = -sign * params.g * spec.delta_theta / (2.0 * omega)
+    return sign
+
+
+def _psi(tan_theta: float, tan_next: float, omega: float, sign: float,
+         dth: float, spec: JuggleSpec, params: StickParams
+         ) -> tuple[float, float]:
+    vx = (sign * omega / dth) * spec.alpha * (tan_theta - tan_next)
+    vy = -sign * params.g * dth / (2.0 * omega)
     return vx, vy
 
 
@@ -70,31 +74,39 @@ def psi(theta: float, omega: float, k: int, spec: JuggleSpec,
     Derived by requiring the constraint to hold at both ends of the previous
     flight; depends only on (theta, omega) and the parity of k.
     """
-    return np.array(_psi(theta, omega, k, spec, params))
+    sign = _rate_sign(omega, k)
+    return np.array(_psi(math.tan(theta), math.tan(spec.theta_after(k)),
+                         omega, sign, spec.delta_theta, spec, params))
 
 
-def _residuals(x: State, k: int, spec: JuggleSpec,
-               params: StickParams) -> tuple[float, float, float, float]:
-    """(rho_x, rho_y, drho_x, drho_y) of a kernel state at impulse k."""
+def _residuals(x: State, k: int, spec: JuggleSpec, params: StickParams
+               ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(rho_x, rho_y, drho_x, drho_y) at impulse k, and the terms control
+    reuses: tan(theta), tan(theta_next), sign, theta_next, delta_theta."""
     hx, hy, vx, vy, theta, omega = x
     theta_sched = spec.theta_at(k)
     if abs(theta - theta_sched) > SCHEDULE_TOL:
         raise OffSchedule(
             f"theta={theta} does not match scheduled {theta_sched} at k={k}")
-    rho_x = hx - _phi_x(theta, spec)
-    rho_y = hy - spec.beta
-    psi_x, psi_y = _psi(theta, omega, k, spec, params)
-    return rho_x, rho_y, vx - psi_x, vy - psi_y
+    _pole_check(theta)
+    tan_theta = math.tan(theta)
+    sign = _rate_sign(omega, k)
+    theta_next, dth = spec.theta_after(k), spec.delta_theta
+    tan_next = math.tan(theta_next)  # its pole is checked by _quadratic
+    psi_x, psi_y = _psi(tan_theta, tan_next, omega, sign, dth, spec, params)
+    return ((hx - spec.alpha * tan_theta, hy - spec.beta, vx - psi_x,
+             vy - psi_y), (tan_theta, tan_next, sign, theta_next, dth))
 
 
-def _quadratic(x: State, k: int, rho_x: float, rho_y: float,
+def _quadratic(x: State, rho_x: float, rho_y: float, terms: tuple[float, ...],
                spec: JuggleSpec, params: StickParams
                ) -> tuple[float, float, float, float]:
     """(a, b, c) of a*delta^2 + b*delta + c = 0 and the increment eta_x."""
-    _, _, vx, vy, theta, _ = x
-    eta_x = _phi_x(spec.theta_after(k), spec) - _phi_x(theta, spec)
+    (_, _, vx, vy, _, _), (tan_theta, tan_next, _, theta_next, _) = x, terms
+    _pole_check(theta_next)
+    eta_x = spec.alpha * tan_next - spec.alpha * tan_theta
     eta_y = spec.beta - spec.beta
-    cot = 1.0 / math.tan(theta)
+    cot = 1.0 / tan_theta
     c = (eta_x * cot + eta_y
          + (spec.lambda_x - 1.0) * rho_x * cot
          + (spec.lambda_y - 1.0) * rho_y)
@@ -104,7 +116,7 @@ def _quadratic(x: State, k: int, rho_x: float, rho_y: float,
 def residuals(s: FullState, k: int, spec: JuggleSpec,
               params: StickParams) -> Residuals:
     """Measure both constraint residuals at a scheduled impulse instant."""
-    rho_x, rho_y, drho_x, drho_y = _residuals(s.floats(), k, spec, params)
+    (rho_x, rho_y, drho_x, drho_y), _ = _residuals(s.floats(), k, spec, params)
     return Residuals(rho=np.array([rho_x, rho_y]),
                      drho=np.array([drho_x, drho_y]))
 
@@ -116,11 +128,7 @@ def _positive_roots(a: float, b: float, c: float) -> list[float]:
         return []
     sq = math.sqrt(disc)
     q = -0.5 * (b + math.copysign(sq, b)) if b != 0 else -0.5 * sq
-    roots = []
-    if a != 0:
-        roots.append(q / a)
-    if q != 0:
-        roots.append(c / q)
+    roots = (q / a if a != 0 else 0.0, c / q if q != 0 else 0.0)
     return sorted({r for r in roots if r > 0})
 
 
@@ -142,12 +150,10 @@ def check_command(k: int, impulse: float, offset: float, delta: float,
     log.warning(msg)
 
 
-def _nominal_delta(theta: float, omega: float, k: int, spec: JuggleSpec,
-                   params: StickParams) -> float:
+def _nominal_delta(tan_ratio: float, omega: float, sign: float, dth: float,
+                   spec: JuggleSpec, params: StickParams) -> float:
     """Zero-residual time of flight used to disambiguate quadratic roots."""
-    tan_ratio = 1.0 - math.tan(spec.theta_after(k)) / math.tan(theta)
-    return (parity_sign(k) * 2.0 * omega * spec.alpha
-            / (params.g * spec.delta_theta) * tan_ratio)
+    return sign * 2.0 * omega * spec.alpha / (params.g * dth) * tan_ratio
 
 
 def control(x: State, k: int, spec: JuggleSpec, params: StickParams,
@@ -162,20 +168,23 @@ def control(x: State, k: int, spec: JuggleSpec, params: StickParams,
     non-finite command raises NonFinite.
     """
     _, _, vx, _, theta, omega = x
-    rho_x, rho_y, drho_x, drho_y = _residuals(x, k, spec, params)
-    a, b, c, eta_x = _quadratic(x, k, rho_x, rho_y, spec, params)
+    (rho_x, rho_y, drho_x, drho_y), terms = _residuals(x, k, spec, params)
+    tan_theta, tan_next, sign, _, dth = terms
+    a, b, c, eta_x = _quadratic(x, rho_x, rho_y, terms, spec, params)
     roots = _positive_roots(a, b, c)
     if not roots:
         raise NoPositiveRoot(
             f"no positive time-of-flight root at k={k} (a={a}, b={b}, c={c})")
-    d_nom = _nominal_delta(theta, omega, k, spec, params)
+    d_nom = _nominal_delta(1.0 - tan_next / tan_theta, omega, sign, dth,
+                           spec, params)
     delta = min(roots, key=lambda r: (abs(r - d_nom), r))
     impulse = -params.m * ((spec.lambda_x - 1.0) * rho_x + eta_x
                            - vx * delta) / (delta * math.sin(theta))
     if abs(impulse) < IMPULSE_EPS:
         raise Degenerate(f"impulse magnitude {impulse} too small to place")
-    offset = (-parity_sign(k) * params.inertia * spec.delta_theta
-              / (impulse * delta) - params.inertia * omega / impulse)
+    inertia = params.inertia
+    offset = (-sign * inertia * dth / (impulse * delta)
+              - inertia * omega / impulse)
     check_command(k, impulse, offset, delta, params, r_policy)
     return rho_x, rho_y, drho_x, drho_y, impulse, offset, delta
 
@@ -200,7 +209,7 @@ def steady_inputs(omega: float, k: int, spec: JuggleSpec,
     if abs(tan_ratio) < 1e-12:
         raise Degenerate("tangent-ratio factor vanishes")
     dth = spec.delta_theta
-    delta = _nominal_delta(theta, omega, k, spec, params)
+    delta = _nominal_delta(tan_ratio, omega, sign, dth, spec, params)
     impulse = (sign * params.m / math.cos(theta)) * (
         omega * spec.alpha / dth * tan_ratio + params.g * dth / (2.0 * omega))
     offset = (-sign * params.inertia * dth * math.cos(theta)
@@ -215,8 +224,8 @@ def quadratic_coeffs(s: FullState, k: int, spec: JuggleSpec,
                      params: StickParams) -> tuple[float, float, float]:
     """(a, b, c) of the time-of-flight quadratic, for root verification."""
     x = s.floats()
-    rho_x, rho_y, _, _ = _residuals(x, k, spec, params)
-    return _quadratic(x, k, rho_x, rho_y, spec, params)[:3]
+    (rho_x, rho_y, _, _), terms = _residuals(x, k, spec, params)
+    return _quadratic(x, rho_x, rho_y, terms, spec, params)[:3]
 
 
 def on_constraint_state(omega: float, k: int, spec: JuggleSpec,

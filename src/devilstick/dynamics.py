@@ -16,7 +16,7 @@ from .errors import Degenerate, Infeasible, NonFinite, ScenarioError
 from .model import FullState, JuggleSpec, State, StickParams, parity_sign
 
 RATE_EPS = 1e-12  # post-impulse angular rate below this is rejected
-MAX_FLIGHT_SAMPLES = 1_000_000  # per flight; bounds sampling time and memory
+MAX_FLIGHT_SAMPLES = 1_000_000  # per episode; bounds sampling time and memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,27 +100,27 @@ def time_of_flight(omega: float, impulse: float, offset: float, k: int,
 
 
 def sample_flight(s_plus: FullState, delta: float, dt: float,
-                  params: StickParams) -> FlightSamples:
+                  params: StickParams,
+                  max_samples: int = MAX_FLIGHT_SAMPLES) -> FlightSamples:
     """Sample a flight at t = 0, dt, 2*dt, ..., delta (endpoint exact).
 
     Each row equals the pose of flight(s_plus, t) bitwise: the columns are
     evaluated with the same operations in the same order. Raises
     ScenarioError, before allocating, when the flight needs more than
-    MAX_FLIGHT_SAMPLES samples, and NonFinite when a sampled pose overflows.
+    max_samples samples, and NonFinite when a sampled pose overflows.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"sample spacing must be finite and > 0, got {dt}")
     if not delta >= 0:
         raise ValueError(f"flight time must be >= 0, got {delta}")
     steps = delta / dt
-    n = (math.floor(steps) + 1 if steps < MAX_FLIGHT_SAMPLES
-         else MAX_FLIGHT_SAMPLES + 1)
+    n = math.floor(steps) + 1 if steps < max_samples else max_samples + 1
     if (n - 1) * dt < delta - 1e-15 * max(1.0, delta):
         n += 1
-    if n > MAX_FLIGHT_SAMPLES:
+    if n > max_samples:
         raise ScenarioError(
             f"a {delta:.6g} s flight sampled every {dt:g} s needs more than "
-            f"{MAX_FLIGHT_SAMPLES} samples")
+            f"{max_samples} samples, the sample budget left")
     g = params.g
     (hx, hy), (vx, vy) = s_plus.h.tolist(), s_plus.v.tolist()
     h = np.empty((n, 2))

@@ -16,7 +16,8 @@ import numpy as np
 from . import stabilizer as stab
 from .dvhc import check_command, control, phi, psi
 from .dvhc import dvhc_control, residuals  # noqa: F401 (perfbench traces them)
-from .dynamics import FlightSamples, jump, land, sample_flight, time_of_flight
+from .dynamics import (MAX_FLIGHT_SAMPLES, FlightSamples, jump, land,
+                       sample_flight, time_of_flight)
 from .dynamics import flight, impulsive_update  # noqa: F401 (perfbench traces)
 from .dzd import OrbitSpec
 from .errors import JugglingError, OffSchedule, ScenarioError
@@ -40,9 +41,13 @@ class EpisodeConfig:
     def __post_init__(self) -> None:
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+        if not all(0 <= q < np.inf for q in self.q_diag):
+            raise ValueError(f"q_diag must be finite and >= 0, got {self.q_diag}")
+        if not all(0 < r < np.inf for r in self.r_diag):
+            raise ValueError(f"r_diag must be finite and > 0, got {self.r_diag}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class ImpulseRecord:
     """Everything logged at one impulse instant (pre-impulse state)."""
 
@@ -54,7 +59,7 @@ class ImpulseRecord:
     delta: float
     I: float
     r: float
-    u: np.ndarray              # stabilizer correction; zeros when inactive
+    u: np.ndarray              # stabilizer correction; NO_CORRECTION if none
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,14 +98,12 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
     """Run up to cfg.k_max impulses from s0 (which must sit at the odd
     scheduled orientation, k = 1). Identical inputs produce bitwise
     identical logs. Parameters that model.validate rejects end the episode
-    before its first impulse with a ScenarioError termination.
+    before its first impulse with a ScenarioError termination, as does a
+    sampled flight beyond the episode's budget of MAX_FLIGHT_SAMPLES.
     """
     t_start = time.perf_counter()
-    if isinstance(target, OrbitSpec):
-        orbit: OrbitSpec | None = target
-        spec = target.spec
-    else:
-        orbit, spec = None, target
+    orbit = target if isinstance(target, OrbitSpec) else None
+    spec = target if orbit is None else orbit.spec
     if cfg.stabilize and orbit is None:
         raise ValueError("stabilize=True requires an OrbitSpec target")
     if abs(s0.theta - spec.theta_odd) > SCHEDULE_TOL:
@@ -124,28 +127,27 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
         return log
 
     x = s0.floats()
-    t = 0.0
+    t, budget = 0.0, MAX_FLIGHT_SAMPLES
     for k in range(1, cfg.k_max + 1):
         try:
             rho_x, rho_y, drho_x, drho_y, impulse, offset, delta = control(
                 x, k, spec, params, r_policy=cfg.r_policy)
-            u = np.zeros(2)
+            u = stab.NO_CORRECTION
             if cfg.stabilize and k % 2 == 1:
                 # K @ e can overflow for a huge section error; the infinite
                 # correction then fails time_of_flight or check_command
                 with np.errstate(over="ignore", invalid="ignore"):
                     u = stab.feedback(stab.section_coords(x, spec), lin, gain)
-                if u.any():
-                    du_I, du_r = u.tolist()
+                du_I, du_r = u.tolist()
+                if du_I or du_r:  # u.any(), on two floats
                     impulse, offset = impulse + du_I, offset + du_r
                     delta = time_of_flight(x[5], impulse, offset, k,
                                            spec, params)
                     check_command(k, impulse, offset, delta, params,
                                   cfg.r_policy)
             log.records.append(ImpulseRecord(
-                k=k, theta=x[4], omega=x[5], rho=np.array([rho_x, rho_y]),
-                drho=np.array([drho_x, drho_y]), delta=delta, I=impulse,
-                r=offset, u=u))
+                k, x[4], x[5], np.array((rho_x, rho_y)),
+                np.array((drho_x, drho_y)), delta, impulse, offset, u))
             if k < cfg.k_max:
                 x_plus = jump(x, impulse, offset, params)
                 # the commanded delta lands exactly on the schedule; pin the
@@ -153,10 +155,10 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                 # land raises NonFinite first, so x_plus is finite below.
                 x = land(x_plus, delta, spec.theta_at(k + 1), params)
                 if cfg.flight_dt is not None:
-                    log.flights.append(FlightTrace(
-                        k=k, t0=t,
-                        samples=sample_flight(FullState.from_floats(x_plus),
-                                              delta, cfg.flight_dt, params)))
+                    samples = sample_flight(FullState.from_floats(x_plus),
+                                            delta, cfg.flight_dt, params, budget)
+                    budget -= len(samples)
+                    log.flights.append(FlightTrace(k, t, samples))
                 t += delta
         except JugglingError as exc:
             log.termination = f"{type(exc).__name__}: {exc}"

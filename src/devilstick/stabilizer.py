@@ -11,6 +11,7 @@ top of the odd-instant inputs steer the remaining directions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ from .model import SCHEDULE_TOL, FullState, JuggleSpec, State
 RICCATI_TOL = 1e-12
 RICCATI_MAX_ITER = 100_000
 SPECTRAL_MARGIN = 1e-9
+NO_CORRECTION = np.zeros(2)  # shared, read-only: the correction u when idle
+NO_CORRECTION.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +225,7 @@ def riccati_solution(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
         BtP = B.T @ P
         K = -np.linalg.solve(R + BtP @ B, BtP @ A)
         P_next = Q + A.T @ P @ (A + B @ K)
-        if np.max(np.abs(P_next)) > 1e100:
+        if not np.max(np.abs(P_next)) <= 1e100:  # also stops on NaN
             raise RiccatiDiverged("cost-to-go iteration blew up")
         if np.max(np.abs(P_next - P)) < RICCATI_TOL:
             return P_next
@@ -231,8 +234,8 @@ def riccati_solution(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
 
 
 def feedback(z: np.ndarray, lin: LinearizedMap, gain: FeedbackGain) -> np.ndarray:
-    """Correction u = K (z - z_star), or zero inside the deadband."""
+    """Correction u = K (z - z_star), or NO_CORRECTION inside the deadband."""
     e = np.asarray(z, dtype=float) - lin.z_star
-    if np.linalg.norm(e) <= gain.deadband:
-        return np.zeros(2)
+    if math.sqrt(e.dot(e)) <= gain.deadband:  # np.linalg.norm's 1-D formula
+        return NO_CORRECTION
     return gain.K @ e

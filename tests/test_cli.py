@@ -150,6 +150,13 @@ def test_load_scheme_default_step_and_symmetric_rate(tmp_path):
     ({"m_kg": "heavy"}, "m_kg"),
     ({"lambda_y": "1.0"}, "lambda_y"),
     ({"omega0_radps": None}, "omega0_radps"),
+    ({"q_diag": "nan,1,1,1,1"}, "q_diag"),
+    ({"q_diag": "1,1,-1,1,1"}, "q_diag"),
+    ({"q_diag": "1,1,1,1,inf"}, "q_diag"),
+    ({"r_diag": "0,0"}, "r_diag"),
+    ({"r_diag": "-1,1"}, "r_diag"),
+    ({"r_diag": "1,nan"}, "r_diag"),
+    ({"r_diag": "inf,1"}, "r_diag"),
 ])
 def test_invalid_key_rejected_by_name(tmp_path, keys, named):
     with pytest.raises(ScenarioError, match=named):
@@ -313,6 +320,40 @@ def test_sample_budget_exceeded_ends_episode_with_summary(tmp_path):
     summary = json.loads((out / "fine" / "summary.json").read_text())
     assert summary["termination"].startswith("ScenarioError")
     assert summary["n_impulses"] == 1
+
+
+def test_sample_budget_is_per_episode(tmp_path, monkeypatch):
+    # every flight of sim_vhc (about 50 samples at 0.01 s) fits a budget of
+    # 120 samples, its flights together do not: the third flight ends the
+    # episode, which still writes its summary and exits 3
+    from devilstick import harness
+    monkeypatch.setattr(harness, "MAX_FLIGHT_SAMPLES", 120)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(SIM_VHC),
+                 "--out", str(out)]) == 3
+    summary = json.loads((out / "sim_vhc" / "summary.json").read_text())
+    assert summary["termination"].startswith("ScenarioError")
+    assert "sample budget" in summary["termination"]
+    assert summary["n_impulses"] == 3
+    with (out / "sim_vhc" / "trajectory.csv").open() as fh:
+        assert 1 < sum(1 for _ in fh) <= 121
+
+
+def test_zero_r_diag_rejected_before_the_episode(tmp_path, capsys):
+    # r_diag = 0,0 used to reach dlqr on sim_orbit and exit 2 from a bare
+    # ValueError; the loader now rejects it by name before any output
+    bad = tmp_path / "weights.cfg"
+    bad.write_text(SIM_ORBIT.read_text().replace("r_diag = 2,2",
+                                                 "r_diag = 0,0"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert "key 'r_diag'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_state_weights_load(tmp_path):
+    sc = load_scenario(write_scenario(tmp_path, q_diag="0,0,0,0,0"))
+    assert sc.config.q_diag == (0.0,) * 5
 
 
 def test_simulate_round_trip_is_lossless(tmp_path, ic_state, spec, params):

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from devilstick import (Degenerate, FullState, NoPositiveRoot, OffSchedule,
-                        RodExceeded, SingularOrientation, WrongRotationSign,
-                        dvhc_control, flight, impulsive_update,
-                        on_constraint_state, phi, psi, residuals,
-                        steady_inputs)
-from devilstick.dvhc import quadratic_coeffs
+from devilstick import (Degenerate, FullState, JuggleSpec, JugglingError,
+                        NoPositiveRoot, OffSchedule, RodExceeded,
+                        SingularOrientation, WrongRotationSign, dvhc_control,
+                        flight, impulsive_update, on_constraint_state, phi,
+                        psi, residuals, steady_inputs)
+from devilstick.dvhc import _positive_roots, control, quadratic_coeffs
 
 from refvals import IMPULSE_2P, OFFSET
 
@@ -234,3 +236,58 @@ def test_root_membership_against_bisection_oracle(spec, params, rng):
         assert roots, "oracle found no root where the solver did"
         assert min(abs(cmd.delta - r) for r in roots) < 1e-8
     assert accepted > 250
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.sampled_from([1, 2]),
+       h=st.tuples(st.floats(-5.0, 5.0), st.floats(-3.0, 8.0)),
+       v=st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
+       rate=st.floats(0.5, 12.0), lam=st.floats(0.0, 0.99))
+def test_adapters_equal_control_bitwise(params, k, h, v, rate, lam):
+    # residuals, quadratic_coeffs and dvhc_control share control's kernel:
+    # their outputs are the matching outputs of control, bit for bit, on
+    # on-schedule states of both parities
+    spec = JuggleSpec(theta_odd=0.6, theta_even=2.3, alpha=0.6131, beta=3.0,
+                      lambda_x=lam, lambda_y=1.0 - lam)
+    s = FullState(h=np.array(h), v=np.array(v), theta=spec.theta_at(k),
+                  omega=-rate if k % 2 else rate)
+    res = residuals(s, k, spec, params)
+    a, b, c = quadratic_coeffs(s, k, spec, params)
+    try:
+        out = control(s.floats(), k, spec, params, "warn")
+    except JugglingError as exc:
+        with pytest.raises(type(exc)) as again:
+            dvhc_control(s, k, spec, params, "warn")
+        assert str(again.value) == str(exc)
+        if isinstance(exc, NoPositiveRoot):
+            assert f"(a={a}, b={b}, c={c})" in str(exc)
+        return
+    cmd = dvhc_control(s, k, spec, params, "warn")
+    assert _bits([*res.rho, *res.drho]) == _bits(out[:4])
+    assert _bits([cmd.I, cmd.r, cmd.delta]) == _bits(out[4:])
+    assert cmd.delta in _positive_roots(a, b, c)
+
+
+@pytest.mark.parametrize("theta_odd, theta_even, omega, error", [
+    # the rate checks come before the pole check of the next orientation,
+    # and the pole check of the current one comes before both
+    (0.6, math.pi / 2 + 1e-10, -5.7, SingularOrientation),
+    (0.6, math.pi / 2 + 1e-10, 5.7, WrongRotationSign),
+    (0.6, math.pi / 2 + 1e-10, 0.0, Degenerate),
+    (math.pi / 2 - 1e-10, math.pi / 2 + 1e-10, 5.7, SingularOrientation),
+])
+def test_control_error_order(params, theta_odd, theta_even, omega, error):
+    spec = JuggleSpec(theta_odd=theta_odd, theta_even=theta_even,
+                      alpha=0.6131, beta=3.0)
+    x = (0.7, 2.5, 0.9, -2.0, theta_odd, omega)
+    with pytest.raises(error):
+        control(x, 1, spec, params)
+    if error is SingularOrientation and theta_odd == 0.6:
+        # residuals does not check the next orientation's pole; only the
+        # command needs it
+        s = FullState.from_floats(x)
+        assert np.all(np.isfinite(residuals(s, 1, spec, params).rho))

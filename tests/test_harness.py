@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -64,6 +65,30 @@ def test_no_feedback_when_disabled(log_2p):
         assert not rec.u.any()
 
 
+def test_uncorrected_records_share_a_read_only_zero(log_2p, log_sym):
+    # every impulse without a correction logs the one shared zero u
+    from devilstick import harness
+    from devilstick.stabilizer import NO_CORRECTION
+    uncorrected = log_2p.records + [rec for rec in log_sym.records
+                                    if not rec.u.any()]
+    assert len(uncorrected) > len(log_2p.records)
+    for rec in uncorrected:
+        assert rec.u is NO_CORRECTION
+    assert not NO_CORRECTION.flags.writeable
+    assert np.array_equal(NO_CORRECTION, np.zeros(2))
+    with pytest.raises(ValueError):
+        NO_CORRECTION[0] = 1.0
+    # records are slotted and built positionally; dataclasses.replace
+    # still makes a modified copy
+    rec = log_2p.records[3]
+    assert not hasattr(rec, "__dict__")
+    copy = dataclasses.replace(rec, rho=rec.rho + 1e-6)
+    assert isinstance(copy, harness.ImpulseRecord)
+    assert copy.k == rec.k and copy.u is rec.u
+    assert np.array_equal(copy.rho, rec.rho + 1e-6)
+    assert not np.array_equal(copy.rho, rec.rho)
+
+
 def test_episode_is_deterministic(ic_state, spec, params):
     cfg = EpisodeConfig(k_max=12, flight_dt=0.05)
     a = run_episode(ic_state, spec, params, cfg)
@@ -126,6 +151,43 @@ def test_flight_sampling(ic_state, spec, params):
     for rec in log.records[:3]:
         expected.append(expected[-1] + rec.delta)
     assert [trace.t0 for trace in log.flights] == expected
+
+
+def test_sample_budget_is_per_episode(ic_state, spec, params, monkeypatch):
+    # each ~0.5 s flight at dt 0.05 needs about 10 samples: every flight
+    # fits a 25-sample budget, the episode's flights together do not
+    from devilstick import harness
+    cfg = EpisodeConfig(k_max=10, flight_dt=0.05)
+    full = run_episode(ic_state, spec, params, cfg)
+    sizes = [len(trace.samples) for trace in full.flights]
+    assert full.completed and max(sizes) <= 25 < sum(sizes)
+    monkeypatch.setattr(harness, "MAX_FLIGHT_SAMPLES", 25)
+    log = run_episode(ic_state, spec, params, cfg)
+    assert log.termination.startswith("ScenarioError: ")
+    assert "sample budget" in log.termination
+    used = [len(trace.samples) for trace in log.flights]
+    assert sum(used) <= 25
+    assert sum(used) + sizes[len(used)] > 25
+    assert len(log.records) == len(used) + 1
+
+
+@pytest.mark.parametrize("weights", [
+    {"q_diag": (math.nan, 1.0, 1.0, 1.0, 1.0)},
+    {"q_diag": (1.0, -1.0, 1.0, 1.0, 1.0)},
+    {"q_diag": (1.0, 1.0, math.inf, 1.0, 1.0)},
+    {"r_diag": (0.0, 0.0)},
+    {"r_diag": (-1.0, 1.0)},
+    {"r_diag": (1.0, math.nan)},
+    {"r_diag": (math.inf, 1.0)},
+])
+def test_cost_weights_must_be_finite_and_signed(weights):
+    (name, _), = weights.items()
+    with pytest.raises(ValueError, match=name):
+        EpisodeConfig(**weights)
+
+
+def test_zero_state_weights_accepted():
+    assert EpisodeConfig(q_diag=(0.0,) * 5).q_diag == (0.0,) * 5
 
 
 def test_single_impulse_episode(ic_state, spec, params):

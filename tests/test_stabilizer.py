@@ -1,15 +1,16 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from devilstick import (FDInconsistent, FullState, Infeasible, JuggleSpec,
-                        NotOnSection, RiccatiDiverged, controllability,
-                        dare_residual, dlqr, feedback, fixed_point,
-                        from_section, linearize, poincare_map,
-                        riccati_solution, to_section)
+from devilstick import (FDInconsistent, FeedbackGain, FullState, Infeasible,
+                        JuggleSpec, LinearizedMap, NotOnSection,
+                        RiccatiDiverged, controllability, dare_residual, dlqr,
+                        feedback, fixed_point, from_section, linearize,
+                        poincare_map, riccati_solution, to_section)
 
 from refvals import A_REF, B_REF, FD_SECANT_STEP, K_REF, Z_STAR
 
@@ -192,6 +193,38 @@ def test_dlqr_divergence():
     # unstable and uncontrollable: the iteration cannot settle
     with pytest.raises(RiccatiDiverged):
         dlqr(np.array([[2.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
+
+
+def test_riccati_stops_on_nan_cost():
+    # NaN fails every comparison: the blow-up test must read "not <= 1e100"
+    # or the iteration runs to RICCATI_MAX_ITER (seconds) before giving up
+    Q = np.eye(5)
+    Q[2, 2] = math.nan
+    start = time.perf_counter()
+    with pytest.raises(RiccatiDiverged, match="blew up"):
+        dlqr(A_REF, B_REF, Q, 2 * np.eye(2))
+    assert time.perf_counter() - start < 0.1
+
+
+magnitude = st.floats(min_value=1e-300, max_value=1e150)
+
+
+@given(z=st.lists(st.tuples(magnitude, st.booleans()), min_size=5,
+                  max_size=5))
+def test_deadband_norm_is_numpy_norm_bitwise(z):
+    # feedback tests ||e|| <= deadband with sqrt(e.dot(e)), numpy's own 1-D
+    # norm: the deadband edge sits exactly at np.linalg.norm(e)
+    e = np.array([-v if negative else v for v, negative in z])
+    norm = np.linalg.norm(e)
+    assert math.sqrt(e.dot(e)) == norm
+    lin = LinearizedMap(A=np.eye(5), B=np.ones((5, 2)), z_star=np.zeros(5),
+                        u_star=np.zeros(2), scheme="forward", step=1.0)
+    K = np.ones((2, 5))
+    inside = feedback(e, lin, FeedbackGain(K=K, deadband=norm))
+    assert not inside.any() and not inside.flags.writeable
+    outside = feedback(e, lin, FeedbackGain(
+        K=K, deadband=np.nextafter(norm, -math.inf)))
+    assert np.array_equal(outside, K @ e)
 
 
 def test_feedback_deadband_and_linearity(orbit_sym):
