@@ -40,6 +40,7 @@ def _rate(text: str) -> float | str:
 
 # key: (parser, default when the file does not set the key) and, for some
 # keys, a check that a parsed value must pass and the reason it failed
+_POSITIVE = (lambda x: 0 < x < math.inf, "must be finite and > 0")
 _KEYS = {
     **dict.fromkeys(("m_kg", "ell_m", "alpha_m", "beta_m", "theta_odd_rad",
                      "theta_even_rad", "h_x0_m", "h_y0_m", "v_x0_mps",
@@ -55,11 +56,10 @@ _KEYS = {
     "omega_star_radps": (_rate, None,
                          lambda x: x == "symmetric" or not x >= 0,
                          "must be < 0 or 'symmetric'"),
-    "deadband": (float, 1e-3),
+    "deadband": (float, 1e-3, lambda x: x >= 0, "must be >= 0"),
     "r_policy": (str, "strict", lambda s: s in ("strict", "warn"),
                  "must be 'strict' or 'warn'"),
-    "flight_sample_dt_s": (float, None, lambda x: math.isfinite(x) and x > 0,
-                           "must be finite and > 0"),
+    "flight_sample_dt_s": (float, None, *_POSITIVE),
     "q_diag": (_floats, (1.0,) * 5,
                lambda t: len(t) == 5 and all(0 <= q < math.inf for q in t),
                "needs 5 comma-separated finite values >= 0"),
@@ -68,7 +68,7 @@ _KEYS = {
                "needs 2 comma-separated finite values > 0"),
     "fd_scheme": (str, "central", lambda s: s in ("central", "forward"),
                   "must be 'central' or 'forward'"),
-    "fd_step": (float, None),                # None: 1e-6 central, 2e-3 forward
+    "fd_step": (float, None, *_POSITIVE),    # None: 1e-6 central, 2e-3 forward
 }
 
 
@@ -173,20 +173,18 @@ def _scenario_orbit(scenario: Scenario) -> OrbitSpec:
     return design_orbit(scenario.spec, scenario.omega_star, scenario.params)
 
 
+# both CSV writers: one format string per row, csv.writer's CRLF, no quotes
 def _write_impulses_csv(log: EpisodeLog, path: Path) -> None:
+    row = "%d," + ",".join([FLOAT_FMT] * 11) + "\r\n"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "theta", "omega", "rho_x", "rho_y", "drho_x",
-                         "drho_y", "delta", "I", "r", "u_I", "u_r"])
-        for rec in log.records:
-            row = [rec.k] + [FLOAT_FMT % v for v in (
-                rec.theta, rec.omega, rec.rho[0], rec.rho[1], rec.drho[0],
-                rec.drho[1], rec.delta, rec.I, rec.r, rec.u[0], rec.u[1])]
-            writer.writerow(row)
+        fh.write("k,theta,omega,rho_x,rho_y,drho_x,drho_y,delta,I,r,u_I,u_r"
+                 "\r\n")
+        fh.write("".join(row % (rec.k, rec.theta, rec.omega, *rec.rho,
+                                *rec.drho, rec.delta, rec.I, rec.r, *rec.u)
+                         for rec in log.records))
 
 
 def _write_trajectory_csv(log: EpisodeLog, path: Path) -> None:
-    # the bytes csv.writer would write: CRLF line ends, nothing quoted
     row = ",".join([FLOAT_FMT] * 4) + "\r\n"
     with path.open("w", newline="") as fh:
         fh.write("t,hx,hy,theta\r\n")

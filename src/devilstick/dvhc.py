@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +24,6 @@ log = logging.getLogger(__name__)
 TAN_SINGULARITY_TOL = 1e-9
 OMEGA_EPS = 1e-9
 IMPULSE_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class Residuals:
-    """Position residual rho and velocity residual drho at an impulse instant."""
-
-    rho: np.ndarray
-    drho: np.ndarray
 
 
 def _pole_check(theta: float) -> None:
@@ -113,12 +104,11 @@ def _quadratic(x: State, rho_x: float, rho_y: float, terms: tuple[float, ...],
     return 0.5 * params.g, -(vx * cot + vy), c, eta_x
 
 
-def residuals(s: FullState, k: int, spec: JuggleSpec,
-              params: StickParams) -> Residuals:
-    """Measure both constraint residuals at a scheduled impulse instant."""
+def residuals(s: FullState, k: int, spec: JuggleSpec, params: StickParams
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Position and velocity residuals (rho, drho) at a scheduled impulse."""
     (rho_x, rho_y, drho_x, drho_y), _ = _residuals(s.floats(), k, spec, params)
-    return Residuals(rho=np.array([rho_x, rho_y]),
-                     drho=np.array([drho_x, drho_y]))
+    return np.array([rho_x, rho_y]), np.array([drho_x, drho_y])
 
 
 def _positive_roots(a: float, b: float, c: float) -> list[float]:

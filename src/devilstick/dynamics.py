@@ -99,13 +99,13 @@ def time_of_flight(omega: float, impulse: float, offset: float, k: int,
     return delta
 
 
-def sample_flight(s_plus: FullState, delta: float, dt: float,
+def sample_flight(x_plus: State, delta: float, dt: float,
                   params: StickParams,
                   max_samples: int = MAX_FLIGHT_SAMPLES) -> FlightSamples:
     """Sample a flight at t = 0, dt, 2*dt, ..., delta (endpoint exact).
 
-    Each row equals the pose of flight(s_plus, t) bitwise: the columns are
-    evaluated with the same operations in the same order. Raises
+    Each row equals the pose of flight from x_plus after t bitwise: the
+    columns are evaluated with the same operations in the same order. Raises
     ScenarioError, before allocating, when the flight needs more than
     max_samples samples, and NonFinite when a sampled pose overflows.
     """
@@ -122,7 +122,7 @@ def sample_flight(s_plus: FullState, delta: float, dt: float,
             f"a {delta:.6g} s flight sampled every {dt:g} s needs more than "
             f"{max_samples} samples, the sample budget left")
     g = params.g
-    (hx, hy), (vx, vy) = s_plus.h.tolist(), s_plus.v.tolist()
+    hx, hy, vx, vy, theta0, omega = x_plus
     h = np.empty((n, 2))
     # an overflow is reported below as NonFinite, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -134,7 +134,7 @@ def sample_flight(s_plus: FullState, delta: float, dt: float,
         # bit.
         h[:, 0] = hx + vx * t + 0.0
         h[:, 1] = hy + vy * t + -0.5 * g * np.float_power(t, 2.0)
-        theta = s_plus.theta + s_plus.omega * t
+        theta = theta0 + omega * t
     if not (np.isfinite(h).all() and np.isfinite(theta).all()):
         raise NonFinite(f"sampled {delta:.6g} s flight is not finite")
     for arr in (t, h, theta):

@@ -41,10 +41,11 @@ class EpisodeConfig:
     def __post_init__(self) -> None:
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if not all(0 <= q < np.inf for q in self.q_diag):
-            raise ValueError(f"q_diag must be finite and >= 0, got {self.q_diag}")
-        if not all(0 < r < np.inf for r in self.r_diag):
-            raise ValueError(f"r_diag must be finite and > 0, got {self.r_diag}")
+        q, r = self.q_diag, self.r_diag
+        if not (len(q) == 5 and all(0 <= v < np.inf for v in q)):
+            raise ValueError(f"q_diag must be 5 finite values >= 0, got {q}")
+        if not (len(r) == 2 and all(0 < v < np.inf for v in r)):
+            raise ValueError(f"r_diag must be 2 finite values > 0, got {r}")
 
 
 @dataclass(eq=False, slots=True)
@@ -128,41 +129,40 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
 
     x = s0.floats()
     t, budget = 0.0, MAX_FLIGHT_SAMPLES
-    for k in range(1, cfg.k_max + 1):
-        try:
-            rho_x, rho_y, drho_x, drho_y, impulse, offset, delta = control(
-                x, k, spec, params, r_policy=cfg.r_policy)
-            u = stab.NO_CORRECTION
-            if cfg.stabilize and k % 2 == 1:
-                # K @ e can overflow for a huge section error; the infinite
-                # correction then fails time_of_flight or check_command
-                with np.errstate(over="ignore", invalid="ignore"):
+    # K @ e may overflow to inf; time_of_flight or check_command then raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cfg.k_max + 1):
+            try:
+                rho_x, rho_y, drho_x, drho_y, impulse, offset, delta = control(
+                    x, k, spec, params, r_policy=cfg.r_policy)
+                u = stab.NO_CORRECTION
+                if cfg.stabilize and k % 2 == 1:
                     u = stab.feedback(stab.section_coords(x, spec), lin, gain)
-                du_I, du_r = u.tolist()
-                if du_I or du_r:  # u.any(), on two floats
-                    impulse, offset = impulse + du_I, offset + du_r
-                    delta = time_of_flight(x[5], impulse, offset, k,
-                                           spec, params)
-                    check_command(k, impulse, offset, delta, params,
-                                  cfg.r_policy)
-            log.records.append(ImpulseRecord(
-                k, x[4], x[5], np.array((rho_x, rho_y)),
-                np.array((drho_x, drho_y)), delta, impulse, offset, u))
-            if k < cfg.k_max:
-                x_plus = jump(x, impulse, offset, params)
-                # the commanded delta lands exactly on the schedule; pin the
-                # orientation so float roundoff cannot accumulate across k.
-                # land raises NonFinite first, so x_plus is finite below.
-                x = land(x_plus, delta, spec.theta_at(k + 1), params)
-                if cfg.flight_dt is not None:
-                    samples = sample_flight(FullState.from_floats(x_plus),
-                                            delta, cfg.flight_dt, params, budget)
-                    budget -= len(samples)
-                    log.flights.append(FlightTrace(k, t, samples))
-                t += delta
-        except JugglingError as exc:
-            log.termination = f"{type(exc).__name__}: {exc}"
-            break
+                    du_I, du_r = u.tolist()
+                    if du_I or du_r:  # u.any(), on two floats
+                        impulse, offset = impulse + du_I, offset + du_r
+                        delta = time_of_flight(x[5], impulse, offset, k,
+                                               spec, params)
+                        check_command(k, impulse, offset, delta, params,
+                                      cfg.r_policy)
+                log.records.append(ImpulseRecord(
+                    k, x[4], x[5], np.array((rho_x, rho_y)),
+                    np.array((drho_x, drho_y)), delta, impulse, offset, u))
+                if k < cfg.k_max:
+                    x_plus = jump(x, impulse, offset, params)
+                    # delta lands exactly on the schedule; pin the orientation
+                    # so float roundoff cannot accumulate across k. land
+                    # raises NonFinite first, so x_plus is finite below.
+                    x = land(x_plus, delta, spec.theta_at(k + 1), params)
+                    if cfg.flight_dt is not None:
+                        samples = sample_flight(x_plus, delta, cfg.flight_dt,
+                                                params, budget)
+                        budget -= len(samples)
+                        log.flights.append(FlightTrace(k, t, samples))
+                    t += delta
+            except JugglingError as exc:
+                log.termination = f"{type(exc).__name__}: {exc}"
+                break
     log.sim_duration = t
     log.wall_time = time.perf_counter() - t_start
     return log

@@ -134,8 +134,9 @@ def validate(spec: JuggleSpec, params: StickParams) -> list[str]:
         "ell": params.ell > 0,
         "J": params.inertia > 0,
         "g": params.g > 0,
-        "theta_odd": 0.0 < spec.theta_odd < math.pi / 2,
-        "theta_even": math.pi / 2 < spec.theta_even < math.pi,
+        # SCHEDULE_TOL clear of 0 and pi: no start on schedule has tan = 0
+        "theta_odd": SCHEDULE_TOL < spec.theta_odd < math.pi / 2,
+        "theta_even": math.pi / 2 < spec.theta_even < math.pi - SCHEDULE_TOL,
         "delta_theta": spec.delta_theta > 0,
         "alpha": spec.alpha > 0,
         "beta": spec.beta > 0,

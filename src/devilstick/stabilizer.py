@@ -22,7 +22,7 @@ from .dynamics import jump, land, time_of_flight
 from .dzd import OrbitSpec
 from .errors import (FDInconsistent, NotOnSection, NotStabilizing,
                      RiccatiDiverged)
-from .model import SCHEDULE_TOL, FullState, JuggleSpec, State
+from .model import SCHEDULE_TOL, JuggleSpec, State
 
 RICCATI_TOL = 1e-12
 RICCATI_MAX_ITER = 100_000
@@ -63,19 +63,10 @@ def section_coords(x: State, spec: JuggleSpec) -> np.ndarray:
     return np.array([hx, hy, vx, vy, omega])
 
 
-def to_section(s: FullState, spec: JuggleSpec) -> np.ndarray:
-    """Section coordinates [hx, hy, vx, vy, omega] of a pre-impulse state."""
-    return section_coords(s.floats(), spec)
-
-
 def _on_section(z: np.ndarray, spec: JuggleSpec) -> State:
+    """Inverse of section_coords; exact round trip."""
     hx, hy, vx, vy, omega = np.asarray(z, dtype=float).tolist()
     return hx, hy, vx, vy, spec.theta_odd, omega
-
-
-def from_section(z: np.ndarray, spec: JuggleSpec) -> FullState:
-    """Inverse of to_section; exact round trip."""
-    return FullState.from_floats(_on_section(z, spec))
 
 
 def poincare_map(z: np.ndarray, impulse: float, offset: float,
@@ -97,7 +88,7 @@ def poincare_map(z: np.ndarray, impulse: float, offset: float,
 def fixed_point(orbit: OrbitSpec) -> tuple[np.ndarray, float, float]:
     """Section state and inputs that the return map leaves unchanged."""
     s = on_constraint_state(orbit.omega_star, 1, orbit.spec, orbit.params)
-    return to_section(s, orbit.spec), orbit.I_mag, orbit.r_star
+    return section_coords(s.floats(), orbit.spec), orbit.I_mag, orbit.r_star
 
 
 def _closed_loop_return(z: np.ndarray, u: np.ndarray,

@@ -3,6 +3,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -157,6 +158,12 @@ def test_load_scheme_default_step_and_symmetric_rate(tmp_path):
     ({"r_diag": "-1,1"}, "r_diag"),
     ({"r_diag": "1,nan"}, "r_diag"),
     ({"r_diag": "inf,1"}, "r_diag"),
+    ({"fd_step": "0"}, "fd_step"),
+    ({"fd_step": "nan"}, "fd_step"),
+    ({"fd_step": "-1e-6"}, "fd_step"),
+    ({"fd_step": "inf"}, "fd_step"),
+    ({"deadband": "nan"}, "deadband"),
+    ({"deadband": "-1e-3"}, "deadband"),
 ])
 def test_invalid_key_rejected_by_name(tmp_path, keys, named):
     with pytest.raises(ScenarioError, match=named):
@@ -176,8 +183,8 @@ def test_k_max_must_be_a_count(tmp_path, value):
 
 @st.composite
 def random_scenario_keys(draw):
-    """Random physical parameters, schedule, rates, start, policy and
-    stabilizer; one draw in three sets one parameter out of range."""
+    """Random physical parameters, schedule, rates, start, policy, sampling
+    and stabilizer; one draw in three sets one parameter out of range."""
     def number(lo, hi):
         return repr(draw(st.floats(lo, hi)))
 
@@ -194,10 +201,8 @@ def random_scenario_keys(draw):
         "omega0_radps": number(-10.0, -0.1), "k_max": number(1.0, 20.0),
         "r_policy": draw(st.sampled_from(["strict", "warn"])),
     }
-    # no flight_sample_dt_s: flight times of random scenarios reach hours
-    # (rates near zero, geometric growth on asymmetric schedules), and one
-    # sampled example can write 100 MB of trajectory.csv. Sampling of random
-    # episodes is covered in-process by test_random_episode_ends_with_a_log.
+    if draw(st.booleans()):
+        keys["flight_sample_dt_s"] = number(1e-3, 0.05)
     if float(keys["theta_even_rad"]) == math.pi - theta_odd \
             and draw(st.booleans()):
         keys.update(stabilizer="on", fd_scheme="forward",
@@ -210,10 +215,17 @@ def random_scenario_keys(draw):
     return keys
 
 
+SAMPLE_BUDGET = 200  # trajectory.csv rows per episode in the random runs
+
+
 @settings(max_examples=30, deadline=None)
 @given(keys=random_scenario_keys())
 def test_random_scenario_exit_codes(keys):
-    with tempfile.TemporaryDirectory() as tmp:
+    # flight times of random scenarios reach hours, so a small sample budget
+    # keeps their trajectory.csv small
+    from devilstick import harness
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(harness, "MAX_FLIGHT_SAMPLES", SAMPLE_BUDGET):
         path = write_scenario(Path(tmp), **keys)
         try:
             load_scenario(path)
@@ -225,8 +237,26 @@ def test_random_scenario_exit_codes(keys):
         if accepted:
             assert code in (0, 3)
             assert (out / path.stem / "summary.json").exists()
+            with (out / path.stem / "trajectory.csv").open() as fh:
+                assert sum(1 for _ in fh) - 1 <= SAMPLE_BUDGET
         else:
             assert code == 2
+
+
+def test_schedule_at_zero_exits_2_naming_theta_odd(tmp_path, capsys):
+    # theta0 = 0.0 lies within SCHEDULE_TOL of theta_odd = 1e-10; the
+    # controller would divide by tan(0.0) = 0, so the loader rejects the
+    # schedule before any output
+    text = SIM_VHC.read_text()
+    text = text.replace("theta_odd_rad = 0.5235987755982988",
+                        "theta_odd_rad = 1e-10")
+    text = text.replace("theta0_rad = 0.5235987755982988", "theta0_rad = 0.0")
+    bad = tmp_path / "flat.cfg"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert "theta_odd" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_key_rejected(tmp_path):

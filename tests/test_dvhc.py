@@ -79,18 +79,18 @@ def test_psi_large_rate_structure(spec, params):
 
 def test_residuals_on_constraint_vanish(spec, params, orbit_2p):
     s = on_constraint_state(orbit_2p.omega_star, 1, spec, params)
-    res = residuals(s, 1, spec, params)
-    assert np.max(np.abs(res.rho)) < 1e-10
-    assert np.max(np.abs(res.drho)) < 1e-10
+    rho, drho = residuals(s, 1, spec, params)
+    assert np.max(np.abs(rho)) < 1e-10
+    assert np.max(np.abs(drho)) < 1e-10
 
 
 def test_residuals_reference_start(ic_state, spec, params):
-    res = residuals(ic_state, 1, spec, params)
-    assert res.rho == pytest.approx([0.3460, -0.5], abs=1e-4)
+    rho, drho = residuals(ic_state, 1, spec, params)
+    assert rho == pytest.approx([0.3460, -0.5], abs=1e-4)
     # oracle: direct constraint evaluation at the start state
     expected_drho = ic_state.v - psi(spec.theta_odd, -5.7, 1, spec, params)
-    assert res.drho == pytest.approx(expected_drho, abs=0)
-    assert res.drho == pytest.approx([-1.02671256, -0.19771790], abs=1e-8)
+    assert drho == pytest.approx(expected_drho, abs=0)
+    assert drho == pytest.approx([-1.02671256, -0.19771790], abs=1e-8)
 
 
 def test_residuals_off_schedule(spec, params):
@@ -116,15 +116,14 @@ def test_control_on_orbit_matches_reference(spec, params, orbit_2p):
 def test_control_contracts_residuals_from_reference_start(ic_state, spec,
                                                           params):
     # oracle: apply the command through the plant and re-measure
-    res1 = residuals(ic_state, 1, spec, params)
+    rho1, _ = residuals(ic_state, 1, spec, params)
     cmd = dvhc_control(ic_state, 1, spec, params)
     s2 = flight(impulsive_update(ic_state, cmd.I, cmd.r, params), cmd.delta,
                 params)
     s2 = FullState(h=s2.h, v=s2.v, theta=spec.theta_even, omega=s2.omega)
-    res2 = residuals(s2, 2, spec, params)
-    assert res2.rho == pytest.approx(0.5 * res1.rho, abs=1e-9)
-    assert res2.drho == pytest.approx((0.5 - 1.0) * res1.rho / cmd.delta,
-                                      abs=1e-9)
+    rho2, drho2 = residuals(s2, 2, spec, params)
+    assert rho2 == pytest.approx(0.5 * rho1, abs=1e-9)
+    assert drho2 == pytest.approx((0.5 - 1.0) * rho1 / cmd.delta, abs=1e-9)
 
 
 def test_control_quadratic_root_is_valid(ic_state, spec, params):
@@ -255,7 +254,7 @@ def test_adapters_equal_control_bitwise(params, k, h, v, rate, lam):
                       lambda_x=lam, lambda_y=1.0 - lam)
     s = FullState(h=np.array(h), v=np.array(v), theta=spec.theta_at(k),
                   omega=-rate if k % 2 else rate)
-    res = residuals(s, k, spec, params)
+    rho, drho = residuals(s, k, spec, params)
     a, b, c = quadratic_coeffs(s, k, spec, params)
     try:
         out = control(s.floats(), k, spec, params, "warn")
@@ -267,7 +266,7 @@ def test_adapters_equal_control_bitwise(params, k, h, v, rate, lam):
             assert f"(a={a}, b={b}, c={c})" in str(exc)
         return
     cmd = dvhc_control(s, k, spec, params, "warn")
-    assert _bits([*res.rho, *res.drho]) == _bits(out[:4])
+    assert _bits([*rho, *drho]) == _bits(out[:4])
     assert _bits([cmd.I, cmd.r, cmd.delta]) == _bits(out[4:])
     assert cmd.delta in _positive_roots(a, b, c)
 
@@ -290,4 +289,5 @@ def test_control_error_order(params, theta_odd, theta_even, omega, error):
         # residuals does not check the next orientation's pole; only the
         # command needs it
         s = FullState.from_floats(x)
-        assert np.all(np.isfinite(residuals(s, 1, spec, params).rho))
+        rho, _ = residuals(s, 1, spec, params)
+        assert np.all(np.isfinite(rho))

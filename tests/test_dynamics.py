@@ -148,7 +148,7 @@ def test_time_of_flight_degenerate(spec, params):
 def test_sample_flight_counts_and_endpoint(params):
     s = FullState(h=np.array([0.0, 3.0]), v=np.array([1.0, 2.0]),
                   theta=0.5, omega=4.0)
-    samples = sample_flight(s, 0.5, 0.25, params)
+    samples = sample_flight(s.floats(), 0.5, 0.25, params)
     assert len(samples) == 3
     assert samples.h.shape == (3, 2) and samples.theta.shape == (3,)
     assert [round(t, 10) for t in samples.t.tolist()] == [0.0, 0.25, 0.5]
@@ -156,14 +156,14 @@ def test_sample_flight_counts_and_endpoint(params):
     assert np.array_equal(samples.h[-1], end.h)
     assert samples.theta[-1] == end.theta
     with pytest.raises(ValueError):
-        sample_flight(s, 0.5, 0.0, params)
+        sample_flight(s.floats(), 0.5, 0.0, params)
 
 
 def test_sample_flight_matches_closed_form(params):
     # oracle: hy(t) = hy0 + vy0*t - g*t^2/2
     s = FullState(h=np.array([0.0, 3.0]), v=np.array([1.0, 2.0]),
                   theta=0.5, omega=4.0)
-    samples = sample_flight(s, 0.8, 0.13, params)
+    samples = sample_flight(s.floats(), 0.8, 0.13, params)
     for t, hy in zip(samples.t.tolist(), samples.h[:, 1].tolist()):
         assert hy == pytest.approx(3.0 + 2.0 * t - 0.5 * params.g * t * t,
                                    abs=1e-15)
@@ -177,7 +177,7 @@ def test_sample_flight_rows_equal_flight(hx, hy, vx, vy, theta, omega,
     params = StickParams(m=0.1, ell=0.5)
     s = FullState(h=np.array([hx, hy]), v=np.array([vx, vy]), theta=theta,
                   omega=omega)
-    samples = sample_flight(s, delta, dt, params)
+    samples = sample_flight(s.floats(), delta, dt, params)
     assert samples.t[-1] == delta
     assert np.all(np.diff(samples.t) > 0)
     for i, t in enumerate(samples.t.tolist()):
@@ -192,7 +192,7 @@ def test_sample_flight_from_rest_is_bitwise(params):
     # signed zeros check that hx is +0.0, never -0.0, as in flight
     s = FullState(h=np.array([-0.0, 0.0]), v=np.array([-0.0, 0.0]),
                   theta=0.0, omega=0.0)
-    samples = sample_flight(s, 2.0, 1e-4, params)
+    samples = sample_flight(s.floats(), 2.0, 1e-4, params)
     expected = [flight(s, t, params).h for t in samples.t.tolist()]
     assert samples.h.tobytes() == np.array(expected).tobytes()
 
@@ -202,9 +202,9 @@ def test_sample_flight_budget(params):
     s = FullState(h=np.array([0.0, 3.0]), v=np.array([1.0, 2.0]),
                   theta=0.5, omega=4.0)
     with pytest.raises(ScenarioError, match=str(MAX_FLIGHT_SAMPLES)):
-        sample_flight(s, 0.5, 1e-9, params)
+        sample_flight(s.floats(), 0.5, 1e-9, params)
     with pytest.raises(ScenarioError):
-        sample_flight(s, math.inf, 0.01, params)
+        sample_flight(s.floats(), math.inf, 0.01, params)
 
 def test_overflowing_flight_is_non_finite(params):
     rest = FullState(h=np.zeros(2), v=np.zeros(2), theta=0.5, omega=-1.0)
@@ -217,4 +217,4 @@ def test_overflowing_flight_is_non_finite(params):
         with pytest.raises(NonFinite):
             flight(fast, 1e10, params)          # vy * delta overflows
         with pytest.raises(NonFinite):
-            sample_flight(fast, 1e10, 1e9, params)
+            sample_flight(fast.floats(), 1e10, 1e9, params)

@@ -179,6 +179,8 @@ def test_sample_budget_is_per_episode(ic_state, spec, params, monkeypatch):
     {"r_diag": (-1.0, 1.0)},
     {"r_diag": (1.0, math.nan)},
     {"r_diag": (math.inf, 1.0)},
+    {"q_diag": (1.0, 1.0)},
+    {"r_diag": (1.0,)},
 ])
 def test_cost_weights_must_be_finite_and_signed(weights):
     (name, _), = weights.items()

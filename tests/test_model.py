@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from devilstick import FullState, JuggleSpec, StickParams, validate
+from devilstick.model import SCHEDULE_TOL
 
 
 def test_reference_spec_validates(spec, params):
@@ -14,9 +15,16 @@ def test_reference_spec_validates(spec, params):
 
 
 def test_boundary_theta_odd_fails(params):
-    bad = JuggleSpec(theta_odd=math.pi / 2, theta_even=5 * math.pi / 6,
-                     alpha=0.6131, beta=3.0)
-    assert validate(bad, params) == ["theta_odd"]
+    def spec(theta_odd, theta_even):
+        return JuggleSpec(theta_odd=theta_odd, theta_even=theta_even,
+                          alpha=0.6131, beta=3.0)
+    assert validate(spec(math.pi / 2, 5 * math.pi / 6), params) == ["theta_odd"]
+    # a start within SCHEDULE_TOL of theta_odd = 1e-10 may be theta = 0.0,
+    # where the controller would divide by tan(theta) = 0
+    assert validate(spec(1e-10, 2.0), params) == ["theta_odd"]
+    assert validate(spec(0.5, math.pi - 1e-10), params) == ["theta_even"]
+    assert validate(spec(2 * SCHEDULE_TOL, math.pi - 2 * SCHEDULE_TOL),
+                    params) == []
 
 
 def test_asymmetric_spec_passes_but_not_periodic(asym_spec, params):
