@@ -8,11 +8,9 @@ defaults. See scenarios/ for the two reference files.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +21,6 @@ from .dzd import OrbitSpec, design_orbit, growth_factor, symmetric_omega_star
 from .errors import JugglingError, ScenarioError
 from .harness import EpisodeConfig, EpisodeLog, metrics, run_episode
 from .model import FullState, JuggleSpec, StickParams, validate
-from .svgplot import Panel, figure
 
 FLOAT_FMT = "%.17g"
 
@@ -313,6 +310,8 @@ def cmd_linearize(scenario: Scenario, outdir: Path | None) -> int:
 
 
 def _read_csv(path: Path) -> tuple[list[str], list[list[float]]]:
+    import csv  # here, not at the top: only plot reads CSV
+
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -328,6 +327,8 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[float]]]:
 def cmd_plot(impulses: Path | None, trajectory: Path | None,
              outdir: Path) -> int:
     """Render per-impulse panels and the center-of-mass path as SVG."""
+    from .svgplot import Panel, figure
+
     if impulses is None and trajectory is None:
         raise ScenarioError("nothing to plot: give --impulses and/or --trajectory")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -409,6 +410,8 @@ def main(argv: list[str] | None = None) -> int:
             outroot = Path(args.out)
             jobs = [(p, str(outroot / Path(p).stem)) for p in args.scenario]
             if args.jobs > 1 and len(jobs) > 1:
+                from concurrent.futures import ProcessPoolExecutor
+
                 with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                     codes = list(pool.map(_simulate_worker, jobs))
             else:

@@ -9,7 +9,6 @@ diagonal factor diag(lambda_x, lambda_y) at every impulse, exactly.
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
@@ -18,8 +17,6 @@ from .errors import (Degenerate, NoPositiveRoot, NonFinite, OffSchedule,
                      RodExceeded, SingularOrientation, WrongRotationSign)
 from .model import (SCHEDULE_TOL, FullState, ImpulseCmd, JuggleSpec, State,
                     StickParams, parity_sign)
-
-log = logging.getLogger(__name__)
 
 TAN_SINGULARITY_TOL = 1e-9
 OMEGA_EPS = 1e-9
@@ -75,33 +72,20 @@ def _residuals(x: State, k: int, spec: JuggleSpec, params: StickParams
     """(rho_x, rho_y, drho_x, drho_y) at impulse k, and the terms control
     reuses: tan(theta), tan(theta_next), sign, theta_next, delta_theta."""
     hx, hy, vx, vy, theta, omega = x
-    theta_sched = spec.theta_at(k)
+    theta_odd, theta_even = spec.theta_odd, spec.theta_even
+    theta_sched, theta_next = ((theta_odd, theta_even) if k % 2
+                               else (theta_even, theta_odd))
     if abs(theta - theta_sched) > SCHEDULE_TOL:
         raise OffSchedule(
             f"theta={theta} does not match scheduled {theta_sched} at k={k}")
     _pole_check(theta)
     tan_theta = math.tan(theta)
     sign = _rate_sign(omega, k)
-    theta_next, dth = spec.theta_after(k), spec.delta_theta
-    tan_next = math.tan(theta_next)  # its pole is checked by _quadratic
+    dth = theta_even - theta_odd
+    tan_next = math.tan(theta_next)  # its pole is checked by the command
     psi_x, psi_y = _psi(tan_theta, tan_next, omega, sign, dth, spec, params)
     return ((hx - spec.alpha * tan_theta, hy - spec.beta, vx - psi_x,
              vy - psi_y), (tan_theta, tan_next, sign, theta_next, dth))
-
-
-def _quadratic(x: State, rho_x: float, rho_y: float, terms: tuple[float, ...],
-               spec: JuggleSpec, params: StickParams
-               ) -> tuple[float, float, float, float]:
-    """(a, b, c) of a*delta^2 + b*delta + c = 0 and the increment eta_x."""
-    (_, _, vx, vy, _, _), (tan_theta, tan_next, _, theta_next, _) = x, terms
-    _pole_check(theta_next)
-    eta_x = spec.alpha * tan_next - spec.alpha * tan_theta
-    eta_y = spec.beta - spec.beta
-    cot = 1.0 / tan_theta
-    c = (eta_x * cot + eta_y
-         + (spec.lambda_x - 1.0) * rho_x * cot
-         + (spec.lambda_y - 1.0) * rho_y)
-    return 0.5 * params.g, -(vx * cot + vy), c, eta_x
 
 
 def residuals(s: FullState, k: int, spec: JuggleSpec, params: StickParams
@@ -109,17 +93,6 @@ def residuals(s: FullState, k: int, spec: JuggleSpec, params: StickParams
     """Position and velocity residuals (rho, drho) at a scheduled impulse."""
     (rho_x, rho_y, drho_x, drho_y), _ = _residuals(s.floats(), k, spec, params)
     return np.array([rho_x, rho_y]), np.array([drho_x, drho_y])
-
-
-def _positive_roots(a: float, b: float, c: float) -> list[float]:
-    """Real positive roots of a*x**2 + b*x + c, via the cancellation-safe form."""
-    disc = b * b - 4.0 * a * c
-    if disc < 0:
-        return []
-    sq = math.sqrt(disc)
-    q = -0.5 * (b + math.copysign(sq, b)) if b != 0 else -0.5 * sq
-    roots = (q / a if a != 0 else 0.0, c / q if q != 0 else 0.0)
-    return sorted({r for r in roots if r > 0})
 
 
 def check_command(k: int, impulse: float, offset: float, delta: float,
@@ -137,13 +110,8 @@ def check_command(k: int, impulse: float, offset: float, delta: float,
            f"(+-{params.ell / 2:.6g})")
     if policy == "strict":
         raise RodExceeded(msg)
-    log.warning(msg)
-
-
-def _nominal_delta(tan_ratio: float, omega: float, sign: float, dth: float,
-                   spec: JuggleSpec, params: StickParams) -> float:
-    """Zero-residual time of flight used to disambiguate quadratic roots."""
-    return sign * 2.0 * omega * spec.alpha / (params.g * dth) * tan_ratio
+    import logging  # only the warn policy logs
+    logging.getLogger(__name__).warning(msg)
 
 
 def control(x: State, k: int, spec: JuggleSpec, params: StickParams,
@@ -157,25 +125,45 @@ def control(x: State, k: int, spec: JuggleSpec, params: StickParams,
     horizontal component and the offset from the scheduled rotation. A
     non-finite command raises NonFinite.
     """
-    _, _, vx, _, theta, omega = x
+    _, _, vx, vy, theta, omega = x
     (rho_x, rho_y, drho_x, drho_y), terms = _residuals(x, k, spec, params)
-    tan_theta, tan_next, sign, _, dth = terms
-    a, b, c, eta_x = _quadratic(x, rho_x, rho_y, terms, spec, params)
-    roots = _positive_roots(a, b, c)
-    if not roots:
+    tan_theta, tan_next, sign, theta_next, dth = terms
+    _pole_check(theta_next)
+    alpha, lambda_x, g = spec.alpha, spec.lambda_x, params.g
+    # a*delta**2 + b*delta + c = 0, the quadratic of quadratic_coeffs
+    eta_x, eta_y = alpha * tan_next - alpha * tan_theta, spec.beta - spec.beta
+    cot = 1.0 / tan_theta
+    a, b = 0.5 * g, -(vx * cot + vy)
+    c = (eta_x * cot + eta_y + (lambda_x - 1.0) * rho_x * cot
+         + (spec.lambda_y - 1.0) * rho_y)
+    # its real roots in the cancellation-safe form; r1 becomes the smaller
+    # positive one, if any is positive
+    disc = b * b - 4.0 * a * c
+    r1 = r2 = 0.0
+    if not disc < 0:
+        sq = math.sqrt(disc)
+        q = -0.5 * (b + math.copysign(sq, b)) if b != 0 else -0.5 * sq
+        r1, r2 = q / a if a != 0 else 0.0, c / q if q != 0 else 0.0
+    if not r1 > 0 or r1 > r2 > 0:
+        r1, r2 = r2, r1
+    if not r1 > 0:
         raise NoPositiveRoot(
             f"no positive time-of-flight root at k={k} (a={a}, b={b}, c={c})")
-    d_nom = _nominal_delta(1.0 - tan_next / tan_theta, omega, sign, dth,
-                           spec, params)
-    delta = min(roots, key=lambda r: (abs(r - d_nom), r))
-    impulse = -params.m * ((spec.lambda_x - 1.0) * rho_x + eta_x
+    # of two positive roots, the one nearer the zero-residual flight time;
+    # the smaller on a tie, and when that time is not finite
+    d_nom = (sign * 2.0 * omega * alpha / (g * dth)
+             * (1.0 - tan_next / tan_theta))
+    delta = r2 if r2 > r1 and abs(r2 - d_nom) < abs(r1 - d_nom) else r1
+    impulse = -params.m * ((lambda_x - 1.0) * rho_x + eta_x
                            - vx * delta) / (delta * math.sin(theta))
     if abs(impulse) < IMPULSE_EPS:
         raise Degenerate(f"impulse magnitude {impulse} too small to place")
     inertia = params.inertia
     offset = (-sign * inertia * dth / (impulse * delta)
               - inertia * omega / impulse)
-    check_command(k, impulse, offset, delta, params, r_policy)
+    if not (abs(offset) < params.ell / 2 and math.isfinite(impulse)
+            and math.isfinite(delta)):
+        check_command(k, impulse, offset, delta, params, r_policy)
     return rho_x, rho_y, drho_x, drho_y, impulse, offset, delta
 
 
@@ -199,7 +187,7 @@ def steady_inputs(omega: float, k: int, spec: JuggleSpec,
     if abs(tan_ratio) < 1e-12:
         raise Degenerate("tangent-ratio factor vanishes")
     dth = spec.delta_theta
-    delta = _nominal_delta(tan_ratio, omega, sign, dth, spec, params)
+    delta = sign * 2.0 * omega * spec.alpha / (params.g * dth) * tan_ratio
     impulse = (sign * params.m / math.cos(theta)) * (
         omega * spec.alpha / dth * tan_ratio + params.g * dth / (2.0 * omega))
     offset = (-sign * params.inertia * dth * math.cos(theta)
@@ -212,10 +200,18 @@ def steady_inputs(omega: float, k: int, spec: JuggleSpec,
 
 def quadratic_coeffs(s: FullState, k: int, spec: JuggleSpec,
                      params: StickParams) -> tuple[float, float, float]:
-    """(a, b, c) of the time-of-flight quadratic, for root verification."""
+    """(a, b, c) of the time-of-flight quadratic, for root verification:
+    the operations control runs inline, in the same order."""
     x = s.floats()
     (rho_x, rho_y, _, _), terms = _residuals(x, k, spec, params)
-    return _quadratic(x, rho_x, rho_y, terms, spec, params)[:3]
+    tan_theta, tan_next, _, theta_next, _ = terms
+    _pole_check(theta_next)
+    eta_x = spec.alpha * tan_next - spec.alpha * tan_theta
+    eta_y = spec.beta - spec.beta
+    cot = 1.0 / tan_theta
+    c = (eta_x * cot + eta_y + (spec.lambda_x - 1.0) * rho_x * cot
+         + (spec.lambda_y - 1.0) * rho_y)
+    return 0.5 * params.g, -(x[2] * cot + x[3]), c
 
 
 def on_constraint_state(omega: float, k: int, spec: JuggleSpec,

@@ -46,6 +46,14 @@ class EpisodeConfig:
             raise ValueError(f"q_diag must be 5 finite values >= 0, got {q}")
         if not (len(r) == 2 and all(0 < v < np.inf for v in r)):
             raise ValueError(f"r_diag must be 2 finite values > 0, got {r}")
+        if self.fd_scheme not in ("central", "forward"):
+            raise ValueError(f"fd_scheme must be 'central' or 'forward', "
+                             f"got {self.fd_scheme!r}")
+        if not 0 < self.fd_step < np.inf:
+            raise ValueError(f"fd_step must be finite and > 0, "
+                             f"got {self.fd_step}")
+        if not self.deadband >= 0:
+            raise ValueError(f"deadband must be >= 0, got {self.deadband}")
 
 
 @dataclass(eq=False, slots=True)
@@ -129,14 +137,17 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
 
     x = s0.floats()
     t, budget = 0.0, MAX_FLIGHT_SAMPLES
+    k_max, r_policy, flight_dt = cfg.k_max, cfg.r_policy, cfg.flight_dt
+    stabilize, records = cfg.stabilize, log.records
+    theta_odd, theta_even = spec.theta_odd, spec.theta_even
     # K @ e may overflow to inf; time_of_flight or check_command then raise
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, cfg.k_max + 1):
+        for k in range(1, k_max + 1):
             try:
                 rho_x, rho_y, drho_x, drho_y, impulse, offset, delta = control(
-                    x, k, spec, params, r_policy=cfg.r_policy)
+                    x, k, spec, params, r_policy)
                 u = stab.NO_CORRECTION
-                if cfg.stabilize and k % 2 == 1:
+                if stabilize and k % 2 == 1:
                     u = stab.feedback(stab.section_coords(x, spec), lin, gain)
                     du_I, du_r = u.tolist()
                     if du_I or du_r:  # u.any(), on two floats
@@ -144,18 +155,19 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                         delta = time_of_flight(x[5], impulse, offset, k,
                                                spec, params)
                         check_command(k, impulse, offset, delta, params,
-                                      cfg.r_policy)
-                log.records.append(ImpulseRecord(
+                                      r_policy)
+                records.append(ImpulseRecord(
                     k, x[4], x[5], np.array((rho_x, rho_y)),
                     np.array((drho_x, drho_y)), delta, impulse, offset, u))
-                if k < cfg.k_max:
+                if k < k_max:
                     x_plus = jump(x, impulse, offset, params)
                     # delta lands exactly on the schedule; pin the orientation
                     # so float roundoff cannot accumulate across k. land
                     # raises NonFinite first, so x_plus is finite below.
-                    x = land(x_plus, delta, spec.theta_at(k + 1), params)
-                    if cfg.flight_dt is not None:
-                        samples = sample_flight(x_plus, delta, cfg.flight_dt,
+                    x = land(x_plus, delta, theta_even if k % 2 else theta_odd,
+                             params)
+                    if flight_dt is not None:
+                        samples = sample_flight(x_plus, delta, flight_dt,
                                                 params, budget)
                         budget -= len(samples)
                         log.flights.append(FlightTrace(k, t, samples))
@@ -182,8 +194,7 @@ def metrics(log: EpisodeLog) -> EpisodeMetrics:
         raise ValueError("empty episode log")
     rho = np.array([rec.rho for rec in log.records])
     lam = np.array([log.spec.lambda_x, log.spec.lambda_y])
-    dev = max((float(np.max(np.abs(rho[i + 1] - lam * rho[i])))
-               for i in range(len(rho) - 1)), default=0.0)
+    dev = float(np.max(np.abs(rho[1:] - lam * rho[:-1]), initial=0.0))
     terminal_error = None
     if log.orbit is not None:
         z_star, _, _ = stab.fixed_point(log.orbit)

@@ -65,7 +65,7 @@ def section_coords(x: State, spec: JuggleSpec) -> np.ndarray:
 
 def _on_section(z: np.ndarray, spec: JuggleSpec) -> State:
     """Inverse of section_coords; exact round trip."""
-    hx, hy, vx, vy, omega = np.asarray(z, dtype=float).tolist()
+    hx, hy, vx, vy, omega = map(float, z)
     return hx, hy, vx, vy, spec.theta_odd, omega
 
 
@@ -106,20 +106,25 @@ def _closed_loop_return(z: np.ndarray, u: np.ndarray,
 def _fd_jacobian(orbit: OrbitSpec, z_star: np.ndarray, steps: np.ndarray,
                  scheme: str) -> np.ndarray:
     """[A | B]: one difference quotient of the closed-loop return map per
-    input of (z, u), about (z*, 0).
+    input w = (z, u), about (z*, 0). The z-columns move plain floats; the
+    u-columns and the forward base reuse the nominal command at z*.
     """
+    w_star = [*z_star.tolist(), 0.0, 0.0]
+    *_, impulse, offset, _ = control(_on_section(z_star, orbit.spec), 1,
+                                     orbit.spec, orbit.params)
+
     def moved(i: int, step: float) -> np.ndarray:
-        z, u = z_star.copy(), np.zeros(2)
+        w = w_star.copy()
+        w[i] += step
         if i < 5:
-            z[i] += step
-        else:
-            u[i - 5] += step
-        return _closed_loop_return(z, u, orbit)
+            return _closed_loop_return(w[:5], NO_CORRECTION, orbit)
+        return poincare_map(w[:5], impulse + w[5], offset + w[6], orbit)
 
     if scheme == "forward":
-        base = _closed_loop_return(z_star, np.zeros(2), orbit)
+        base = poincare_map(z_star, impulse, offset, orbit)
     J = np.empty((5, 7))
-    for i, step in enumerate(steps):
+    # Python float steps keep numpy scalars, and numpy's **, out of the plant
+    for i, step in enumerate(steps.tolist()):
         if scheme == "central":
             J[:, i] = (moved(i, step) - moved(i, -step)) / (2 * step)
         else:
@@ -212,13 +217,14 @@ def riccati_solution(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
                      R: np.ndarray) -> np.ndarray:
     """Converged cost-to-go matrix of the Riccati fixed-point iteration."""
     P = np.asarray(Q, dtype=float).copy()
+    At, Bt = A.T, B.T
     for _ in range(RICCATI_MAX_ITER):
-        BtP = B.T @ P
+        BtP = Bt @ P
         K = -np.linalg.solve(R + BtP @ B, BtP @ A)
-        P_next = Q + A.T @ P @ (A + B @ K)
-        if not np.max(np.abs(P_next)) <= 1e100:  # also stops on NaN
+        P_next = Q + At @ P @ (A + B @ K)
+        if not abs(P_next).max() <= 1e100:  # also stops on NaN
             raise RiccatiDiverged("cost-to-go iteration blew up")
-        if np.max(np.abs(P_next - P)) < RICCATI_TOL:
+        if abs(P_next - P).max() < RICCATI_TOL:
             return P_next
         P = P_next
     raise RiccatiDiverged(f"no fixed point within {RICCATI_MAX_ITER} iterations")

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -432,6 +435,22 @@ def test_batch_jobs(tmp_path):
     assert code == 0
     assert (tmp_path / "sim_vhc" / "summary.json").exists()
     assert (tmp_path / "sim_orbit" / "summary.json").exists()
+
+
+def test_simulate_imports_no_pool_plotting_or_logging(tmp_path):
+    # simulate on one scenario loads neither the process pool, the CSV
+    # reader, the SVG writer nor logging (the warn policy imports it)
+    script = (
+        "import sys\n"
+        "from devilstick.cli import main\n"
+        f"code = main(['simulate', '--scenario', {str(SIM_ORBIT)!r}, "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(set(sys.modules) & {'concurrent.futures', 'csv', "
+        "'devilstick.svgplot', 'logging'}))\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 def test_analyze_table(capsys):

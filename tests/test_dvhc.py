@@ -1,17 +1,20 @@
+import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from devilstick import (Degenerate, FullState, JuggleSpec, JugglingError,
                         NoPositiveRoot, OffSchedule, RodExceeded,
-                        SingularOrientation, WrongRotationSign, dvhc_control,
-                        flight, impulsive_update, on_constraint_state, phi,
-                        psi, residuals, steady_inputs)
-from devilstick.dvhc import _positive_roots, control, quadratic_coeffs
+                        SingularOrientation, StickParams, WrongRotationSign,
+                        dvhc_control, flight, impulsive_update,
+                        on_constraint_state, phi, psi, residuals,
+                        steady_inputs)
+from devilstick.dvhc import control, quadratic_coeffs
 
+import dvhc_reference
 from refvals import IMPULSE_2P, OFFSET
 
 
@@ -268,7 +271,11 @@ def test_adapters_equal_control_bitwise(params, k, h, v, rate, lam):
     cmd = dvhc_control(s, k, spec, params, "warn")
     assert _bits([*rho, *drho]) == _bits(out[:4])
     assert _bits([cmd.I, cmd.r, cmd.delta]) == _bits(out[4:])
-    assert cmd.delta in _positive_roots(a, b, c)
+    # delta is a positive root of the quadratic that quadratic_coeffs returns
+    assert cmd.delta > 0
+    residual = a * cmd.delta**2 + b * cmd.delta + c
+    assert abs(residual) <= 1e-12 * (abs(a) * cmd.delta**2
+                                     + abs(b) * cmd.delta + abs(c))
 
 
 @pytest.mark.parametrize("theta_odd, theta_even, omega, error", [
@@ -291,3 +298,116 @@ def test_control_error_order(params, theta_odd, theta_even, omega, error):
         s = FullState.from_floats(x)
         rho, _ = residuals(s, 1, spec, params)
         assert np.all(np.isfinite(rho))
+
+
+class _Messages(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__()
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
+def _outcome(fn, *args):
+    """(result bits or error type and message, rod warnings logged)."""
+    logger, handler = logging.getLogger("devilstick.dvhc"), _Messages()
+    logger.addHandler(handler)
+    try:
+        result = ("ok", _bits(fn(*args)))
+    except Exception as exc:  # untyped errors such as ZeroDivisionError too
+        result = (type(exc), str(exc))
+    finally:
+        logger.removeHandler(handler)
+    return result, handler.messages
+
+
+def _reference_quadratic(x, k, spec, params):
+    (rho_x, rho_y, _, _), terms = dvhc_reference._residuals(x, k, spec,
+                                                            params)
+    return dvhc_reference._quadratic(x, rho_x, rho_y, terms, spec,
+                                     params)[:3]
+
+
+@st.composite
+def _control_inputs(draw):
+    """A schedule, parameters and a start at impulse k. Half the draws stay
+    near the reference configuration; the other half also reach tangent
+    poles, theta = 0, starts off the schedule, rates near 0 or of the wrong
+    sign, offsets outside the rod and magnitudes up to 1e300."""
+    wild = draw(st.booleans())
+
+    def pick(typical, *rare):
+        return draw(st.one_of(typical, typical, typical, *rare) if wild
+                    else typical)
+
+    def positive():
+        return pick(st.floats(0.05, 10.0), st.floats(0.0, 1e300),
+                    st.sampled_from([1e-320, 1e-300, 1e300, math.inf]))
+
+    def coordinate(lo, hi):
+        return pick(st.floats(lo, hi), st.floats(-1e300, 1e300))
+
+    theta_odd = pick(st.floats(0.05, 1.5), st.sampled_from(
+        [0.0, 1e-300, math.pi / 2 - 1e-10, math.pi / 2]))
+    theta_even = pick(st.floats(1.6, 3.1), st.sampled_from(
+        [math.pi / 2 + 1e-10, theta_odd + math.pi, math.pi]))
+    spec = JuggleSpec(theta_odd=theta_odd, theta_even=theta_even,
+                      alpha=positive(), beta=positive(),
+                      lambda_x=draw(st.floats(0.0, 0.99)),
+                      lambda_y=draw(st.floats(0.0, 0.99)))
+    J = pick(st.none(), st.floats(0.0, 1e300))
+    # the default J = m*ell**2/12 overflows for huge ell
+    ell = pick(st.just(0.5), st.floats(0.05, 10.0) if J is None
+               else st.floats(0.0, 1e300))
+    params = StickParams(m=positive(), ell=ell, J=J,
+                         g=pick(st.just(9.81), st.floats(0.0, 1e300)))
+    k = draw(st.integers(1, 4))
+    theta = spec.theta_at(k) + pick(st.just(0.0), st.sampled_from(
+        [5e-10, -5e-10, 2e-9, 1.0]))
+    sign = -1.0 if k % 2 else 1.0
+    omega = sign * pick(st.floats(0.5, 12.0), st.floats(-1e300, 1e300),
+                        st.sampled_from([0.0, 1e-10, 1e-9, 2e-9]))
+    h = (coordinate(-5.0, 5.0), coordinate(-3.0, 8.0))
+    v = (coordinate(-8.0, 8.0), coordinate(-8.0, 8.0))
+    return (*h, *v, theta, omega), k, spec, params
+
+
+_REF_PARAMS = StickParams(m=0.1, ell=0.5)
+
+
+@settings(max_examples=500, deadline=None)
+@given(inputs=_control_inputs(), policy=st.sampled_from(["strict", "warn"]))
+# two positive roots and a nominal flight time that is NaN (0 * inf): the
+# sorted-set minimum keeps the smaller root, as on a tie
+@example(inputs=((0.0, 2.0, 0.0, 10.0, 1e-300, -1e-5), 1,
+                 JuggleSpec(theta_odd=1e-300, theta_even=math.pi / 2 + 2e-9,
+                            alpha=1e-320, beta=3.0), _REF_PARAMS),
+         policy="warn")
+# two positive roots and an infinite nominal flight time (omega * alpha
+# overflows): again the smaller root
+@example(inputs=((0.0, -2.0, 0.0, 10.0, 0.5, -1e308), 1,
+                 JuggleSpec(theta_odd=0.5, theta_even=2.6, alpha=1.0,
+                            beta=3.0), _REF_PARAMS),
+         policy="strict")
+# an impulse that overflows while its offset stays inside the rod
+@example(inputs=((0.7, 2.5, 0.9, -2.0, math.pi / 6, -5.7), 1,
+                 JuggleSpec(theta_odd=math.pi / 6,
+                            theta_even=5 * math.pi / 6, alpha=0.6131,
+                            beta=3.0), StickParams(m=1e308, ell=0.5, J=1e-3)),
+         policy="strict")
+# beta = inf (validate accepts it): eta_y = beta - beta makes c NaN
+@example(inputs=((0.7, 2.5, 0.9, -2.0, math.pi / 6, -5.7), 1,
+                 JuggleSpec(theta_odd=math.pi / 6,
+                            theta_even=5 * math.pi / 6, alpha=0.6131,
+                            beta=math.inf), _REF_PARAMS),
+         policy="strict")
+def test_control_matches_frozen_reference(inputs, policy):
+    # control returns the bits of the frozen reference copy, or raises the
+    # same error with the same message, and logs the same rod warnings
+    x, k, spec, params = inputs
+    expected = _outcome(dvhc_reference.control, x, k, spec, params, policy)
+    assert _outcome(control, x, k, spec, params, policy) == expected
+    s = FullState.from_floats(x)
+    assert (_outcome(quadratic_coeffs, s, k, spec, params)
+            == _outcome(_reference_quadratic, x, k, spec, params))

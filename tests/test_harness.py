@@ -181,6 +181,13 @@ def test_sample_budget_is_per_episode(ic_state, spec, params, monkeypatch):
     {"r_diag": (math.inf, 1.0)},
     {"q_diag": (1.0, 1.0)},
     {"r_diag": (1.0,)},
+    {"fd_scheme": "backward"},
+    {"fd_step": 0.0},
+    {"fd_step": math.nan},
+    {"fd_step": -1e-6},
+    {"fd_step": math.inf},
+    {"deadband": math.nan},
+    {"deadband": -1.0},
 ])
 def test_cost_weights_must_be_finite_and_signed(weights):
     (name, _), = weights.items()
