@@ -18,7 +18,10 @@ directory on PYTHONPATH, over:
   rate, tangent singularities, rod bound, and error pairs that test which
   check comes first), run as episodes and as direct `control` calls; the
   direct calls include invalid schedules that `run_episode` rejects, so
-  untyped errors such as `ZeroDivisionError` are compared too.
+  untyped errors such as `ZeroDivisionError` are compared too,
+- episodes that end in the design phase, before their first impulse: an
+  invalid schedule, invalid parameters under the stabilizer, and a central
+  step too coarse for the step-halving check (`FDInconsistent`).
 
 Episode records and design matrices are written as hexadecimal floats.
 Prints the first differing file and line, or `identical`; the exit status
@@ -115,6 +118,28 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
                 devilstick.EpisodeConfig(k_max=20, r_policy=policy)))
             lines += handler.messages
             handler.messages.clear()
+    # episodes that end in the design phase, before their first impulse:
+    # (name, target, params, stabilize)
+    spec = devilstick.JuggleSpec(theta_odd=odd, theta_even=even,
+                                 alpha=0.6131, beta=3.0)
+    orbit = devilstick.design_orbit(
+        spec, devilstick.symmetric_omega_star(spec, params), params)
+    s0 = devilstick.FullState(h=np.array([0.7, 2.5]),
+                              v=np.array([0.9, -2.0]), theta=odd, omega=-5.7)
+    design = [
+        ("invalid schedule", devilstick.JuggleSpec(
+            theta_odd=odd, theta_even=odd, alpha=0.6131, beta=3.0),
+         params, False),                                 # ScenarioError
+        ("invalid parameters", orbit,
+         devilstick.StickParams(m=0.1, ell=0.5, g=0.0), True),
+        ("coarse central step", orbit, params, True),    # FDInconsistent
+    ]
+    for name, target, episode_params, stabilize in design:
+        lines.append(f"episode {name} stabilize={stabilize}")
+        lines += _episode_lines(devilstick.run_episode(
+            s0, target, episode_params, devilstick.EpisodeConfig(
+                k_max=20, stabilize=stabilize, fd_scheme="central",
+                fd_step=1e-3)))
     # direct calls, invalid schedules included: (theta_odd, theta_even, g,
     # theta, omega, k)
     calls = [

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,8 @@ import numpy as np
 from . import stabilizer as stab
 from .dzd import OrbitSpec, design_orbit, growth_factor, symmetric_omega_star
 from .errors import JugglingError, ScenarioError
-from .harness import EpisodeConfig, EpisodeLog, metrics, run_episode
+from .harness import (SETTING_RULES, EpisodeConfig, EpisodeLog, metrics,
+                      run_episode)
 from .model import FullState, JuggleSpec, StickParams, validate
 
 FLOAT_FMT = "%.17g"
@@ -36,8 +36,8 @@ def _rate(text: str) -> float | str:
 
 
 # key: (parser, default when the file does not set the key) and, for some
-# keys, a check that a parsed value must pass and the reason it failed
-_POSITIVE = (lambda x: 0 < x < math.inf, "must be finite and > 0")
+# keys, a check that a parsed value must pass and the reason it failed; the
+# checks of episode settings are harness.SETTING_RULES, by field name
 _KEYS = {
     **dict.fromkeys(("m_kg", "ell_m", "alpha_m", "beta_m", "theta_odd_rad",
                      "theta_even_rad", "h_x0_m", "h_y0_m", "v_x0_mps",
@@ -47,25 +47,20 @@ _KEYS = {
     "lambda_x": (float, 0.5),
     "lambda_y": (float, 0.5),
     "theta0_rad": (float, None),             # None: theta_odd_rad
-    "k_max": (lambda s: int(float(s)), 20, lambda n: n >= 1, "must be >= 1"),
+    "k_max": (lambda s: int(float(s)), 20, *SETTING_RULES["k_max"]),
     "stabilizer": (str.lower, "off", lambda s: s in ("on", "off"),
                    "must be 'on' or 'off'"),
     "omega_star_radps": (_rate, None,
                          lambda x: x == "symmetric" or not x >= 0,
                          "must be < 0 or 'symmetric'"),
-    "deadband": (float, 1e-3, lambda x: x >= 0, "must be >= 0"),
-    "r_policy": (str, "strict", lambda s: s in ("strict", "warn"),
-                 "must be 'strict' or 'warn'"),
-    "flight_sample_dt_s": (float, None, *_POSITIVE),
-    "q_diag": (_floats, (1.0,) * 5,
-               lambda t: len(t) == 5 and all(0 <= q < math.inf for q in t),
-               "needs 5 comma-separated finite values >= 0"),
-    "r_diag": (_floats, (1.0, 1.0),
-               lambda t: len(t) == 2 and all(0 < r < math.inf for r in t),
-               "needs 2 comma-separated finite values > 0"),
-    "fd_scheme": (str, "central", lambda s: s in ("central", "forward"),
-                  "must be 'central' or 'forward'"),
-    "fd_step": (float, None, *_POSITIVE),    # None: 1e-6 central, 2e-3 forward
+    "deadband": (float, 1e-3, *SETTING_RULES["deadband"]),
+    "r_policy": (str, "strict", *SETTING_RULES["r_policy"]),
+    "flight_sample_dt_s": (float, None, *SETTING_RULES["flight_dt"]),
+    "q_diag": (_floats, (1.0,) * 5, *SETTING_RULES["q_diag"]),
+    "r_diag": (_floats, (1.0, 1.0), *SETTING_RULES["r_diag"]),
+    "fd_scheme": (str, "central", *SETTING_RULES["fd_scheme"]),
+    # None: 1e-6 for the central scheme, 2e-3 for the forward one
+    "fd_step": (float, None, *SETTING_RULES["fd_step"]),
 }
 
 

@@ -24,9 +24,29 @@ from .errors import JugglingError, OffSchedule, ScenarioError
 from .model import SCHEDULE_TOL, FullState, JuggleSpec, StickParams, validate
 
 
+# field: (check a value must pass, reason it failed). EpisodeConfig runs
+# every check; the scenario loader runs the check of the field a key sets.
+SETTING_RULES = {
+    "k_max": (lambda n: isinstance(n, int) and n >= 1,
+              "must be an integer >= 1"),
+    "deadband": (lambda x: x >= 0, "must be >= 0"),
+    "r_policy": (lambda s: s in ("strict", "warn"),
+                 "must be 'strict' or 'warn'"),
+    "flight_dt": (lambda x: x is None or 0 < x < np.inf,
+                  "must be finite and > 0"),
+    "q_diag": (lambda t: len(t) == 5 and all(0 <= q < np.inf for q in t),
+               "needs 5 finite values >= 0"),
+    "r_diag": (lambda t: len(t) == 2 and all(0 < r < np.inf for r in t),
+               "needs 2 finite values > 0"),
+    "fd_scheme": (lambda s: s in ("central", "forward"),
+                  "must be 'central' or 'forward'"),
+    "fd_step": (lambda x: 0 < x < np.inf, "must be finite and > 0"),
+}
+
+
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """Knobs for one episode run."""
+    """Knobs for one episode run; SETTING_RULES says which values are valid."""
 
     k_max: int = 20
     stabilize: bool = False
@@ -39,21 +59,10 @@ class EpisodeConfig:
     fd_step: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        q, r = self.q_diag, self.r_diag
-        if not (len(q) == 5 and all(0 <= v < np.inf for v in q)):
-            raise ValueError(f"q_diag must be 5 finite values >= 0, got {q}")
-        if not (len(r) == 2 and all(0 < v < np.inf for v in r)):
-            raise ValueError(f"r_diag must be 2 finite values > 0, got {r}")
-        if self.fd_scheme not in ("central", "forward"):
-            raise ValueError(f"fd_scheme must be 'central' or 'forward', "
-                             f"got {self.fd_scheme!r}")
-        if not 0 < self.fd_step < np.inf:
-            raise ValueError(f"fd_step must be finite and > 0, "
-                             f"got {self.fd_step}")
-        if not self.deadband >= 0:
-            raise ValueError(f"deadband must be >= 0, got {self.deadband}")
+        for name, (check, reason) in SETTING_RULES.items():
+            value = getattr(self, name)
+            if not check(value):
+                raise ValueError(f"{name} {reason}, got {value!r}")
 
 
 @dataclass(eq=False, slots=True)
@@ -120,30 +129,23 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
             f"episodes start at the odd orientation; got theta={s0.theta}")
 
     log = EpisodeLog(spec=spec, params=params, orbit=orbit)
-    lin = gain = None
-    try:
-        failures = validate(spec, params)
-        if failures:
-            raise ScenarioError(f"invalid parameters: {', '.join(failures)}")
-        if cfg.stabilize:
-            lin = stab.linearize(orbit, step_scale=cfg.fd_step,
-                                 scheme=cfg.fd_scheme)
-            gain = stab.dlqr(lin.A, lin.B, np.diag(cfg.q_diag),
-                             np.diag(cfg.r_diag), deadband=cfg.deadband)
-    except JugglingError as exc:
-        log.termination = f"{type(exc).__name__}: {exc}"
-        log.wall_time = time.perf_counter() - t_start
-        return log
-
     x = s0.floats()
     t, budget = 0.0, MAX_FLIGHT_SAMPLES
     k_max, r_policy, flight_dt = cfg.k_max, cfg.r_policy, cfg.flight_dt
     stabilize, records = cfg.stabilize, log.records
     theta_odd, theta_even = spec.theta_odd, spec.theta_even
-    # K @ e may overflow to inf; time_of_flight or check_command then raise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, k_max + 1):
-            try:
+    try:
+        failures = validate(spec, params)
+        if failures:
+            raise ScenarioError(f"invalid parameters: {', '.join(failures)}")
+        if stabilize:
+            lin = stab.linearize(orbit, step_scale=cfg.fd_step,
+                                 scheme=cfg.fd_scheme)
+            gain = stab.dlqr(lin.A, lin.B, np.diag(cfg.q_diag),
+                             np.diag(cfg.r_diag), deadband=cfg.deadband)
+        # K @ e may overflow to inf; time_of_flight or check_command raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, k_max + 1):
                 rho_x, rho_y, drho_x, drho_y, impulse, offset, delta = control(
                     x, k, spec, params, r_policy)
                 u = stab.NO_CORRECTION
@@ -172,9 +174,8 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                         budget -= len(samples)
                         log.flights.append(FlightTrace(k, t, samples))
                     t += delta
-            except JugglingError as exc:
-                log.termination = f"{type(exc).__name__}: {exc}"
-                break
+    except JugglingError as exc:
+        log.termination = f"{type(exc).__name__}: {exc}"
     log.sim_duration = t
     log.wall_time = time.perf_counter() - t_start
     return log

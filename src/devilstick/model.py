@@ -29,7 +29,7 @@ def parity_sign(k: int) -> float:
 class StickParams:
     """Physical constants of the stick.
 
-    J defaults to the uniform-rod value m*ell**2/12 when not given.
+    J defaults to the uniform-rod value m*ell**2/12 (inf if that overflows).
     """
 
     m: float
@@ -39,7 +39,10 @@ class StickParams:
 
     def __post_init__(self) -> None:
         if self.J is None:
-            object.__setattr__(self, "J", self.m * self.ell**2 / 12.0)
+            try:
+                object.__setattr__(self, "J", self.m * self.ell**2 / 12.0)
+            except OverflowError:  # ell**2 beyond the float range
+                object.__setattr__(self, "J", math.inf)
 
     @property
     def inertia(self) -> float:
@@ -132,7 +135,7 @@ def validate(spec: JuggleSpec, params: StickParams) -> list[str]:
     checks = {
         "m": params.m > 0,
         "ell": params.ell > 0,
-        "J": params.inertia > 0,
+        "J": 0 < params.inertia < math.inf,
         "g": params.g > 0,
         # SCHEDULE_TOL clear of 0 and pi: no start on schedule has tan = 0
         "theta_odd": SCHEDULE_TOL < spec.theta_odd < math.pi / 2,

@@ -262,6 +262,16 @@ def test_schedule_at_zero_exits_2_naming_theta_odd(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overflowing_default_inertia_exits_2_naming_j(tmp_path, capsys):
+    # ell**2 overflows, so the default J is inf, which validate rejects
+    bad = tmp_path / "long.cfg"
+    bad.write_text(SIM_VHC.read_text().replace("ell_m = 0.5", "ell_m = 1e200"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert "invalid parameters: J" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_key_rejected(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text(SIM_VHC.read_text() + "\nwhatever_m = 1.0\n")

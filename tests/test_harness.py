@@ -188,6 +188,13 @@ def test_sample_budget_is_per_episode(ic_state, spec, params, monkeypatch):
     {"fd_step": math.inf},
     {"deadband": math.nan},
     {"deadband": -1.0},
+    {"flight_dt": 0.0},
+    {"flight_dt": -1.0},
+    {"flight_dt": math.nan},
+    {"flight_dt": math.inf},
+    {"r_policy": "Strict"},
+    {"r_policy": "lenient"},
+    {"k_max": 2.5},
 ])
 def test_cost_weights_must_be_finite_and_signed(weights):
     (name, _), = weights.items()

@@ -38,6 +38,13 @@ def test_validate_is_pure_and_idempotent(spec, params):
     assert validate(spec, params) == validate(spec, params)
 
 
+def test_overflowing_default_inertia_fails_j(spec):
+    long = StickParams(m=0.1, ell=1e200)
+    assert long.J == math.inf
+    assert validate(spec, long) == ["J"]
+    assert validate(spec, StickParams(m=0.1, ell=0.5, J=math.inf)) == ["J"]
+
+
 def test_inertia_default_is_exact_rod_value():
     p = StickParams(m=0.1, ell=0.5)
     assert p.inertia == 0.1 * 0.5**2 / 12.0
