@@ -21,7 +21,17 @@ directory on PYTHONPATH, over:
   untyped errors such as `ZeroDivisionError` are compared too,
 - episodes that end in the design phase, before their first impulse: an
   invalid schedule, invalid parameters under the stabilizer, and a central
-  step too coarse for the step-halving check (`FDInconsistent`).
+  step too coarse for the step-halving check (`FDInconsistent`),
+- three scenarios that leave the optional keys to the loader's defaults
+  (`simulate`): the required keys only, and the required keys plus
+  `stabilizer = on` and `omega_star_radps = symmetric`, once with the
+  default scheme and once with `fd_scheme = forward`; the last two also
+  run `linearize`, so the default `fd_step` of each scheme is compared,
+- a seeded loader pass over 4000 generated scenario files: random subsets
+  of the keys in shuffled order, valid, malformed and out-of-range values,
+  unknown and duplicate keys, lines without `=` and empty values; each
+  file's loaded fields or error message is compared, with the file's path
+  masked.
 
 Episode records and design matrices are written as hexadecimal floats.
 Prints the first differing file and line, or `identical`; the exit status
@@ -44,6 +54,29 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 SHIPPED = ("sim_vhc", "sim_orbit")
 SEED = 0
+N_LOADER = 4000
+
+# the keys a scenario must set, as in scenarios/sim_vhc.cfg
+REQUIRED = {
+    "m_kg": "0.1", "ell_m": "0.5", "alpha_m": "0.6131", "beta_m": "3.0",
+    "theta_odd_rad": "0.5235987755982988",
+    "theta_even_rad": "2.6179938779914944", "h_x0_m": "0.7",
+    "h_y0_m": "2.5", "v_x0_mps": "0.9", "v_y0_mps": "-2.0",
+    "omega0_radps": "-5.7",
+}
+KEYS = (*REQUIRED, "J_kgm2", "g_mps2", "lambda_x", "lambda_y", "theta0_rad",
+        "k_max", "stabilizer", "omega_star_radps", "deadband", "r_policy",
+        "flight_sample_dt_s", "q_diag", "r_diag", "fd_scheme", "fd_step")
+DEFAULTS = {
+    "required_only": {},
+    "central_default": {"stabilizer": "on", "omega_star_radps": "symmetric"},
+    "forward_default": {"stabilizer": "on", "omega_star_radps": "symmetric",
+                        "fd_scheme": "forward"},
+}
+# values that no key accepts, or that some key rejects as out of range
+BAD_VALUES = ("abc", "nan", "inf", "-inf", "-1", "0", "1e400", "-1e400",
+              "1,2", "1,2,3,4,5", "1,,2", "on", "symmetric", "central",
+              "warn", "2.5", "1e-320", "-0.0")
 
 
 def _floats(values) -> str:
@@ -170,6 +203,90 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
     return lines
 
 
+def _good_value(rng, key: str, theta_odd: float) -> str:
+    """A value the loader accepts for key on its own (the file as a whole
+    may still fail, e.g. stabilizer = on without omega_star_radps)."""
+    def num(lo: float, hi: float) -> str:
+        return repr(rng.uniform(lo, hi))
+
+    if key == "theta_even_rad" and rng.random() < 0.6:
+        return repr(math.pi - theta_odd)        # a symmetric schedule
+    if key in ("theta_odd_rad", "theta0_rad") and rng.random() < 0.9:
+        return repr(theta_odd)
+    choices = {
+        "m_kg": lambda: num(0.01, 1.0), "ell_m": lambda: num(0.1, 1.0),
+        "alpha_m": lambda: num(0.2, 1.5), "beta_m": lambda: num(1.0, 5.0),
+        "theta_odd_rad": lambda: num(0.0, 1.6),
+        "theta_even_rad": lambda: num(1.7, 3.0),
+        "h_x0_m": lambda: num(0.5, 0.9), "h_y0_m": lambda: num(2.0, 3.0),
+        "v_x0_mps": lambda: num(0.7, 1.1), "v_y0_mps": lambda: num(-2.4, -1.6),
+        "omega0_radps": lambda: num(-8.0, -1.0),
+        "J_kgm2": lambda: num(1e-3, 0.1), "g_mps2": lambda: num(5.0, 15.0),
+        "lambda_x": lambda: num(0.0, 0.99), "lambda_y": lambda: num(0.0, 0.99),
+        "theta0_rad": lambda: num(-1.0, 4.0),
+        "k_max": lambda: rng.choice([str(rng.randint(1, 100)), num(1, 50)]),
+        "stabilizer": lambda: rng.choice(["on", "off", "ON", "Off"]),
+        "omega_star_radps": lambda: rng.choice(
+            ["symmetric", "Symmetric", num(-8.0, -1.5)]),
+        "deadband": lambda: num(0.0, 0.01),
+        "r_policy": lambda: rng.choice(["strict", "warn"]),
+        "flight_sample_dt_s": lambda: num(1e-3, 0.1),
+        "q_diag": lambda: ", ".join(num(0.0, 10.0) for _ in range(5)),
+        "r_diag": lambda: ",".join(num(0.1, 10.0) for _ in range(2)),
+        "fd_scheme": lambda: rng.choice(["central", "forward"]),
+        "fd_step": lambda: repr(10 ** rng.uniform(-8, -2)),
+    }
+    return choices[key]()
+
+
+def _scenario_text(rng) -> str:
+    """One generated scenario file: a random subset of the keys in shuffled
+    order; a share of the files carry bad values or malformed lines."""
+    p_missing = rng.choice([0.0, 0.0, 0.05])
+    p_bad = rng.choice([0.0, 0.0, 0.03, 0.15])
+    theta_odd = rng.uniform(0.2, 1.3)
+    keys: dict[str, str] = {}
+    for key in KEYS:
+        if rng.random() < (p_missing if key in REQUIRED else 0.5):
+            continue
+        keys[key] = (rng.choice(BAD_VALUES) if rng.random() < p_bad
+                     else _good_value(rng, key, theta_odd))
+    lines = [f"{key} = {value}" for key, value in keys.items()]
+    extras = [
+        (0.03, lambda: f"{rng.choice(KEYS)} = {rng.choice(BAD_VALUES)}"),
+        (0.03, lambda: "lambda_z = 0.5"),
+        (0.02, lambda: "k_max 20"),
+        (0.02, lambda: f"{rng.choice(KEYS)} ="),
+        (0.2, lambda: "# comment = 1"),
+        (0.2, lambda: ""),
+    ]
+    for prob, line in extras:
+        if rng.random() < prob:
+            lines.append(line())
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def _loader_lines(path: Path) -> list[str]:
+    """Load N_LOADER generated files, one at a time, through `path`."""
+    import random
+    from devilstick.cli import load_scenario
+
+    rng = random.Random(f"loader:{SEED}")
+    lines = []
+    for i in range(N_LOADER):
+        path.write_text(_scenario_text(rng))
+        try:
+            sc = load_scenario(path)
+        except Exception as exc:  # compared by name and message
+            message = str(exc).replace(str(path), "<path>")
+            lines.append(f"{i}: {type(exc).__name__}: {message}")
+            continue
+        lines.append(f"{i}: {sc.name} {sc.params!r} {sc.spec!r} "
+                     f"{sc.s0.floats()!r} {sc.config!r} {sc.omega_star!r}")
+    return lines
+
+
 def dump(out: Path) -> None:
     """Write every compared output of the package on sys.path under out."""
     import devilstick
@@ -194,6 +311,23 @@ def dump(out: Path) -> None:
     for path in paths:
         argv += ["--scenario", str(path)]
     main(argv)
+
+    texts = {name: "".join(f"{key} = {value}\n"
+                           for key, value in {**REQUIRED, **keys}.items())
+             for name, keys in DEFAULTS.items()}
+    paths = gen.write_scenarios(texts, out / "scenarios" / "defaults")
+    codes = []
+    for path in paths:
+        codes.append(f"{path.stem} simulate " + str(main(
+            ["simulate", "--scenario", str(path), "--out",
+             str(out / "defaults")])))
+        if path.stem != "required_only":
+            codes.append(f"{path.stem} linearize " + str(main(
+                ["linearize", "--scenario", str(path), "--out",
+                 str(out / "defaults" / path.stem)])))
+    (out / "defaults" / "exit_codes.txt").write_text("\n".join(codes) + "\n")
+    lines = _loader_lines(out / "scenarios" / "loader.cfg")
+    (out / "loader.txt").write_text("\n".join(lines) + "\n")
 
     ctx = workloads.LongHorizon.prepare(SEED, None)
     lines = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,6 @@ from .model import FullState, JuggleSpec, StickParams, validate
 
 FLOAT_FMT = "%.17g"
 
-_REQUIRED = object()  # default of the keys a scenario must set
-
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
@@ -35,33 +33,39 @@ def _rate(text: str) -> float | str:
     return "symmetric" if text.lower() == "symmetric" else float(text)
 
 
-# key: (parser, default when the file does not set the key) and, for some
-# keys, a check that a parsed value must pass and the reason it failed; the
-# checks of episode settings are harness.SETTING_RULES, by field name
+def _on_off(text: str) -> bool:
+    if text.lower() not in ("on", "off"):
+        raise ValueError("must be 'on' or 'off'")
+    return text.lower() == "on"
+
+
+# key: (parser, field), checked in this order. The loader passes only the
+# fields a file sets, so StickParams, JuggleSpec and EpisodeConfig own the
+# defaults and _RULES the checks. Fields without a default are required,
+# except theta (theta0_rad, default theta_odd) and omega_star (default None).
 _KEYS = {
-    **dict.fromkeys(("m_kg", "ell_m", "alpha_m", "beta_m", "theta_odd_rad",
-                     "theta_even_rad", "h_x0_m", "h_y0_m", "v_x0_mps",
-                     "v_y0_mps", "omega0_radps"), (float, _REQUIRED)),
-    "J_kgm2": (float, None),                 # None: m*ell**2/12
-    "g_mps2": (float, 9.81),
-    "lambda_x": (float, 0.5),
-    "lambda_y": (float, 0.5),
-    "theta0_rad": (float, None),             # None: theta_odd_rad
-    "k_max": (lambda s: int(float(s)), 20, *SETTING_RULES["k_max"]),
-    "stabilizer": (str.lower, "off", lambda s: s in ("on", "off"),
-                   "must be 'on' or 'off'"),
-    "omega_star_radps": (_rate, None,
-                         lambda x: x == "symmetric" or not x >= 0,
-                         "must be < 0 or 'symmetric'"),
-    "deadband": (float, 1e-3, *SETTING_RULES["deadband"]),
-    "r_policy": (str, "strict", *SETTING_RULES["r_policy"]),
-    "flight_sample_dt_s": (float, None, *SETTING_RULES["flight_dt"]),
-    "q_diag": (_floats, (1.0,) * 5, *SETTING_RULES["q_diag"]),
-    "r_diag": (_floats, (1.0, 1.0), *SETTING_RULES["r_diag"]),
-    "fd_scheme": (str, "central", *SETTING_RULES["fd_scheme"]),
-    # None: 1e-6 for the central scheme, 2e-3 for the forward one
-    "fd_step": (float, None, *SETTING_RULES["fd_step"]),
+    "m_kg": (float, "m"), "ell_m": (float, "ell"),
+    "alpha_m": (float, "alpha"), "beta_m": (float, "beta"),
+    "theta_odd_rad": (float, "theta_odd"),
+    "theta_even_rad": (float, "theta_even"),
+    "h_x0_m": (float, "hx"), "h_y0_m": (float, "hy"),
+    "v_x0_mps": (float, "vx"), "v_y0_mps": (float, "vy"),
+    "omega0_radps": (float, "omega"), "J_kgm2": (float, "J"),
+    "g_mps2": (float, "g"), "lambda_x": (float, "lambda_x"),
+    "lambda_y": (float, "lambda_y"), "theta0_rad": (float, "theta"),
+    "k_max": (lambda s: int(float(s)), "k_max"),
+    "stabilizer": (_on_off, "stabilize"),
+    "omega_star_radps": (_rate, "omega_star"),
+    "deadband": (float, "deadband"), "r_policy": (str, "r_policy"),
+    "flight_sample_dt_s": (float, "flight_dt"),
+    "q_diag": (_floats, "q_diag"), "r_diag": (_floats, "r_diag"),
+    "fd_scheme": (str, "fd_scheme"), "fd_step": (float, "fd_step"),
 }
+_RULES = {**SETTING_RULES, "omega_star": (
+    lambda x: x == "symmetric" or not x >= 0, "must be < 0 or 'symmetric'")}
+_OPTIONAL = {"theta", "omega_star"} | {
+    f.name for cls in (StickParams, JuggleSpec, EpisodeConfig)
+    for f in fields(cls) if f.default is not MISSING}
 
 
 @dataclass(frozen=True)
@@ -101,59 +105,48 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and fully validate a scenario file."""
     path = Path(path)
     pairs = _parse_kv(path)
-    missing = [key for key, (_, default, *_) in _KEYS.items()
-               if default is _REQUIRED and key not in pairs]
+    missing = [key for key, (_, name) in _KEYS.items()
+               if name not in _OPTIONAL and key not in pairs]
     if missing:
         raise ScenarioError(f"{path}: missing required keys: {', '.join(missing)}")
     val = {}
-    for key, (parse, default, *check) in _KEYS.items():
+    for key, (parse, name) in _KEYS.items():
+        if key not in pairs:
+            continue
         try:
-            val[key] = parse(pairs[key]) if key in pairs else default
-            if key in pairs and check and not check[0](val[key]):
-                raise ValueError(check[1])
+            val[name] = parse(pairs[key])
+            if name in _RULES and not _RULES[name][0](val[name]):
+                raise ValueError(_RULES[name][1])
         except (ValueError, OverflowError) as exc:
             raise ScenarioError(f"{path}: key {key!r}: {exc}") from exc
 
-    params = StickParams(m=val["m_kg"], ell=val["ell_m"], J=val["J_kgm2"],
-                         g=val["g_mps2"])
-    spec = JuggleSpec(theta_odd=val["theta_odd_rad"],
-                      theta_even=val["theta_even_rad"], alpha=val["alpha_m"],
-                      beta=val["beta_m"], lambda_x=val["lambda_x"],
-                      lambda_y=val["lambda_y"])
+    params, spec, config = (
+        cls(**{f.name: val[f.name] for f in fields(cls) if f.name in val})
+        for cls in (StickParams, JuggleSpec, EpisodeConfig))
     failures = validate(spec, params)
     if failures:
         raise ScenarioError(f"{path}: invalid parameters: {', '.join(failures)}")
 
-    theta0 = spec.theta_odd if val["theta0_rad"] is None else val["theta0_rad"]
     try:
-        s0 = FullState(h=np.array([val["h_x0_m"], val["h_y0_m"]]),
-                       v=np.array([val["v_x0_mps"], val["v_y0_mps"]]),
-                       theta=theta0, omega=val["omega0_radps"])
+        s0 = FullState(h=np.array([val["hx"], val["hy"]]),
+                       v=np.array([val["vx"], val["vy"]]),
+                       theta=val.get("theta", spec.theta_odd),
+                       omega=val["omega"])
     except ValueError as exc:
         raise ScenarioError(f"{path}: bad initial state: {exc}") from exc
 
-    stabilize = val["stabilizer"] == "on"
-    omega_star = val["omega_star_radps"]
+    omega_star = val.get("omega_star")
     if omega_star == "symmetric":
         if not spec.symmetric:
             raise ScenarioError(
                 f"{path}: omega_star_radps = symmetric needs a symmetric "
                 f"orientation schedule")
         omega_star = symmetric_omega_star(spec, params)
-    if stabilize and omega_star is None:
+    if config.stabilize and omega_star is None:
         raise ScenarioError(f"{path}: stabilizer = on requires omega_star_radps")
-    if stabilize and not spec.symmetric:
+    if config.stabilize and not spec.symmetric:
         raise ScenarioError(
             f"{path}: stabilizer = on requires a symmetric orientation schedule")
-
-    fd_step = val["fd_step"]
-    if fd_step is None:
-        fd_step = 1e-6 if val["fd_scheme"] == "central" else 2e-3
-    config = EpisodeConfig(
-        k_max=val["k_max"], stabilize=stabilize, deadband=val["deadband"],
-        r_policy=val["r_policy"], flight_dt=val["flight_sample_dt_s"],
-        q_diag=val["q_diag"], r_diag=val["r_diag"],
-        fd_scheme=val["fd_scheme"], fd_step=fd_step)
     return Scenario(name=path.stem, params=params, spec=spec, s0=s0,
                     config=config, omega_star=omega_star)
 
@@ -268,8 +261,8 @@ def cmd_linearize(scenario: Scenario, outdir: Path | None) -> int:
     """Print the return-map linearization, controllability, and LQR gain."""
     orbit = _scenario_orbit(scenario)
     cfg = scenario.config
-    z_star, I_star, r_star = stab.fixed_point(orbit)
     lin = stab.linearize(orbit, step_scale=cfg.fd_step, scheme=cfg.fd_scheme)
+    z_star, (I_star, r_star) = lin.z_star, lin.u_star.tolist()
     rank, controllable = stab.controllability(lin.A, lin.B)
     gain = stab.dlqr(lin.A, lin.B, np.diag(cfg.q_diag), np.diag(cfg.r_diag),
                      deadband=cfg.deadband)

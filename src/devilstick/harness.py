@@ -40,7 +40,8 @@ SETTING_RULES = {
                "needs 2 finite values > 0"),
     "fd_scheme": (lambda s: s in ("central", "forward"),
                   "must be 'central' or 'forward'"),
-    "fd_step": (lambda x: 0 < x < np.inf, "must be finite and > 0"),
+    "fd_step": (lambda x: x is None or 0 < x < np.inf,
+                "must be finite and > 0"),
 }
 
 
@@ -56,13 +57,19 @@ class EpisodeConfig:
     q_diag: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0, 1.0)
     r_diag: tuple[float, ...] = (1.0, 1.0)
     fd_scheme: str = "central"
-    fd_step: float = 1e-6
+    fd_step: float | None = None       # None: stabilizer.FD_STEP[fd_scheme]
 
     def __post_init__(self) -> None:
         for name, (check, reason) in SETTING_RULES.items():
             value = getattr(self, name)
-            if not check(value):
+            try:
+                ok = check(value)
+            except TypeError:  # a value of the wrong type fails its check
+                ok = False
+            if not ok:
                 raise ValueError(f"{name} {reason}, got {value!r}")
+        if self.fd_step is None:
+            object.__setattr__(self, "fd_step", stab.FD_STEP[self.fd_scheme])
 
 
 @dataclass(eq=False, slots=True)

@@ -27,6 +27,7 @@ from .model import SCHEDULE_TOL, JuggleSpec, State
 RICCATI_TOL = 1e-12
 RICCATI_MAX_ITER = 100_000
 SPECTRAL_MARGIN = 1e-9
+FD_STEP = {"central": 1e-6, "forward": 2e-3}  # default step_scale per scheme
 NO_CORRECTION = np.zeros(2)  # shared, read-only: the correction u when idle
 NO_CORRECTION.setflags(write=False)
 
@@ -48,7 +49,7 @@ class FeedbackGain:
     """Stabilizing gain for u = K e, withheld when ||e|| <= deadband."""
 
     K: np.ndarray
-    deadband: float = 1e-3
+    deadband: float
 
 
 def section_coords(x: State, spec: JuggleSpec) -> np.ndarray:
@@ -132,7 +133,7 @@ def _fd_jacobian(orbit: OrbitSpec, z_star: np.ndarray, steps: np.ndarray,
     return J
 
 
-def linearize(orbit: OrbitSpec, step_scale: float = 1e-6,
+def linearize(orbit: OrbitSpec, step_scale: float | None = None,
               scheme: str = "central") -> LinearizedMap:
     """Finite-difference Jacobians of the closed-loop return map.
 
@@ -140,8 +141,10 @@ def linearize(orbit: OrbitSpec, step_scale: float = 1e-6,
     per-coordinate steps step_scale * max(1, |x_i|) and validates it by step
     halving. scheme="forward" takes one-sided secants with the absolute step
     step_scale; use it to measure the response to finite-size perturbations
-    (the halving check does not apply there and is skipped).
+    (the halving check does not apply there and is skipped). step_scale
+    defaults to FD_STEP[scheme].
     """
+    step_scale = FD_STEP.get(scheme) if step_scale is None else step_scale
     z_star, I_star, r_star = fixed_point(orbit)
     u_star = np.array([I_star, r_star])
     if scheme == "central":

@@ -195,6 +195,11 @@ def test_sample_budget_is_per_episode(ic_state, spec, params, monkeypatch):
     {"r_policy": "Strict"},
     {"r_policy": "lenient"},
     {"k_max": 2.5},
+    {"deadband": "x"},
+    {"q_diag": None},
+    {"r_diag": (1.0, "a")},
+    {"fd_step": "1e-6"},
+    {"flight_dt": "x"},
 ])
 def test_cost_weights_must_be_finite_and_signed(weights):
     (name, _), = weights.items()

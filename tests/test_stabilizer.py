@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from devilstick import (FDInconsistent, FeedbackGain, Infeasible, JuggleSpec,
-                        LinearizedMap, NotOnSection, RiccatiDiverged,
-                        controllability, dare_residual, dlqr, feedback,
-                        fixed_point, linearize, poincare_map,
+from devilstick import (EpisodeConfig, FDInconsistent, FeedbackGain,
+                        Infeasible, JuggleSpec, LinearizedMap, NotOnSection,
+                        RiccatiDiverged, controllability, dare_residual, dlqr,
+                        feedback, fixed_point, linearize, poincare_map,
                         riccati_solution)
 from devilstick.stabilizer import _on_section, section_coords
 
@@ -98,6 +98,20 @@ def test_linearize_secant_matches_reference(orbit_sym):
     lin = linearize(orbit_sym, step_scale=FD_SECANT_STEP, scheme="forward")
     assert np.max(np.abs(lin.A - A_REF)) < 2e-2
     assert np.max(np.abs(lin.B - B_REF)) < 2e-2
+
+
+def test_default_step_follows_the_scheme(orbit_sym):
+    # one table, stabilizer.FD_STEP, sets the step that linearize and
+    # EpisodeConfig use when none is given
+    assert EpisodeConfig().fd_step == 1e-6
+    assert EpisodeConfig(fd_scheme="forward").fd_step == 2e-3
+    assert EpisodeConfig(fd_scheme="forward", fd_step=1e-3).fd_step == 1e-3
+    assert linearize(orbit_sym).step == 1e-6
+    forward = linearize(orbit_sym, scheme="forward")
+    assert forward.step == 2e-3
+    explicit = linearize(orbit_sym, step_scale=2e-3, scheme="forward")
+    assert np.array_equal(forward.A, explicit.A)
+    assert np.array_equal(forward.B, explicit.B)
 
 
 def test_linearize_inconsistent_step_raises(orbit_sym):
