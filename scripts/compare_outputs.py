@@ -19,6 +19,9 @@ directory on PYTHONPATH, over:
   check comes first), run as episodes and as direct `control` calls; the
   direct calls include invalid schedules that `run_episode` rejects, so
   untyped errors such as `ZeroDivisionError` are compared too,
+- episodes that start off the odd orientation by -1, -0.5, 0.5 and 1 times
+  the schedule tolerance, with and without the stabilizer, under both rod
+  policies, with the rod warnings they log,
 - episodes that end in the design phase, before their first impulse: an
   invalid schedule, invalid parameters under the stabilizer, and a central
   step too coarse for the step-halving check (`FDInconsistent`),
@@ -117,6 +120,7 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
         "reference": (odd, even),
         "odd at a pole": (math.pi / 2 - 1e-10, near_pole),
         "even at a pole": (odd, near_pole),
+        "even 5e-10 off a pole": (odd, math.pi / 2 + 5e-10),
     }
     # (schedule, hx, hy, vx, vy, omega)
     starts = [
@@ -134,6 +138,8 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
         ("even at a pole", 0.7, 2.5, 0.9, -2.0, -5.7),  # next orientation
         ("even at a pole", 0.7, 2.5, 0.9, -2.0, 5.7),   # sign comes first
         ("even at a pole", 0.7, 2.5, 0.9, -2.0, 0.0),   # Degenerate first
+        ("even 5e-10 off a pole", 0.7, 2.5, 0.9, -2.0, -5.7),
+        ("even 5e-10 off a pole", 0.7, 2.5, 0.9, -2.0, 5.7),
     ]
     lines = []
     for name, hx, hy, vx, vy, omega in starts:
@@ -185,6 +191,8 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
         (odd, math.inf, 9.81, odd, -5.7, 1),
         (odd, math.inf, 9.81, odd, 5.7, 1),
         (odd, math.nan, 9.81, odd, -5.7, 1),
+        (odd, math.pi / 2 + 5e-10, 9.81, odd, -5.7, 1),
+        (odd, math.pi / 2 + 5e-10, 9.81, odd, 5.7, 1),
     ]
     for theta_odd, theta_even, g, theta, omega, k in calls:
         spec = devilstick.JuggleSpec(theta_odd=theta_odd,
@@ -200,6 +208,42 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
                      f"{omega!r} k={k}: {result}")
         lines += handler.messages
         handler.messages.clear()
+    return lines
+
+
+def _off_schedule_lines(devilstick, handler: _Messages) -> list[str]:
+    """Episodes from starts off the odd orientation but within the schedule
+    tolerance, each followed by the warnings it logged."""
+    import numpy as np
+    from devilstick.model import SCHEDULE_TOL
+
+    params = devilstick.StickParams(m=0.1, ell=0.5)
+    spec = devilstick.JuggleSpec(theta_odd=0.5235987755982988,
+                                 theta_even=2.6179938779914944,
+                                 alpha=0.6131, beta=3.0, lambda_x=0.58,
+                                 lambda_y=0.4)
+    orbit = devilstick.design_orbit(
+        spec, devilstick.symmetric_omega_star(spec, params), params)
+    lines = []
+    for offset in (-1.0, -0.5, 0.5, 1.0):
+        s0 = devilstick.FullState(
+            h=np.array([0.7, 2.5]), v=np.array([0.9, -2.0]),
+            theta=spec.theta_odd + offset * SCHEDULE_TOL, omega=-5.7)
+        for stabilize in (False, True):
+            for policy in ("strict", "warn"):
+                lines.append(f"episode theta_odd{offset:+} * SCHEDULE_TOL "
+                             f"stabilize={stabilize} {policy}")
+                cfg = devilstick.EpisodeConfig(
+                    k_max=200, stabilize=stabilize, r_policy=policy)
+                try:
+                    log = devilstick.run_episode(
+                        s0, orbit if stabilize else spec, params, cfg)
+                except Exception as exc:  # compared by name and message
+                    lines.append(f"{type(exc).__name__}: {exc}")
+                else:
+                    lines += _episode_lines(log)
+                lines += handler.messages
+                handler.messages.clear()
     return lines
 
 
@@ -360,6 +404,8 @@ def dump(out: Path) -> None:
     handler.messages.clear()
     lines = _termination_lines(devilstick, handler)
     (out / "terminations.txt").write_text("\n".join(lines) + "\n")
+    lines = _off_schedule_lines(devilstick, handler)
+    (out / "off_schedule.txt").write_text("\n".join(lines) + "\n")
 
     ctx = workloads.Synthesis.prepare(SEED, None)
     lines = []

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from devilstick import (Degenerate, FullState, JuggleSpec, JugglingError,
-                        NoPositiveRoot, OffSchedule, RodExceeded,
-                        SingularOrientation, StickParams, WrongRotationSign,
-                        dvhc_control, flight, impulsive_update,
-                        on_constraint_state, phi, psi, residuals,
-                        steady_inputs)
+from devilstick import (Degenerate, EpisodeConfig, FullState, JuggleSpec,
+                        JugglingError, NoPositiveRoot, OffSchedule,
+                        RodExceeded, SingularOrientation, StickParams,
+                        WrongRotationSign, dvhc_control, flight,
+                        impulsive_update, on_constraint_state, phi, psi,
+                        residuals, run_episode, steady_inputs, validate)
 from devilstick.dvhc import control, quadratic_coeffs
 
 import dvhc_reference
@@ -284,14 +284,23 @@ def test_adapters_equal_control_bitwise(params, k, h, v, rate, lam):
     (0.6, math.pi / 2 + 1e-10, -5.7, SingularOrientation),
     (0.6, math.pi / 2 + 1e-10, 5.7, WrongRotationSign),
     (0.6, math.pi / 2 + 1e-10, 0.0, Degenerate),
+    (0.6, math.pi / 2 + 5e-10, -5.7, SingularOrientation),
+    (0.6, math.pi / 2 + 5e-10, 5.7, WrongRotationSign),
     (math.pi / 2 - 1e-10, math.pi / 2 + 1e-10, 5.7, SingularOrientation),
 ])
 def test_control_error_order(params, theta_odd, theta_even, omega, error):
     spec = JuggleSpec(theta_odd=theta_odd, theta_even=theta_even,
                       alpha=0.6131, beta=3.0)
     x = (0.7, 2.5, 0.9, -2.0, theta_odd, omega)
-    with pytest.raises(error):
+    with pytest.raises(error) as raised:
         control(x, 1, spec, params)
+    # validate accepts these schedules, so an episode ends at its first
+    # impulse with the same error
+    assert validate(spec, params) == []
+    log = run_episode(FullState.from_floats(x), spec, params,
+                      EpisodeConfig(k_max=4))
+    assert log.records == [] and log.sim_duration == 0.0
+    assert log.termination == f"{error.__name__}: {raised.value}"
     if error is SingularOrientation and theta_odd == 0.6:
         # residuals does not check the next orientation's pole; only the
         # command needs it

@@ -1,7 +1,9 @@
 """Bit-level pins of the episode records and the return-map design.
 
 The digests below were recorded before the per-impulse math moved onto a
-plain-float kernel; every refactor since must reproduce them bit for bit.
+plain-float kernel, and those of the off-schedule starts before the terms
+that depend only on the orientation moved out of it; every refactor since
+must reproduce them bit for bit.
 Like the shipped outputs under out/, they assume this platform's C library
 (`pow`, `tan`, `sin`, ...): another libm can change last bits and so these
 digests, without any change to the package.
@@ -12,6 +14,7 @@ with this start it does, in the unstabilized episode.
 """
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -19,6 +22,7 @@ import pytest
 
 from devilstick import (EpisodeConfig, FullState, JuggleSpec, design_orbit,
                         dlqr, linearize, run_episode, symmetric_omega_star)
+from devilstick.model import SCHEDULE_TOL
 
 K_MAX = 400
 
@@ -39,6 +43,14 @@ def orbit_58(spec_58, params):
 def start(spec):
     return FullState(h=np.array([0.663, 2.167]), v=np.array([0.998, -2.026]),
                      theta=spec.theta_odd, omega=-6.336)
+
+
+@pytest.fixture(scope="module")
+def off_start(start, spec):
+    """start, half the schedule tolerance off the odd orientation."""
+    return FullState(h=start.h, v=start.v,
+                     theta=spec.theta_odd + 0.5 * SCHEDULE_TOL,
+                     omega=start.omega)
 
 
 def _records_digest(log) -> str:
@@ -75,6 +87,31 @@ def test_stabilized_episode_records_are_pinned(start, orbit_58, params):
     assert any(rec.u.any() for rec in log.records)
     assert _records_digest(log) == (
         "79731b09d847ef3b3c6a9ec590b25d89b06d0c80b5217abbba79b6aecd75be51")
+
+
+@pytest.mark.parametrize("stabilize, digest", [
+    (False,
+        "d0cff2a384f9b17e131742a20e8a86c5bdfadcbae3d6345c347553152031f077"),
+    (True,
+        "f27622b0b4e8af8e18a441e98de9b29d156181ca238fef03cf94494d8b19ea59"),
+])
+def test_off_schedule_start_records_are_pinned(off_start, spec_58, orbit_58,
+                                               params, stabilize, digest):
+    # the first impulse runs at the start's own orientation, the rest at
+    # the schedule that each landing pins
+    cfg = EpisodeConfig(k_max=K_MAX, stabilize=stabilize, r_diag=(2.0, 2.0),
+                        fd_scheme="forward", fd_step=2e-3)
+    log = run_episode(off_start, orbit_58 if stabilize else spec_58, params,
+                      cfg)
+    assert log.completed and len(log.records) == K_MAX
+    first = log.records[0]
+    assert first.theta == off_start.theta != spec_58.theta_odd
+    hx = float(off_start.h[0])
+    assert float(first.rho[0]).hex() == (
+        hx - spec_58.alpha * math.tan(off_start.theta)).hex()
+    assert all(rec.theta == spec_58.theta_at(rec.k)
+               for rec in log.records[1:])
+    assert _records_digest(log) == digest
 
 
 @pytest.mark.parametrize("scheme, step, digest", [
