@@ -10,6 +10,7 @@ diagonal factor diag(lambda_x, lambda_y) at every impulse, exactly.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -35,24 +36,43 @@ def phi(theta: float, spec: JuggleSpec) -> np.ndarray:
     return np.array([spec.alpha * math.tan(theta), spec.beta])
 
 
-def _rate_sign(omega: float, k: int) -> float:
-    """parity_sign(k), once omega can carry the velocity constraint at k."""
-    if abs(omega) < OMEGA_EPS:
-        raise Degenerate(f"angular rate {omega} too small for velocity constraint")
-    sign = parity_sign(k)  # feasible rotation: omega < 0 odd, > 0 even
-    if math.copysign(1.0, omega) != sign:
-        raise WrongRotationSign(
-            f"omega={omega} has the wrong sign for k={k} "
-            f"(expected {'negative' if sign < 0 else 'positive'})")
-    return sign
+Instant = namedtuple("Instant", (
+    "theta theta_next normal sign fault dth alpha alpha_tan beta tan_diff "
+    "sign_g_dth cot eta_x eta_c lx_1 ly_1 a four_a g_dth tan_ratio sin "
+    "sign_j_dth inertia m half_ell"))
 
 
-def _psi(tan_theta: float, tan_next: float, omega: float, sign: float,
-         dth: float, spec: JuggleSpec, params: StickParams
-         ) -> tuple[float, float]:
-    vx = (sign * omega / dth) * spec.alpha * (tan_theta - tan_next)
-    vy = -sign * params.g * dth / (2.0 * omega)
-    return vx, vy
+def instant(theta: float, k: int, spec: JuggleSpec, params: StickParams
+            ) -> Instant:
+    """The terms of kernel and dynamics.jump that depend only on the
+    orientation theta at impulse k and on k's parity: one Instant per
+    scheduled orientation, since landings pin theta to the schedule. Raises
+    OffSchedule unless theta is within SCHEDULE_TOL of the schedule, and
+    SingularOrientation at a pole of tan."""
+    theta_sched, theta_next = spec.theta_at(k), spec.theta_after(k)
+    if abs(theta - theta_sched) > SCHEDULE_TOL:
+        raise OffSchedule(
+            f"theta={theta} does not match scheduled {theta_sched} at k={k}")
+    _pole_check(theta)
+    tan_theta = math.tan(theta)
+    tan_next = cot = tan_ratio = math.nan
+    fault = ()  # an error of these, for kernel to raise after the residuals
+    try:
+        tan_next = math.tan(theta_next)
+        _pole_check(theta_next)
+        cot, tan_ratio = 1.0 / tan_theta, 1.0 - tan_next / tan_theta
+    except (ValueError, ZeroDivisionError, SingularOrientation) as exc:
+        fault = (type(exc), exc.args)
+    sign, alpha, g = parity_sign(k), spec.alpha, params.g
+    dth, inertia, sin = spec.delta_theta, params.inertia, math.sin(theta)
+    eta_x = alpha * tan_next - alpha * tan_theta
+    return Instant(
+        theta, theta_next, (-sin, math.cos(theta)), sign, fault, dth, alpha,
+        alpha * tan_theta, spec.beta, tan_theta - tan_next, -sign * g * dth,
+        cot, eta_x, eta_x * cot + (spec.beta - spec.beta),
+        spec.lambda_x - 1.0, spec.lambda_y - 1.0, 0.5 * g, 4.0 * (0.5 * g),
+        g * dth, tan_ratio, sin, -sign * inertia * dth, inertia, params.m,
+        params.ell / 2)
 
 
 def psi(theta: float, omega: float, k: int, spec: JuggleSpec,
@@ -62,36 +82,19 @@ def psi(theta: float, omega: float, k: int, spec: JuggleSpec,
     Derived by requiring the constraint to hold at both ends of the previous
     flight; depends only on (theta, omega) and the parity of k.
     """
-    sign = _rate_sign(omega, k)
-    return np.array(_psi(math.tan(theta), math.tan(spec.theta_after(k)),
-                         omega, sign, spec.delta_theta, spec, params))
-
-
-def _residuals(x: State, k: int, spec: JuggleSpec, params: StickParams
-               ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(rho_x, rho_y, drho_x, drho_y) at impulse k, and the terms control
-    reuses: tan(theta), tan(theta_next), sign, theta_next, delta_theta."""
-    hx, hy, vx, vy, theta, omega = x
-    theta_odd, theta_even = spec.theta_odd, spec.theta_even
-    theta_sched, theta_next = ((theta_odd, theta_even) if k % 2
-                               else (theta_even, theta_odd))
-    if abs(theta - theta_sched) > SCHEDULE_TOL:
-        raise OffSchedule(
-            f"theta={theta} does not match scheduled {theta_sched} at k={k}")
-    _pole_check(theta)
-    tan_theta = math.tan(theta)
-    sign = _rate_sign(omega, k)
-    dth = theta_even - theta_odd
-    tan_next = math.tan(theta_next)  # its pole is checked by the command
-    psi_x, psi_y = _psi(tan_theta, tan_next, omega, sign, dth, spec, params)
-    return ((hx - spec.alpha * tan_theta, hy - spec.beta, vx - psi_x,
-             vy - psi_y), (tan_theta, tan_next, sign, theta_next, dth))
+    # the velocity residual of a state with velocity -0.0 is -psi exactly
+    x = (-0.0, -0.0, -0.0, -0.0, theta, omega)
+    *_, drho_x, drho_y = kernel(x, k, instant(theta, k, spec, params),
+                                params, stop="residuals")
+    return np.array([-drho_x, -drho_y])
 
 
 def residuals(s: FullState, k: int, spec: JuggleSpec, params: StickParams
               ) -> tuple[np.ndarray, np.ndarray]:
     """Position and velocity residuals (rho, drho) at a scheduled impulse."""
-    (rho_x, rho_y, drho_x, drho_y), _ = _residuals(s.floats(), k, spec, params)
+    x = s.floats()
+    rho_x, rho_y, drho_x, drho_y = kernel(
+        x, k, instant(x[4], k, spec, params), params, stop="residuals")
     return np.array([rho_x, rho_y]), np.array([drho_x, drho_y])
 
 
@@ -114,31 +117,39 @@ def check_command(k: int, impulse: float, offset: float, delta: float,
     logging.getLogger(__name__).warning(msg)
 
 
-def control(x: State, k: int, spec: JuggleSpec, params: StickParams,
-            r_policy: str = "strict"
-            ) -> tuple[float, float, float, float, float, float, float]:
+def kernel(x: State, k: int, inst: Instant, params: StickParams,
+           r_policy: str = "strict", *, stop: str = "command") -> tuple:
     """Residuals (rho_x, rho_y, drho_x, drho_y) of the kernel state x at
-    impulse k and the command (I, r, delta) that contracts them: rho_{k+1}
-    = lambda * rho_k exactly. Eliminating the impulse from the two
-    position-update components leaves a quadratic in the time of flight;
-    its positive root fixes delta, then the impulse follows from the
-    horizontal component and the offset from the scheduled rotation. A
-    non-finite command raises NonFinite.
-    """
-    _, _, vx, vy, theta, omega = x
-    (rho_x, rho_y, drho_x, drho_y), terms = _residuals(x, k, spec, params)
-    tan_theta, tan_next, sign, theta_next, dth = terms
-    _pole_check(theta_next)
-    alpha, lambda_x, g = spec.alpha, spec.lambda_x, params.g
-    # a*delta**2 + b*delta + c = 0, the quadratic of quadratic_coeffs
-    eta_x, eta_y = alpha * tan_next - alpha * tan_theta, spec.beta - spec.beta
-    cot = 1.0 / tan_theta
-    a, b = 0.5 * g, -(vx * cot + vy)
-    c = (eta_x * cot + eta_y + (lambda_x - 1.0) * rho_x * cot
-         + (spec.lambda_y - 1.0) * rho_y)
+    impulse k and the command (I, r, delta) that contracts them, rho_{k+1}
+    = lambda * rho_k; inst is the Instant of x's orientation. delta is a
+    positive root of a quadratic in the time of flight, I follows from the
+    horizontal position update and r from the scheduled rotation.
+    stop="residuals" or "quadratic" returns the residuals or (a, b, c)."""
+    hx, hy, vx, vy, _, omega = x
+    (_, _, _, sign, fault, dth, alpha, alpha_tan, beta, tan_diff, sign_g_dth,
+     cot, eta_x, eta_c, lx_1, ly_1, a, four_a, g_dth, tan_ratio, sin,
+     sign_j_dth, inertia, m, half_ell) = inst
+    if abs(omega) < OMEGA_EPS:
+        raise Degenerate(f"angular rate {omega} too small for velocity constraint")
+    if math.copysign(1.0, omega) != sign:  # omega < 0 odd, > 0 even
+        raise WrongRotationSign(
+            f"omega={omega} has the wrong sign for k={k} "
+            f"(expected {'negative' if sign < 0 else 'positive'})")
+    rho_x, rho_y = hx - alpha_tan, hy - beta
+    drho_x = vx - (sign * omega / dth) * alpha * tan_diff
+    drho_y = vy - sign_g_dth / (2.0 * omega)
+    if stop == "residuals":
+        return rho_x, rho_y, drho_x, drho_y
+    if fault:
+        raise fault[0](*fault[1])
+    # a*delta**2 + b*delta + c = 0
+    b = -(vx * cot + vy)
+    c = eta_c + lx_1 * rho_x * cot + ly_1 * rho_y
+    if stop == "quadratic":
+        return a, b, c
     # its real roots in the cancellation-safe form; r1 becomes the smaller
     # positive one, if any is positive
-    disc = b * b - 4.0 * a * c
+    disc = b * b - four_a * c
     r1 = r2 = 0.0
     if not disc < 0:
         sq = math.sqrt(disc)
@@ -151,20 +162,23 @@ def control(x: State, k: int, spec: JuggleSpec, params: StickParams,
             f"no positive time-of-flight root at k={k} (a={a}, b={b}, c={c})")
     # of two positive roots, the one nearer the zero-residual flight time;
     # the smaller on a tie, and when that time is not finite
-    d_nom = (sign * 2.0 * omega * alpha / (g * dth)
-             * (1.0 - tan_next / tan_theta))
+    d_nom = sign * 2.0 * omega * alpha / g_dth * tan_ratio
     delta = r2 if r2 > r1 and abs(r2 - d_nom) < abs(r1 - d_nom) else r1
-    impulse = -params.m * ((lambda_x - 1.0) * rho_x + eta_x
-                           - vx * delta) / (delta * math.sin(theta))
+    impulse = -m * (lx_1 * rho_x + eta_x - vx * delta) / (delta * sin)
     if abs(impulse) < IMPULSE_EPS:
         raise Degenerate(f"impulse magnitude {impulse} too small to place")
-    inertia = params.inertia
-    offset = (-sign * inertia * dth / (impulse * delta)
-              - inertia * omega / impulse)
-    if not (abs(offset) < params.ell / 2 and math.isfinite(impulse)
+    offset = sign_j_dth / (impulse * delta) - inertia * omega / impulse
+    if not (abs(offset) < half_ell and math.isfinite(impulse)
             and math.isfinite(delta)):
         check_command(k, impulse, offset, delta, params, r_policy)
     return rho_x, rho_y, drho_x, drho_y, impulse, offset, delta
+
+
+def control(x: State, k: int, spec: JuggleSpec, params: StickParams,
+            r_policy: str = "strict"
+            ) -> tuple[float, float, float, float, float, float, float]:
+    """kernel on the Instant of x's orientation."""
+    return kernel(x, k, instant(x[4], k, spec, params), params, r_policy)
 
 
 def dvhc_control(s: FullState, k: int, spec: JuggleSpec, params: StickParams,
@@ -200,18 +214,10 @@ def steady_inputs(omega: float, k: int, spec: JuggleSpec,
 
 def quadratic_coeffs(s: FullState, k: int, spec: JuggleSpec,
                      params: StickParams) -> tuple[float, float, float]:
-    """(a, b, c) of the time-of-flight quadratic, for root verification:
-    the operations control runs inline, in the same order."""
+    """(a, b, c) of the time-of-flight quadratic that control solves."""
     x = s.floats()
-    (rho_x, rho_y, _, _), terms = _residuals(x, k, spec, params)
-    tan_theta, tan_next, _, theta_next, _ = terms
-    _pole_check(theta_next)
-    eta_x = spec.alpha * tan_next - spec.alpha * tan_theta
-    eta_y = spec.beta - spec.beta
-    cot = 1.0 / tan_theta
-    c = (eta_x * cot + eta_y + (spec.lambda_x - 1.0) * rho_x * cot
-         + (spec.lambda_y - 1.0) * rho_y)
-    return 0.5 * params.g, -(x[2] * cot + x[3]), c
+    return kernel(x, k, instant(x[4], k, spec, params), params,
+                  stop="quadratic")
 
 
 def on_constraint_state(omega: float, k: int, spec: JuggleSpec,

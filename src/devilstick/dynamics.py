@@ -34,12 +34,12 @@ class FlightSamples:
 
 
 def jump(x: State, impulse: float, offset: float,
-         params: StickParams) -> State:
-    """impulsive_update on a kernel state (hx, hy, vx, vy, theta, omega)."""
+         normal: tuple[float, float], params: StickParams) -> State:
+    """impulsive_update on a kernel state (hx, hy, vx, vy, theta, omega),
+    given the stick normal (-sin(theta), cos(theta))."""
     hx, hy, vx, vy, theta, omega = x
     scale = impulse / params.m
-    return (hx, hy, vx + scale * -math.sin(theta),
-            vy + scale * math.cos(theta), theta,
+    return (hx, hy, vx + scale * normal[0], vy + scale * normal[1], theta,
             omega + impulse * offset / params.inertia)
 
 
@@ -66,7 +66,8 @@ def impulsive_update(s: FullState, impulse: float, offset: float,
     """Apply an impulse normal to the stick at distance offset from the
     center-of-mass. Positions and orientation are unchanged; velocities jump.
     """
-    return FullState.from_floats(jump(s.floats(), impulse, offset, params))
+    n = (-math.sin(s.theta), math.cos(s.theta))
+    return FullState.from_floats(jump(s.floats(), impulse, offset, n, params))
 
 
 def flight(s_plus: FullState, delta: float, params: StickParams) -> FullState:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
+from .dvhc import Instant, instant
 from .errors import AsymmetricSpec, Degenerate, WrongSign
 from .model import JuggleSpec, StickParams
 
@@ -41,6 +43,12 @@ class OrbitSpec:
     delta_even: float
     I_mag: float               # impulse magnitude; sign alternates +odd/-even
     r_star: float              # application offset, identical at both instants
+
+    @cached_property
+    def instants(self) -> tuple[Instant, Instant]:
+        """The Instants of the odd and the even orientation."""
+        return (instant(self.spec.theta_odd, 1, self.spec, self.params),
+                instant(self.spec.theta_even, 2, self.spec, self.params))
 
 
 def dzd_step(s: DzdState, spec: JuggleSpec, params: StickParams) -> DzdState:

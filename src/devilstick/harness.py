@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stabilizer as stab
-from .dvhc import check_command, control, phi, psi
+from .dvhc import check_command, instant, kernel, phi, psi
 from .dvhc import dvhc_control, residuals  # noqa: F401 (perfbench traces them)
 from .dynamics import (MAX_FLIGHT_SAMPLES, FlightSamples, jump, land,
                        sample_flight, time_of_flight)
@@ -140,7 +140,7 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
     t, budget = 0.0, MAX_FLIGHT_SAMPLES
     k_max, r_policy, flight_dt = cfg.k_max, cfg.r_policy, cfg.flight_dt
     stabilize, records = cfg.stabilize, log.records
-    theta_odd, theta_even = spec.theta_odd, spec.theta_even
+    slots = [None, None]  # the Instant of each parity's last orientation
     try:
         failures = validate(spec, params)
         if failures:
@@ -153,8 +153,11 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
         # K @ e may overflow to inf; time_of_flight or check_command raise
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, k_max + 1):
-                rho_x, rho_y, drho_x, drho_y, impulse, offset, delta = control(
-                    x, k, spec, params, r_policy)
+                inst = slots[k % 2]
+                if inst is None or inst.theta != x[4]:  # no theta is +-0.0
+                    inst = slots[k % 2] = instant(x[4], k, spec, params)
+                rho_x, rho_y, drho_x, drho_y, impulse, offset, delta = kernel(
+                    x, k, inst, params, r_policy)
                 u = stab.NO_CORRECTION
                 if stabilize and k % 2 == 1:
                     u = stab.feedback(stab.section_coords(x, spec), lin, gain)
@@ -169,12 +172,11 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                     k, x[4], x[5], np.array((rho_x, rho_y)),
                     np.array((drho_x, drho_y)), delta, impulse, offset, u))
                 if k < k_max:
-                    x_plus = jump(x, impulse, offset, params)
+                    x_plus = jump(x, impulse, offset, inst.normal, params)
                     # delta lands exactly on the schedule; pin the orientation
                     # so float roundoff cannot accumulate across k. land
                     # raises NonFinite first, so x_plus is finite below.
-                    x = land(x_plus, delta, theta_even if k % 2 else theta_odd,
-                             params)
+                    x = land(x_plus, delta, inst.theta_next, params)
                     if flight_dt is not None:
                         samples = sample_flight(x_plus, delta, flight_dt,
                                                 params, budget)

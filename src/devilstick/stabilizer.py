@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dvhc import control, on_constraint_state
+from .dvhc import kernel, on_constraint_state
 from .dvhc import dvhc_control  # noqa: F401 (perfbench traces it)
 from .dynamics import jump, land, time_of_flight
 from .dzd import OrbitSpec
@@ -76,13 +76,16 @@ def poincare_map(z: np.ndarray, impulse: float, offset: float,
     constraint-enforcing inputs at the even one. Infeasible inputs raise.
     """
     spec, params = orbit.spec, orbit.params
+    odd, even = orbit.instants
     x = _on_section(z, spec)
     delta = time_of_flight(x[5], impulse, offset, 1, spec, params)
     # each flight lands on the scheduled orientation by construction; pin
     # it to remove float roundoff before re-measuring residuals
-    x = land(jump(x, impulse, offset, params), delta, spec.theta_even, params)
-    *_, impulse, offset, delta = control(x, 2, spec, params)
-    x = land(jump(x, impulse, offset, params), delta, spec.theta_odd, params)
+    x = land(jump(x, impulse, offset, odd.normal, params), delta,
+             spec.theta_even, params)
+    *_, impulse, offset, delta = kernel(x, 2, even, params)
+    x = land(jump(x, impulse, offset, even.normal, params), delta,
+             spec.theta_odd, params)
     return section_coords(x, spec)
 
 
@@ -98,8 +101,8 @@ def _closed_loop_return(z: np.ndarray, u: np.ndarray,
     u added to the odd-instant inputs; this is the map the linearization and
     the closed-loop episodes both use.
     """
-    *_, impulse, offset, _ = control(_on_section(z, orbit.spec), 1,
-                                     orbit.spec, orbit.params)
+    *_, impulse, offset, _ = kernel(_on_section(z, orbit.spec), 1,
+                                    orbit.instants[0], orbit.params)
     du_I, du_r = u.tolist()
     return poincare_map(z, impulse + du_I, offset + du_r, orbit)
 
@@ -111,8 +114,8 @@ def _fd_jacobian(orbit: OrbitSpec, z_star: np.ndarray, steps: np.ndarray,
     u-columns and the forward base reuse the nominal command at z*.
     """
     w_star = [*z_star.tolist(), 0.0, 0.0]
-    *_, impulse, offset, _ = control(_on_section(z_star, orbit.spec), 1,
-                                     orbit.spec, orbit.params)
+    *_, impulse, offset, _ = kernel(_on_section(z_star, orbit.spec), 1,
+                                    orbit.instants[0], orbit.params)
 
     def moved(i: int, step: float) -> np.ndarray:
         w = w_star.copy()
