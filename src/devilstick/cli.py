@@ -62,7 +62,7 @@ _KEYS = {
     "fd_scheme": (str, "fd_scheme"), "fd_step": (float, "fd_step"),
 }
 _RULES = {**SETTING_RULES, "omega_star": (
-    lambda x: x == "symmetric" or not x >= 0, "must be < 0 or 'symmetric'")}
+    lambda x: x == "symmetric" or x < 0, "must be < 0 or 'symmetric'")}
 _OPTIONAL = {"theta", "omega_star"} | {
     f.name for cls in (StickParams, JuggleSpec, EpisodeConfig)
     for f in fields(cls) if f.default is not MISSING}

@@ -81,7 +81,7 @@ def design_orbit(spec: JuggleSpec, omega_star: float,
     if not spec.symmetric:
         raise AsymmetricSpec(
             "no 2-periodic orbit exists for asymmetric orientation schedules")
-    if omega_star >= 0:
+    if not omega_star < 0:  # NaN included
         raise WrongSign(f"odd-instant rate must be < 0, got {omega_star}")
     g, dth, alpha = params.g, spec.delta_theta, spec.alpha
     omega_even = -g * dth**2 / (4.0 * omega_star * alpha)

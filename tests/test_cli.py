@@ -167,6 +167,7 @@ def test_load_scheme_default_step_and_symmetric_rate(tmp_path):
     ({"fd_step": "inf"}, "fd_step"),
     ({"deadband": "nan"}, "deadband"),
     ({"deadband": "-1e-3"}, "deadband"),
+    ({"omega_star_radps": "nan"}, "omega_star_radps"),
 ])
 def test_invalid_key_rejected_by_name(tmp_path, keys, named):
     with pytest.raises(ScenarioError, match=named):
@@ -260,6 +261,28 @@ def test_schedule_at_zero_exits_2_naming_theta_odd(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 2
     assert "theta_odd" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "linearize"])
+def test_nan_target_rate_exits_2_naming_the_key(tmp_path, capsys, command):
+    # NaN is not < 0: the loader rejects it before an orbit is designed
+    bad = tmp_path / "nan.cfg"
+    bad.write_text(SIM_ORBIT.read_text().replace(
+        "omega_star_radps = symmetric", "omega_star_radps = nan"))
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
+    assert "'omega_star_radps': must be < 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_nan_rate_has_no_orbit(capsys):
+    assert main(["analyze", "--scenario", str(SIM_VHC),
+                 "--omega-star=-3,nan"]) == 0
+    rows = capsys.readouterr().out.splitlines()[-2:]
+    assert rows[0].split()[0] == "-3.0000"
+    assert rows[1].split()[0] == "nan"
+    assert "no 2-periodic orbit (odd-instant rate must be < 0, got nan)" \
+        in rows[1]
 
 
 def test_overflowing_default_inertia_exits_2_naming_j(tmp_path, capsys):
