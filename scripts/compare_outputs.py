@@ -13,12 +13,18 @@ directory on PYTHONPATH, over:
   built by `perfbench/workloads.py` and not modified,
 - the same long_horizon episodes under `r_policy = "warn"`, with the rod
   warnings they log,
+- the stabilized long_horizon episodes again with `deadband` 0, 1e-9 and
+  1e3, so the correction is active at every odd impulse, at most of them
+  and at none,
 - a fixed set of starts and schedules that end in a typed termination
   (wrong rotation sign, non-finite command, no positive root, degenerate
   rate, tangent singularities, rod bound, and error pairs that test which
   check comes first), run as episodes and as direct `control` calls; the
   direct calls include invalid schedules that `run_episode` rejects, so
   untyped errors such as `ZeroDivisionError` are compared too,
+- an episode whose first landed state has finite entries whose sum
+  overflows, and direct `land` calls on such a state and on states with an
+  inf or NaN entry,
 - episodes that start off the odd orientation by -1, -0.5, 0.5 and 1 times
   the schedule tolerance, with and without the stabilizer, under both rod
   policies, with the rod warnings they log,
@@ -112,6 +118,7 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
     followed by the warnings it logged."""
     import numpy as np
     from devilstick.dvhc import control
+    from devilstick.dynamics import land
 
     params = devilstick.StickParams(m=0.1, ell=0.5)
     odd, even = 0.5235987755982988, 2.6179938779914944
@@ -179,6 +186,26 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
             s0, target, episode_params, devilstick.EpisodeConfig(
                 k_max=20, stabilize=stabilize, fd_scheme="central",
                 fd_step=1e-3)))
+    # the first landing's entries are finite, their sum is not; the episode
+    # goes on to k = 2
+    spec = devilstick.JuggleSpec(theta_odd=odd, theta_even=even,
+                                 alpha=0.6131, beta=3.0, lambda_x=0.99,
+                                 lambda_y=0.99)
+    s0 = devilstick.FullState(h=np.array([1e308, 1e308]),
+                              v=np.array([0.9, -2.0]), theta=odd, omega=-5.7)
+    lines.append("episode landed sum overflows")
+    lines += _episode_lines(devilstick.run_episode(
+        s0, spec, params, devilstick.EpisodeConfig(k_max=20)))
+    for x in [(0.0, 0.0, 1e308, 0.0, odd, -5.7),       # lands, sum is inf
+              (1e308, 0.0, 1e308, 0.0, odd, -5.7),     # hx overflows
+              (1e308, 1e308, 1e308, 1e308, odd, -5.7),
+              (0.7, 2.5, math.inf, -2.0, odd, -5.7),
+              (0.7, 2.5, 0.9, -2.0, odd, math.nan)]:
+        try:
+            result = _floats(land(x, 1.0, even, params))
+        except Exception as exc:  # compared by name and message
+            result = f"{type(exc).__name__}: {exc}"
+        lines.append(f"land {_floats(x)}: {result}")
     # direct calls, invalid schedules included: (theta_odd, theta_even, g,
     # theta, omega, k)
     calls = [
@@ -401,6 +428,14 @@ def dump(out: Path) -> None:
             lines.append(f"{len(handler.messages)} warnings")
             lines += handler.messages
     (out / "long_horizon_warn.txt").write_text("\n".join(lines) + "\n")
+    lines = []
+    for i, item in enumerate(ctx["items"]):
+        for deadband in (0.0, 1e-9, 1e3):
+            lines.append(f"input {i} stabilized=True deadband={deadband!r}")
+            cfg = dataclasses.replace(item["on"], deadband=deadband)
+            lines += _episode_lines(devilstick.run_episode(
+                item["s0"], item["orbit"], ctx["params"], cfg))
+    (out / "long_horizon_deadband.txt").write_text("\n".join(lines) + "\n")
     handler.messages.clear()
     lines = _termination_lines(devilstick, handler)
     (out / "terminations.txt").write_text("\n".join(lines) + "\n")

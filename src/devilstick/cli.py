@@ -398,9 +398,12 @@ def main(argv: list[str] | None = None) -> int:
             outroot = Path(args.out)
             jobs = [(p, str(outroot / Path(p).stem)) for p in args.scenario]
             if args.jobs > 1 and len(jobs) > 1:
+                import os
                 from concurrent.futures import ProcessPoolExecutor
 
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                # a fork pool starts all of its workers up front
+                workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+                with ProcessPoolExecutor(max_workers=workers) as pool:
                     codes = list(pool.map(_simulate_worker, jobs))
             else:
                 codes = [_simulate_worker(job) for job in jobs]

@@ -24,11 +24,13 @@ from .errors import JugglingError, OffSchedule, ScenarioError
 from .model import SCHEDULE_TOL, FullState, JuggleSpec, StickParams, validate
 
 
+MAX_IMPULSES = 1_000_000  # per episode; its records take about 0.5 GB
+
 # field: (check a value must pass, reason it failed). EpisodeConfig runs
 # every check; the scenario loader runs the check of the field a key sets.
 SETTING_RULES = {
-    "k_max": (lambda n: isinstance(n, int) and n >= 1,
-              "must be an integer >= 1"),
+    "k_max": (lambda n: isinstance(n, int) and 1 <= n <= MAX_IMPULSES,
+              f"must be an integer from 1 to {MAX_IMPULSES}"),
     "deadband": (lambda x: x >= 0, "must be >= 0"),
     "r_policy": (lambda s: s in ("strict", "warn"),
                  "must be 'strict' or 'warn'"),
@@ -118,6 +120,24 @@ class EpisodeMetrics:
     terminal_error: float | None    # section distance of the last odd record
 
 
+def _idle_test(spec: JuggleSpec, lin: stab.LinearizedMap,
+               gain: stab.FeedbackGain):
+    """x -> True only where stab.feedback(stab.section_coords(x, spec), lin,
+    gain) is NO_CORRECTION, decided on floats: deadband**2 shrinks by a margin
+    no roundoff of e.dot(e) crosses; zero, tiny, huge and NaN deadbands and
+    states off the section fail."""
+    zx, zy, zvx, zvy, zw = lin.z_star.tolist()
+    theta_odd, db = spec.theta_odd, gain.deadband
+    idle2 = db * db * (1 - 1e-12) if 1e-150 < db < 1e150 else 0.0
+
+    def idle(x):
+        hx, hy, vx, vy, theta, omega = x
+        a, b, c, d, e = hx - zx, hy - zy, vx - zvx, vy - zvy, omega - zw
+        return (a * a + b * b + c * c + d * d + e * e < idle2 and omega < 0
+                and abs(theta - theta_odd) <= SCHEDULE_TOL)
+    return idle
+
+
 def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                 params: StickParams, cfg: EpisodeConfig) -> EpisodeLog:
     """Run up to cfg.k_max impulses from s0 (which must sit at the odd
@@ -140,6 +160,7 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
     t, budget = 0.0, MAX_FLIGHT_SAMPLES
     k_max, r_policy, flight_dt = cfg.k_max, cfg.r_policy, cfg.flight_dt
     stabilize, records = cfg.stabilize, log.records
+    res = []  # rho_x, rho_y, drho_x, drho_y of each record, flat
     slots = [None, None]  # the Instant of each parity's last orientation
     try:
         failures = validate(spec, params)
@@ -150,6 +171,7 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                                  scheme=cfg.fd_scheme)
             gain = stab.dlqr(lin.A, lin.B, np.diag(cfg.q_diag),
                              np.diag(cfg.r_diag), deadband=cfg.deadband)
+            idle = _idle_test(spec, lin, gain)
         # K @ e may overflow to inf; time_of_flight or check_command raise
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, k_max + 1):
@@ -159,7 +181,7 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                 rho_x, rho_y, drho_x, drho_y, impulse, offset, delta = kernel(
                     x, k, inst, params, r_policy)
                 u = stab.NO_CORRECTION
-                if stabilize and k % 2 == 1:
+                if stabilize and k % 2 == 1 and not idle(x):
                     u = stab.feedback(stab.section_coords(x, spec), lin, gain)
                     du_I, du_r = u.tolist()
                     if du_I or du_r:  # u.any(), on two floats
@@ -168,9 +190,9 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                                                spec, params)
                         check_command(k, impulse, offset, delta, params,
                                       r_policy)
-                records.append(ImpulseRecord(
-                    k, x[4], x[5], np.array((rho_x, rho_y)),
-                    np.array((drho_x, drho_y)), delta, impulse, offset, u))
+                res += rho_x, rho_y, drho_x, drho_y
+                records.append(ImpulseRecord(k, x[4], x[5], None, None, delta,
+                                             impulse, offset, u))
                 if k < k_max:
                     x_plus = jump(x, impulse, offset, inst.normal, params)
                     # delta lands exactly on the schedule; pin the orientation
@@ -185,6 +207,9 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                     t += delta
     except JugglingError as exc:
         log.termination = f"{type(exc).__name__}: {exc}"
+    rows = np.array(res).reshape(-1, 4)  # records hold row views of it
+    for rec, rho, drho in zip(records, rows[:, :2], rows[:, 2:]):
+        rec.rho, rec.drho = rho, drho
     log.sim_duration = t
     log.wall_time = time.perf_counter() - t_start
     return log

@@ -174,10 +174,12 @@ def test_invalid_key_rejected_by_name(tmp_path, keys, named):
         load_scenario(write_scenario(tmp_path, **keys))
 
 
-@pytest.mark.parametrize("value", ["0", "0.5", "-3", "nan", "inf"])
+@pytest.mark.parametrize("value", ["0", "0.5", "-3", "nan", "inf",
+                                   "1000001", "1e15"])
 def test_k_max_must_be_a_count(tmp_path, value):
-    # k_max is int(float(value)); a count below 1 or a non-finite value is a
-    # scenario error naming the key, and the CLI exits 2
+    # k_max is int(float(value)); a count below 1 or above MAX_IMPULSES, or
+    # a non-finite value, is a scenario error naming the key, and the CLI
+    # exits 2 before any episode runs
     path = write_scenario(tmp_path, k_max=value)
     with pytest.raises(ScenarioError, match="k_max"):
         load_scenario(path)
@@ -468,6 +470,49 @@ def test_batch_jobs(tmp_path):
     assert code == 0
     assert (tmp_path / "sim_vhc" / "summary.json").exists()
     assert (tmp_path / "sim_orbit" / "summary.json").exists()
+
+
+def test_k_max_bound_is_accepted(tmp_path):
+    from devilstick.harness import MAX_IMPULSES
+    path = write_scenario(tmp_path, k_max=str(MAX_IMPULSES))
+    assert load_scenario(path).config.k_max == MAX_IMPULSES
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (64, 8, 3), (64, 2, 2), (64, None, 1), (2, 8, 2)])
+def test_pool_is_capped_by_scenarios_and_cores(tmp_path, monkeypatch, jobs,
+                                               cpus, workers):
+    # a fork pool starts all of its workers up front, so --jobs alone must
+    # not size it; the stand-in pool records its size and runs serially
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    argv = ["simulate", "--out", str(tmp_path / "out"), "--jobs", str(jobs)]
+    for name in ("a", "b", "c"):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(SIM_VHC.read_text())
+        argv += ["--scenario", str(path)]
+    assert main(argv) == 0
+    assert sizes == [workers]
+    assert all((tmp_path / "out" / name / "summary.json").exists()
+               for name in ("a", "b", "c"))
 
 
 def test_simulate_imports_no_pool_plotting_or_logging(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from devilstick import (FullState, Infeasible, Degenerate, NonFinite,
                         ScenarioError, StickParams, flight, impulsive_update,
                         mechanical_energy, sample_flight, time_of_flight)
-from devilstick.dynamics import MAX_FLIGHT_SAMPLES
+from devilstick.dynamics import MAX_FLIGHT_SAMPLES, land
 
 from refvals import DELTA_EVEN, DELTA_ODD
 
@@ -218,3 +218,25 @@ def test_overflowing_flight_is_non_finite(params):
             flight(fast, 1e10, params)          # vy * delta overflows
         with pytest.raises(NonFinite):
             sample_flight(fast.floats(), 1e10, 1e9, params)
+
+
+def test_land_keeps_finite_entries_whose_sum_overflows(params):
+    # lands at hx = vx = 1e308: every entry is finite, their sum is not
+    x = land((0.0, 0.0, 1e308, 0.0, 0.5, -1.0), 1.0, 2.6, params)
+    assert x[0] == x[2] == 1e308 and all(map(math.isfinite, x))
+    assert sum(x) == math.inf
+
+
+@pytest.mark.parametrize("i", range(6))
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_land_rejects_any_non_finite_entry(params, i, value):
+    # the landed orientation is theta_next, so entry 4 comes in through it
+    x = [0.7, 2.5, 0.9, -2.0, 0.5, -5.7]
+    theta_next = 2.6
+    if i == 4:
+        theta_next = value
+    else:
+        x[i] = value
+    with pytest.raises(NonFinite, match=r"^landed state \(.*\) is not "
+                                        r"finite$"):
+        land(tuple(x), 0.5, theta_next, params)
