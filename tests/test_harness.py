@@ -556,14 +556,6 @@ def test_terminated_episode_records_hold_residual_rows(
         assert copy.drho is rec.drho
 
 
-def test_episode_without_records_has_no_rows(spec, params):
-    s0 = FullState(h=np.array([0.7, 2.5]), v=np.array([0.9, -2.0]),
-                   theta=spec.theta_odd, omega=5.7)
-    log = run_episode(s0, spec, params, EpisodeConfig(k_max=20))
-    assert log.termination.startswith("WrongRotationSign")
-    assert log.records == []
-
-
 def test_k_max_is_bounded():
     from devilstick.harness import MAX_IMPULSES
     assert EpisodeConfig(k_max=MAX_IMPULSES).k_max == MAX_IMPULSES
