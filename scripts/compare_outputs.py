@@ -31,6 +31,10 @@ directory on PYTHONPATH, over:
 - episodes that end in the design phase, before their first impulse: an
   invalid schedule, invalid parameters under the stabilizer, and a central
   step too coarse for the step-halving check (`FDInconsistent`),
+- stabilized sim_orbit episodes with extreme design settings: a singular
+  Riccati solve, r_diag too wide for eigvalsh, subnormal and huge r_diag,
+  huge q_diag, and central steps that overflow or underflow; each with
+  the warnings it printed, or the error that escaped it,
 - three scenarios that leave the optional keys to the loader's defaults
   (`simulate`): the required keys only, and the required keys plus
   `stabilizer = on` and `omega_star_radps = symmetric`, once with the
@@ -57,6 +61,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -186,6 +191,40 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
             s0, target, episode_params, devilstick.EpisodeConfig(
                 k_max=20, stabilize=stabilize, fd_scheme="central",
                 fd_step=1e-3)))
+    # sim_orbit with extreme design settings: each episode and the warnings
+    # it printed, or the error that escaped it
+    spec = devilstick.JuggleSpec(theta_odd=odd, theta_even=even,
+                                 alpha=0.6131, beta=3.0, lambda_x=0.5,
+                                 lambda_y=0.5)
+    forward = {"fd_scheme": "forward", "fd_step": 0.002}
+    extreme = [
+        ("singular R + B'PB", -3.0, {
+            "q_diag": (0.0, 1e-30, 1e-12, 0.1, 1e300),
+            "r_diag": (1e-30, 1.0), "fd_scheme": "forward", "fd_step": 0.1,
+            "deadband": 1000.0}),
+        ("wide r_diag", None, {**forward, "r_diag": (1e300, 1e-170)}),
+        ("subnormal r_diag", None, {**forward, "r_diag": (5e-324, 1e30)}),
+        ("huge r_diag", None, {**forward, "r_diag": (1e308, 1e308)}),
+        ("huge q_diag", None, {**forward, "q_diag": (1.7e308,) * 5}),
+        ("overflowing central step", None,
+         {"fd_scheme": "central", "fd_step": 1.7e308}),
+        ("underflowing central step", None,
+         {"fd_scheme": "central", "fd_step": 5e-324}),
+    ]
+    for name, omega_star, settings in extreme:
+        omega_star = omega_star or devilstick.symmetric_omega_star(spec,
+                                                                   params)
+        lines.append(f"episode {name} {settings!r}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                lines += _episode_lines(devilstick.run_episode(
+                    s0, devilstick.design_orbit(spec, omega_star, params),
+                    params, devilstick.EpisodeConfig(
+                        k_max=20, stabilize=True, **settings)))
+            except Exception as exc:  # compared by name and message
+                lines.append(f"{type(exc).__name__}: {exc}")
+        lines += [f"{w.category.__name__}: {w.message}" for w in caught]
     # the first landing's entries are finite, their sum is not; the episode
     # goes on to k = 2
     spec = devilstick.JuggleSpec(theta_odd=odd, theta_even=even,

@@ -136,6 +136,7 @@ def _fd_jacobian(orbit: OrbitSpec, z_star: np.ndarray, steps: np.ndarray,
     return J
 
 
+@np.errstate(all="ignore")  # a step that overflows or underflows fails below
 def linearize(orbit: OrbitSpec, step_scale: float | None = None,
               scheme: str = "central") -> LinearizedMap:
     """Finite-difference Jacobians of the closed-loop return map.
@@ -163,7 +164,7 @@ def linearize(orbit: OrbitSpec, step_scale: float | None = None,
         for name, cols in (("A", slice(0, 5)), ("B", slice(5, 7))):
             M, M2 = J[:, cols], J2[:, cols]
             tol = np.maximum(1e-4, 1e-3 * np.abs(M))
-            if np.any(np.abs(M - M2) > tol):
+            if not np.all(np.abs(M - M2) <= tol):  # NaN fails too
                 worst = np.unravel_index(np.argmax(np.abs(M - M2) - tol), M.shape)
                 i, j = (int(v) for v in worst)
                 raise FDInconsistent(
@@ -190,6 +191,7 @@ def controllability(A: np.ndarray, B: np.ndarray) -> tuple[int, bool]:
     return rank, rank == n
 
 
+@np.errstate(all="ignore")  # inf and NaN end in a typed error below
 def dlqr(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
          deadband: float = 1e-3) -> FeedbackGain:
     """Discrete LQR gain by Riccati fixed-point iteration.
@@ -201,12 +203,22 @@ def dlqr(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
     B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
-    if np.any(np.linalg.eigvalsh(0.5 * (R + R.T)) <= 0):
+    try:  # the symmetric part, exact for a symmetric R; Cholesky, unlike
+        # eigvalsh, does not underflow on a wide one
+        finite = np.isfinite(np.linalg.cholesky(R + 0.5 * (R.T - R))).all()
+    except np.linalg.LinAlgError:
+        finite = False
+    if not finite:
         raise ValueError("R must be positive definite")
     P = riccati_solution(A, B, Q, R)
-    K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-    radius = np.max(np.abs(np.linalg.eigvals(A + B @ K)))
-    if radius >= 1.0 - SPECTRAL_MARGIN:
+    try:
+        K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+    except np.linalg.LinAlgError as exc:
+        raise RiccatiDiverged("R + B'PB is singular at the converged P") from exc
+    closed = A + B @ K
+    radius = (np.max(np.abs(np.linalg.eigvals(closed)))
+              if np.isfinite(closed).all() else np.inf)
+    if not radius < 1.0 - SPECTRAL_MARGIN:
         raise NotStabilizing(f"closed-loop spectral radius {radius:.6f} >= 1")
     return FeedbackGain(K=K, deadband=deadband)
 
@@ -219,14 +231,19 @@ def dare_residual(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
     return float(np.max(np.abs(P - back)))
 
 
+@np.errstate(all="ignore")  # an inf or NaN P ends in RiccatiDiverged below
 def riccati_solution(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
                      R: np.ndarray) -> np.ndarray:
     """Converged cost-to-go matrix of the Riccati fixed-point iteration."""
     P = np.asarray(Q, dtype=float).copy()
     At, Bt = A.T, B.T
-    for _ in range(RICCATI_MAX_ITER):
+    for step in range(RICCATI_MAX_ITER):
         BtP = Bt @ P
-        K = -np.linalg.solve(R + BtP @ B, BtP @ A)
+        try:
+            K = -np.linalg.solve(R + BtP @ B, BtP @ A)
+        except np.linalg.LinAlgError as exc:
+            raise RiccatiDiverged(
+                f"R + B'PB is singular at Riccati step {step}") from exc
         P_next = Q + At @ P @ (A + B @ K)
         if not abs(P_next).max() <= 1e100:  # also stops on NaN
             raise RiccatiDiverged("cost-to-go iteration blew up")

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -359,7 +360,12 @@ def test_simulate_matches_shipped_outputs(tmp_path, name):
     code = main(["simulate", "--scenario", str(SCENARIOS / f"{name}.cfg"),
                  "--out", str(tmp_path)])
     assert code == 0
-    golden, fresh = ROOT / "out" / name, tmp_path / name
+    assert_matches_shipped(tmp_path / name, name)
+
+
+def assert_matches_shipped(fresh, name):
+    """The artifacts in fresh equal out/<name>, but for wall_time_s."""
+    golden = ROOT / "out" / name
     for csv_name in ("impulses.csv", "trajectory.csv"):
         assert (fresh / csv_name).read_bytes() == \
             (golden / csv_name).read_bytes(), csv_name
@@ -417,6 +423,41 @@ def test_zero_r_diag_rejected_before_the_episode(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 2
     assert "key 'r_diag'" in capsys.readouterr().err
     assert not out.exists()
+
+
+# sim_orbit with extreme design settings, the run's exit code and the start
+# of its termination; each used to exit 2 without artifacts, spin for
+# seconds, or print a RuntimeWarning
+DESIGN_REPROS = [
+    ({"q_diag": "0,1e-30,1e-12,0.1,1e300", "r_diag": "1e-30,1",
+      "fd_step": "0.1", "omega_star_radps": "-3", "deadband": "1000"}, 3,
+     "RiccatiDiverged: R + B'PB is singular at Riccati step"),
+    ({"r_diag": "1e300,1e-170"}, 0, "completed"),
+    ({"r_diag": "1e308,1e308"}, 3, "RiccatiDiverged: no fixed point"),
+    ({"fd_scheme": "central", "fd_step": "1.7e308"}, 3, "NoPositiveRoot"),
+]
+
+
+@pytest.mark.parametrize("keys, code, termination", DESIGN_REPROS, ids=[
+    "singular-solve", "wide-r", "huge-r", "huge-central-step"])
+def test_extreme_design_settings_write_a_summary(tmp_path, monkeypatch, keys,
+                                                 code, termination):
+    from devilstick import stabilizer
+    monkeypatch.setattr(stabilizer, "RICCATI_MAX_ITER", 500)  # not 100,000
+    text = SIM_ORBIT.read_text()
+    for key, value in keys.items():
+        text = "".join(f"{key} = {value}\n" if line.startswith(f"{key} =")
+                       else line for line in text.splitlines(True))
+    assert all(f"{key} = {value}\n" in text for key, value in keys.items())
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--scenario", str(cfg),
+                     "--out", str(out)]) == code
+    summary = json.loads((out / "extreme" / "summary.json").read_text())
+    assert summary["termination"].startswith(termination)
 
 
 def test_zero_state_weights_load(tmp_path):
@@ -483,7 +524,9 @@ def test_k_max_bound_is_accepted(tmp_path):
 def test_pool_is_capped_by_scenarios_and_cores(tmp_path, monkeypatch, jobs,
                                                cpus, workers):
     # a fork pool starts all of its workers up front, so --jobs alone must
-    # not size it; the stand-in pool records its size and runs serially
+    # not size it: the CPUs in the affinity mask do (cpus; None: the OS has
+    # no mask and os.cpu_count() knows no count), and one worker runs
+    # serially, without a pool. The stand-in pool records its size.
     import concurrent.futures
 
     sizes = []
@@ -503,16 +546,64 @@ def test_pool_is_capped_by_scenarios_and_cores(tmp_path, monkeypatch, jobs,
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64 if cpus else None)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
     argv = ["simulate", "--out", str(tmp_path / "out"), "--jobs", str(jobs)]
     for name in ("a", "b", "c"):
         path = tmp_path / f"{name}.cfg"
         path.write_text(SIM_VHC.read_text())
         argv += ["--scenario", str(path)]
     assert main(argv) == 0
-    assert sizes == [workers]
+    assert sizes == ([] if workers == 1 else [workers])
     assert all((tmp_path / "out" / name / "summary.json").exists()
                for name in ("a", "b", "c"))
+
+
+def test_main_never_freezes_and_run_freezes_once(tmp_path):
+    # main() runs many times in one process (tests, scripts, perfbench), so
+    # it must not freeze; run() is the program entry point and freezes once
+    import gc
+    frozen = gc.get_freeze_count()
+    for _ in range(2):
+        assert main(["simulate", "--scenario", str(SIM_VHC),
+                     "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == frozen
+    script = (
+        "import gc\n"
+        "from devilstick import cli\n"
+        "calls, freeze = [], gc.freeze\n"
+        "gc.freeze = lambda: (calls.append(1), freeze())\n"
+        f"code = cli.run(['simulate', '--scenario', {str(SIM_VHC)!r}, "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "print(code, len(calls), gc.get_freeze_count() > 1000)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 1 True"
+
+
+def test_module_entry_point_writes_golden_artifacts(tmp_path):
+    # python -m devilstick.cli goes through run(): same bytes, same codes
+    stop = tmp_path / "stop.cfg"
+    stop.write_text(SIM_VHC.read_text().replace("v_y0_mps = -2.0",
+                                                "v_y0_mps = 1e300"))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    codes = []
+    for path in (SIM_VHC, SIM_ORBIT, stop):
+        codes.append(subprocess.run(
+            [sys.executable, "-m", "devilstick.cli", "simulate",
+             "--scenario", str(path), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, check=False).returncode)
+    assert codes == [0, 0, 3]
+    for name in ("sim_vhc", "sim_orbit"):
+        assert_matches_shipped(tmp_path / "out" / name, name)
+    summary = json.loads((tmp_path / "out" / "stop" / "summary.json")
+                         .read_text())
+    assert summary["termination"].startswith("NonFinite")
 
 
 def test_simulate_imports_no_pool_plotting_or_logging(tmp_path):

@@ -405,6 +405,50 @@ def test_random_episode_ends_with_a_log(episode):
         assert np.all(np.abs(nxt.rho - lam * prev.rho) <= 1e-9 * scale)
 
 
+# decades from zero through the subnormals to the largest finite floats
+EXTREME = [0.0, 5e-324, 1e-300, 1e-200, 1e-100, 1e-30, 1e-12, 1e-6, 1e-3,
+           0.1, 1.0, 10.0, 1e3, 1e6, 1e12, 1e30, 1e100, 1e200, 1e300, 1.7e308]
+LARGEST = np.finfo(float).max
+
+
+@st.composite
+def extreme_designs(draw):
+    """A stabilized episode of the reference stick and start with a random
+    target rate, and weights, step and deadband anywhere the loader
+    accepts them: one draw in two from the decades of EXTREME."""
+    weight = st.sampled_from(EXTREME) | st.floats(0.0, LARGEST)
+    positive = st.sampled_from(EXTREME[1:]) | st.floats(
+        0.0, LARGEST, exclude_min=True)
+    scheme = draw(st.sampled_from(["central", "forward"]))
+    cfg = EpisodeConfig(
+        k_max=6, stabilize=True,
+        q_diag=tuple(draw(weight) for _ in range(5)),
+        r_diag=(draw(positive), draw(positive)), fd_scheme=scheme,
+        fd_step=draw(st.none() | positive),
+        deadband=draw(weight | st.just(math.inf)))
+    return draw(st.floats(-8.0, -0.5)), cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(design=extreme_designs())
+def test_extreme_design_settings_end_with_a_log(ic_state, spec, params,
+                                                design):
+    # the design step (linearize, dlqr) must end in a typed termination and
+    # warn nothing; the cap is shortened because a weight near the largest
+    # float leaves the unit-modulus mode uncontrolled, and its cost creeps
+    # to the full cap (100,000 steps, seconds) before RiccatiDiverged
+    from unittest import mock
+
+    from devilstick import stabilizer
+    omega_star, cfg = design
+    orbit = design_orbit(spec, omega_star, params)
+    with warnings.catch_warnings(), \
+            mock.patch.object(stabilizer, "RICCATI_MAX_ITER", 2000):
+        warnings.simplefilter("error")
+        log = run_episode(ic_state, orbit, params, cfg)
+    assert log.completed == (len(log.records) == cfg.k_max)
+
+
 
 # The episode loop decides the deadband on floats and runs stab.feedback
 # only when that test fails; the test must never pass where feedback would

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from devilstick import (EpisodeConfig, FDInconsistent, FeedbackGain,
-                        Infeasible, JuggleSpec, LinearizedMap, NotOnSection,
+                        Infeasible, JuggleSpec, JugglingError, LinearizedMap, NotOnSection,
                         RiccatiDiverged, controllability, dare_residual, dlqr,
                         feedback, fixed_point, linearize, poincare_map,
                         riccati_solution)
@@ -200,6 +201,61 @@ def test_dlqr_agrees_with_scipy(orbit_sym):
 def test_dlqr_rejects_bad_weights():
     with pytest.raises(ValueError):
         dlqr(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("R", [
+    np.diag([math.nan, 1.0]), np.diag([math.inf, 1.0]),
+    np.array([[1.0, 2.0], [2.0, 1.0]])])
+def test_dlqr_rejects_nan_infinite_and_indefinite_weights(R):
+    with pytest.raises(ValueError, match="positive definite"):
+        dlqr(A_REF, B_REF, np.eye(5), R)
+
+
+@pytest.mark.parametrize("r_diag", [(1e300, 1e-170), (5e-324, 1e30)])
+def test_dlqr_accepts_every_positive_diagonal_weight(r_diag):
+    # eigvalsh of the first pair underflows to 0; the second keeps the
+    # symmetric part from halving 5e-324 to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gain = dlqr(A_REF, B_REF, np.eye(5), np.diag(r_diag))
+    assert np.isfinite(gain.K).all()
+
+
+def test_dlqr_overflowing_weight_diverges_silently(monkeypatch):
+    # 0.5 * (R + R.T) used to overflow with a warning; the check now passes,
+    # control is negligible, and the cost of the unit-modulus mode creeps up
+    # until the (here shortened) iteration cap
+    from devilstick import stabilizer
+    monkeypatch.setattr(stabilizer, "RICCATI_MAX_ITER", 500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RiccatiDiverged, match="no fixed point"):
+            dlqr(A_REF, B_REF, np.eye(5), np.diag([1e308, 1e308]))
+
+
+def test_singular_riccati_solve_names_the_step():
+    # R + B'PB = 0 at the first step: LinAlgError used to escape
+    with pytest.raises(RiccatiDiverged, match="singular at Riccati step 0"):
+        riccati_solution(np.eye(2), np.zeros((2, 2)), np.eye(2),
+                         np.zeros((2, 2)))
+
+
+def test_overflowing_cost_diverges_silently():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RiccatiDiverged, match="blew up"):
+            dlqr(A_REF, B_REF, np.diag([1.7e308] * 5), np.eye(2))
+
+
+@pytest.mark.parametrize("step, error", [
+    (1.7e308, JugglingError),   # the steps overflow to inf
+    (5e-324, FDInconsistent)])  # the halved steps are 0: 0/0 in a column
+def test_linearize_extreme_central_step_is_typed_and_silent(orbit_sym, step,
+                                                            error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            linearize(orbit_sym, step_scale=step, scheme="central")
 
 
 def test_dlqr_divergence():
