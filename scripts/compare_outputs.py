@@ -47,8 +47,10 @@ directory on PYTHONPATH, over:
   masked.
 
 Episode records and design matrices are written as hexadecimal floats.
-Prints the first differing file and line, or `identical`; the exit status
-is 0 when identical and 1 otherwise. `wall_time_s` in summaries is ignored.
+Prints `identical`, or every difference: the files only one tree has, then
+for each file that differs its count of differing lines and the first
+MAX_SHOWN of them, old and new. The exit status is 0 when identical and 1
+otherwise. `wall_time_s` in summaries is ignored.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ PERFBENCH = ROOT / "perfbench"
 SHIPPED = ("sim_vhc", "sim_orbit")
 SEED = 0
 N_LOADER = 4000
+MAX_SHOWN = 20  # differing lines printed per file
 
 # the keys a scenario must set, as in scenarios/sim_vhc.cfg
 REQUIRED = {
@@ -512,20 +515,26 @@ def _lines(path: Path) -> list[str]:
     return path.read_text().splitlines()
 
 
-def first_difference(old: Path, new: Path) -> str | None:
-    """The first file or line at which two dumps differ, or None."""
-    old_files, new_files = _compared_files(old), _compared_files(new)
-    if old_files != new_files:
-        only = sorted(set(old_files) ^ set(new_files))
-        return f"file sets differ: {only[0]} is in one tree only"
-    for rel in old_files:
+def differences(old: Path, new: Path) -> list[str]:
+    """Report lines for every way two dumps differ; empty when identical."""
+    old_files, new_files = set(_compared_files(old)), set(_compared_files(new))
+    report = [f"{rel}: only in {'old' if rel in old_files else 'new'}"
+              for rel in sorted(old_files ^ new_files)]
+    for rel in sorted(old_files & new_files):
         a, b = _lines(old / rel), _lines(new / rel)
-        for n, (la, lb) in enumerate(zip(a, b), start=1):
-            if la != lb:
-                return f"{rel}:{n}\n  old: {la}\n  new: {lb}"
-        if len(a) != len(b):
-            return f"{rel}: {len(a)} lines vs {len(b)} lines"
-    return None
+        differing = [n for n, (la, lb) in enumerate(zip(a, b), start=1)
+                     if la != lb]
+        if not differing and len(a) == len(b):
+            continue
+        report.append(f"{rel}: {len(differing)} differing lines"
+                      + (f", {len(a)} lines vs {len(b)}"
+                         if len(a) != len(b) else ""))
+        for n in differing[:MAX_SHOWN]:
+            report += [f"{rel}:{n}", f"  old: {a[n - 1]}",
+                       f"  new: {b[n - 1]}"]
+        if len(differing) > MAX_SHOWN:
+            report.append(f"  ... {len(differing) - MAX_SHOWN} more")
+    return report
 
 
 def _run_tree(src: Path, out: Path) -> None:
@@ -548,9 +557,9 @@ def main(argv: list[str]) -> int:
         outs = [Path(tmp) / "old", Path(tmp) / "new"]
         for src, out in zip(argv, outs):
             _run_tree(Path(src), out)
-        diff = first_difference(*outs)
-    print(diff or "identical")
-    return 1 if diff else 0
+        report = differences(*outs)
+    print("\n".join(report) or "identical")
+    return 1 if report else 0
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as lapack_solve
 
 from .dvhc import kernel, on_constraint_state
 from .dvhc import dvhc_control  # noqa: F401 (perfbench traces it)
@@ -125,15 +126,15 @@ def _fd_jacobian(orbit: OrbitSpec, z_star: np.ndarray, steps: np.ndarray,
         return poincare_map(w[:5], impulse + w[5], offset + w[6], orbit)
 
     if scheme == "forward":
-        base = poincare_map(z_star, impulse, offset, orbit)
-    J = np.empty((5, 7))
-    # Python float steps keep numpy scalars, and numpy's **, out of the plant
+        base = poincare_map(z_star, impulse, offset, orbit).tolist()
+    # Python float steps keep numpy scalars, and numpy's **, out of the plant;
+    # numpy divides, so a step halved to 0 gives NaN, not ZeroDivisionError
+    diffs = []
     for i, step in enumerate(steps.tolist()):
-        if scheme == "central":
-            J[:, i] = (moved(i, step) - moved(i, -step)) / (2 * step)
-        else:
-            J[:, i] = (moved(i, step) - base) / step
-    return J
+        plus = moved(i, step).tolist()
+        minus = moved(i, -step).tolist() if scheme == "central" else base
+        diffs.append([a - b for a, b in zip(plus, minus)])
+    return np.array(diffs).T / (2 * steps if scheme == "central" else steps)
 
 
 @np.errstate(all="ignore")  # a step that overflows or underflows fails below
@@ -183,7 +184,7 @@ def controllability(A: np.ndarray, B: np.ndarray) -> tuple[int, bool]:
     n = A.shape[0]
     blocks = [B]
     for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
+        blocks.append(A.dot(blocks[-1]))
     ctrb = np.hstack(blocks)
     sv = np.linalg.svd(ctrb, compute_uv=False)
     thresh = sv[0] * n * np.finfo(float).eps * 1e3 if sv[0] > 0 else np.inf
@@ -211,11 +212,12 @@ def dlqr(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
     if not finite:
         raise ValueError("R must be positive definite")
     P = riccati_solution(A, B, Q, R)
+    BtP = B.T.dot(P)
     try:
-        K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+        K = -np.linalg.solve(R + BtP.dot(B), BtP.dot(A))
     except np.linalg.LinAlgError as exc:
         raise RiccatiDiverged("R + B'PB is singular at the converged P") from exc
-    closed = A + B @ K
+    closed = A + B.dot(K)
     radius = (np.max(np.abs(np.linalg.eigvals(closed)))
               if np.isfinite(closed).all() else np.inf)
     if not radius < 1.0 - SPECTRAL_MARGIN:
@@ -234,18 +236,25 @@ def dare_residual(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
 @np.errstate(all="ignore")  # an inf or NaN P ends in RiccatiDiverged below
 def riccati_solution(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
                      R: np.ndarray) -> np.ndarray:
-    """Converged cost-to-go matrix of the Riccati fixed-point iteration."""
+    """Converged cost-to-go matrix of the Riccati fixed-point iteration.
+
+    Each step solves S X = N with the LAPACK gufunc np.linalg.solve wraps,
+    without its checks: a singular S gives NaN, and the blow-up test below
+    catches it and asks the wrapper whether S was singular.
+    """
     P = np.asarray(Q, dtype=float).copy()
     At, Bt = A.T, B.T
     for step in range(RICCATI_MAX_ITER):
-        BtP = Bt @ P
-        try:
-            K = -np.linalg.solve(R + BtP @ B, BtP @ A)
-        except np.linalg.LinAlgError as exc:
-            raise RiccatiDiverged(
-                f"R + B'PB is singular at Riccati step {step}") from exc
-        P_next = Q + At @ P @ (A + B @ K)
+        BtP = Bt.dot(P)
+        S, N = R + BtP.dot(B), BtP.dot(A)
+        X = lapack_solve(S, N, signature="dd->d")
+        P_next = Q + At.dot(P).dot(A - B.dot(X))
         if not abs(P_next).max() <= 1e100:  # also stops on NaN
+            try:
+                np.linalg.solve(S, N)
+            except np.linalg.LinAlgError as exc:
+                raise RiccatiDiverged(
+                    f"R + B'PB is singular at Riccati step {step}") from exc
             raise RiccatiDiverged("cost-to-go iteration blew up")
         if abs(P_next - P).max() < RICCATI_TOL:
             return P_next

@@ -1,0 +1,88 @@
+"""The output-identity gate's diff, on hand-made dump directories."""
+
+import importlib.util
+import shutil
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+def _dump(root: Path, files: dict[str, str]) -> Path:
+    """A dump directory holding files, plus the entries the diff skips."""
+    for rel, text in {"package": f"{root}/devilstick/__init__.py\n",
+                      "scenarios/a.cfg": f"{root}\n", **files}.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+BASE = {
+    "synthesis.txt": "".join(f"line {i}\n" for i in range(1, 31)),
+    "terminations.txt": "a\nb\nc\n",
+    "shipped/sim_vhc/summary.json": '{"k": 1, "wall_time_s": 0.5}\n',
+}
+
+
+def _run(tmp_path, monkeypatch, capsys, new_files):
+    """main() on two dumps: its exit status and printed lines."""
+    old = _dump(tmp_path / "old_src", BASE)
+    new = _dump(tmp_path / "new_src", new_files)
+    monkeypatch.setattr(compare_outputs, "_run_tree",
+                        lambda src, out: shutil.copytree(src, out))
+    status = compare_outputs.main([str(old), str(new)])
+    return status, capsys.readouterr().out.splitlines()
+
+
+def test_identical_trees(tmp_path, monkeypatch, capsys):
+    # the package path, the scenario files and wall_time_s may differ
+    new = {**BASE, "shipped/sim_vhc/summary.json":
+           '{"wall_time_s": 9.0,\n "k": 1}\n'}
+    assert _run(tmp_path, monkeypatch, capsys, new) == (0, ["identical"])
+
+
+def test_one_changed_line(tmp_path, monkeypatch, capsys):
+    new = {**BASE, "terminations.txt": "a\nB\nc\n"}
+    assert _run(tmp_path, monkeypatch, capsys, new) == (1, [
+        "terminations.txt: 1 differing lines",
+        "terminations.txt:2", "  old: b", "  new: B"])
+
+
+def test_two_changed_files_report_every_line_up_to_the_cap(
+        tmp_path, monkeypatch, capsys):
+    cap = compare_outputs.MAX_SHOWN
+    new = {**BASE,
+           "synthesis.txt": "".join(f"LINE {i}\n" for i in range(1, 31)),
+           "terminations.txt": "A\nb\nc\nd\n"}
+    status, lines = _run(tmp_path, monkeypatch, capsys, new)
+    assert status == 1
+    assert lines[0] == "synthesis.txt: 30 differing lines"
+    assert lines[1:4] == ["synthesis.txt:1", "  old: line 1", "  new: LINE 1"]
+    assert lines[3 * cap - 2] == f"synthesis.txt:{cap}"
+    assert lines[3 * cap + 1] == f"  ... {30 - cap} more"
+    assert lines[3 * cap + 2:] == [
+        "terminations.txt: 1 differing lines, 3 lines vs 4",
+        "terminations.txt:1", "  old: a", "  new: A"]
+
+
+def test_different_file_sets_still_compare_the_common_files(
+        tmp_path, monkeypatch, capsys):
+    new = {rel: text for rel, text in BASE.items()
+           if rel != "terminations.txt"}
+    new["synthesis.txt"] = BASE["synthesis.txt"].replace("line 7", "line 8")
+    new["loader.txt"] = "0: ok\n"
+    assert _run(tmp_path, monkeypatch, capsys, new) == (1, [
+        "loader.txt: only in new", "terminations.txt: only in old",
+        "synthesis.txt: 1 differing lines",
+        "synthesis.txt:7", "  old: line 7", "  new: line 8"])
+
+
+@pytest.mark.parametrize("argv", [[], ["one"], ["a", "b", "c"]])
+def test_usage(argv, capsys):
+    assert compare_outputs.main(argv) == 2
+    assert "compare_outputs.py OLD_SRC NEW_SRC" in capsys.readouterr().err

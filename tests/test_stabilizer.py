@@ -1,19 +1,22 @@
 import math
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devilstick import (EpisodeConfig, FDInconsistent, FeedbackGain,
                         Infeasible, JuggleSpec, JugglingError, LinearizedMap, NotOnSection,
-                        RiccatiDiverged, controllability, dare_residual, dlqr,
-                        feedback, fixed_point, linearize, poincare_map,
-                        riccati_solution)
-from devilstick.stabilizer import _on_section, section_coords
+                        RiccatiDiverged, StickParams, controllability,
+                        dare_residual, design_orbit, dlqr, feedback,
+                        fixed_point, linearize, poincare_map,
+                        riccati_solution, stabilizer)
+from devilstick.stabilizer import _on_section, lapack_solve, section_coords
 
+import stabilizer_reference
 from refvals import A_REF, B_REF, FD_SECANT_STEP, K_REF, Z_STAR
 
 
@@ -234,10 +237,14 @@ def test_dlqr_overflowing_weight_diverges_silently(monkeypatch):
 
 
 def test_singular_riccati_solve_names_the_step():
-    # R + B'PB = 0 at the first step: LinAlgError used to escape
-    with pytest.raises(RiccatiDiverged, match="singular at Riccati step 0"):
-        riccati_solution(np.eye(2), np.zeros((2, 2)), np.eye(2),
-                         np.zeros((2, 2)))
+    # R + B'PB = 0 at the first step: LinAlgError used to escape; the solve
+    # gufunc raises the invalid flag there, which must not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RiccatiDiverged,
+                           match="singular at Riccati step 0"):
+            riccati_solution(np.eye(2), np.zeros((2, 2)), np.eye(2),
+                             np.zeros((2, 2)))
 
 
 def test_overflowing_cost_diverges_silently():
@@ -334,3 +341,114 @@ def test_closed_loop_contracts_nonlinearly(orbit_sym, rng):
             norms.append(np.linalg.norm(z - z_star))
         assert norms[1] <= (sigma + 0.05) * norms[0]
         assert norms[4] <= four_return_bound * norms[0]
+
+
+def _bits(value):
+    """Every bit of a design-step result, in comparable form."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, LinearizedMap):
+        return _bits(value.A), _bits(value.B)
+    if isinstance(value, FeedbackGain):
+        return _bits(value.K)
+    return value
+
+
+def _outcome(fn, *args):
+    """The bits fn returns, or the type and message of the error it raises;
+    a warning counts as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return "ok", _bits(fn(*args))
+        except Exception as exc:  # untyped errors too
+            return type(exc), str(exc)
+
+
+weight = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lam=st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 0.99)),
+       omega_star=st.floats(-8.0, -1.5),
+       scheme=st.sampled_from(["central", "forward"]),
+       q=st.lists(weight, min_size=5, max_size=5),
+       r=st.lists(weight, min_size=2, max_size=2))
+def test_design_step_matches_frozen_reference(lam, omega_star, scheme, q, r):
+    # A, B, rank, P and K are the bits of the frozen reference copy, or the
+    # same error with the same message; the step limit is shortened on both
+    # sides, so weights that converge slowly compare their error instead
+    spec = JuggleSpec(theta_odd=math.pi / 6, theta_even=5 * math.pi / 6,
+                      alpha=0.6131, beta=3.0, lambda_x=lam[0],
+                      lambda_y=lam[1])
+    orbit = design_orbit(spec, omega_star, StickParams(m=0.1, ell=0.5))
+    lin = _outcome(linearize, orbit, None, scheme)
+    with mock.patch.object(stabilizer, "_fd_jacobian",
+                           stabilizer_reference._fd_jacobian):
+        assert _outcome(linearize, orbit, None, scheme) == lin
+    if lin[0] != "ok":
+        return
+    lin = linearize(orbit, None, scheme)
+    A, B, Q, R = lin.A, lin.B, np.diag(q), np.diag(r)
+    assert (_outcome(controllability, A, B)
+            == _outcome(stabilizer_reference.controllability, A, B))
+    with mock.patch.object(stabilizer, "RICCATI_MAX_ITER", 1000), \
+            mock.patch.object(stabilizer_reference, "RICCATI_MAX_ITER", 1000):
+        assert (_outcome(riccati_solution, A, B, Q, R)
+                == _outcome(stabilizer_reference.riccati_solution, A, B, Q, R))
+        assert (_outcome(dlqr, A, B, Q, R)
+                == _outcome(stabilizer_reference.dlqr, A, B, Q, R))
+
+
+_NAN_Q = np.eye(5)
+_NAN_Q[2, 2] = math.nan
+
+
+@pytest.mark.parametrize("A, B, Q, R, message", [
+    (np.eye(2), np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)),
+     "singular at Riccati step 0"),
+    ([[0.0]], [[0.0]], [[1.0]], [[0.0]], "singular at Riccati step 0"),
+    # R + B'PB is 0.75 at step 0 and -0.25 + 0.25 at step 1, exactly
+    ([[1.5]], [[1.0]], [[1.0]], [[-0.25]], "singular at Riccati step 1"),
+    (A_REF, B_REF, np.diag([1.7e308] * 5), np.eye(2), "blew up"),
+    (A_REF, B_REF, _NAN_Q, 2 * np.eye(2), "blew up"),
+    ([[2.0]], [[0.0]], [[1.0]], [[1.0]], "blew up"),
+    (A_REF, B_REF, np.eye(5), np.diag([1e308, 1e308]),
+     "no fixed point within 500 iterations"),
+])
+def test_riccati_errors_match_frozen_reference(monkeypatch, A, B, Q, R,
+                                               message):
+    monkeypatch.setattr(stabilizer, "RICCATI_MAX_ITER", 500)
+    monkeypatch.setattr(stabilizer_reference, "RICCATI_MAX_ITER", 500)
+    A, B, Q, R = (np.array(M, dtype=float) for M in (A, B, Q, R))
+    expected = _outcome(stabilizer_reference.riccati_solution, A, B, Q, R)
+    assert expected[0] is RiccatiDiverged and message in expected[1]
+    assert _outcome(riccati_solution, A, B, Q, R) == expected
+
+
+@given(seed=st.integers(0, 2**32 - 1), cols=st.sampled_from([2, 5]),
+       scale=st.floats(0.0, 8.0))
+def test_lapack_solve_is_np_linalg_solve_bitwise(seed, cols, scale):
+    # the Riccati step calls the gufunc np.linalg.solve wraps, without the
+    # wrapper: the same LAPACK call, so the same bits
+    rng = np.random.default_rng(seed)
+    S = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-scale, scale, (2, 2))
+    N = rng.normal(size=(2, cols)) * 10.0 ** rng.uniform(-scale, scale)
+    X = lapack_solve(S, N, signature="dd->d")
+    assert X.tobytes() == np.linalg.solve(S, N).tobytes()
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dot_is_matmul_bitwise_on_design_shapes(seed):
+    # the design step multiplies 5x5, 5x2, 2x5 and 2x2 matrices, some of
+    # them transposed views; .dot and @ make the same BLAS call on them
+    rng = np.random.default_rng(seed)
+
+    def matrix(rows, cols):
+        return (rng.normal(size=(rows, cols))
+                * 10.0 ** rng.uniform(-6, 6, (rows, cols)))
+
+    A, B, P, X = matrix(5, 5), matrix(5, 2), matrix(5, 5), matrix(2, 5)
+    for left, right in [(B.T, P), (B.T.dot(P), B), (X, A), (B, X),
+                        (A.T, P), (A.T.dot(P), A), (A, B), (X, B)]:
+        assert left.dot(right).tobytes() == (left @ right).tobytes()
