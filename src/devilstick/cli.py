@@ -299,19 +299,27 @@ def cmd_linearize(scenario: Scenario, outdir: Path | None) -> int:
     return 0
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[float]]]:
+def _read_csv(path: Path, names: list[str]) -> dict[str, list[float]]:
+    """The named columns of a CSV log; every row must match the header."""
     import csv  # here, not at the top: only plot reads CSV
 
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ScenarioError(f"{path}: empty CSV") from None
-        rows = [[float(v) for v in row] for row in reader if row]
+        header = next(reader, None)
+        if header is None:
+            raise ScenarioError(f"{path}: empty CSV")
+        missing = [name for name in names if name not in header]
+        if missing:
+            raise ScenarioError(f"{path}: missing columns {', '.join(missing)}")
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ScenarioError(f"{path}:{reader.line_num}: {len(row)} "
+                                    f"values for {len(header)} columns")
+            rows.append([float(v) for v in row])
     if not rows:
         raise ScenarioError(f"{path}: no data rows")
-    return header, rows
+    return {name: [row[header.index(name)] for row in rows] for name in names}
 
 
 def cmd_plot(impulses: Path | None, trajectory: Path | None,
@@ -323,31 +331,25 @@ def cmd_plot(impulses: Path | None, trajectory: Path | None,
         raise ScenarioError("nothing to plot: give --impulses and/or --trajectory")
     outdir.mkdir(parents=True, exist_ok=True)
     if impulses is not None:
-        header, rows = _read_csv(impulses)
-        col = {name: i for i, name in enumerate(header)}
-        ks = [row[col["k"]] for row in rows]
-        panels = [
-            Panel(x=ks, y=[row[col[name]] for row in rows],
-                  title=title, x_label="k")
-            for name, title in (
-                ("rho_x", "position residual x (m)"),
-                ("rho_y", "position residual y (m)"),
-                ("drho_x", "velocity residual x (m/s)"),
-                ("drho_y", "velocity residual y (m/s)"),
-                ("omega", "angular rate (rad/s)"),
-                ("delta", "time of flight (s)"),
-                ("I", "impulse (Ns)"),
-                ("r", "application offset (m)"),
-            )
-        ]
+        titles = {
+            "rho_x": "position residual x (m)",
+            "rho_y": "position residual y (m)",
+            "drho_x": "velocity residual x (m/s)",
+            "drho_y": "velocity residual y (m/s)",
+            "omega": "angular rate (rad/s)",
+            "delta": "time of flight (s)",
+            "I": "impulse (Ns)",
+            "r": "application offset (m)",
+        }
+        col = _read_csv(impulses, ["k", *titles])
+        panels = [Panel(x=col["k"], y=col[name], title=title, x_label="k")
+                  for name, title in titles.items()]
         out = outdir / (impulses.stem + ".svg")
         out.write_text(figure(panels, ncols=2))
         print(f"wrote {out}")
     if trajectory is not None:
-        header, rows = _read_csv(trajectory)
-        col = {name: i for i, name in enumerate(header)}
-        panel = Panel(x=[row[col["hx"]] for row in rows],
-                      y=[row[col["hy"]] for row in rows],
+        col = _read_csv(trajectory, ["hx", "hy"])
+        panel = Panel(x=col["hx"], y=col["hy"],
                       title="center-of-mass path (hx vs hy, m)",
                       x_label="hx (m)", markers=False)
         out = outdir / (trajectory.stem + ".svg")
@@ -426,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
                 Path(args.impulses) if args.impulses else None,
                 Path(args.trajectory) if args.trajectory else None,
                 Path(args.out))
-    except (JugglingError, ValueError) as exc:
+    except (JugglingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

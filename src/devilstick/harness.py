@@ -120,24 +120,6 @@ class EpisodeMetrics:
     terminal_error: float | None    # section distance of the last odd record
 
 
-def _idle_test(spec: JuggleSpec, lin: stab.LinearizedMap,
-               gain: stab.FeedbackGain):
-    """x -> True only where stab.feedback(stab.section_coords(x, spec), lin,
-    gain) is NO_CORRECTION, decided on floats: deadband**2 shrinks by a margin
-    no roundoff of e.dot(e) crosses; zero, tiny, huge and NaN deadbands and
-    states off the section fail."""
-    zx, zy, zvx, zvy, zw = lin.z_star.tolist()
-    theta_odd, db = spec.theta_odd, gain.deadband
-    idle2 = db * db * (1 - 1e-12) if 1e-150 < db < 1e150 else 0.0
-
-    def idle(x):
-        hx, hy, vx, vy, theta, omega = x
-        a, b, c, d, e = hx - zx, hy - zy, vx - zvx, vy - zvy, omega - zw
-        return (a * a + b * b + c * c + d * d + e * e < idle2 and omega < 0
-                and abs(theta - theta_odd) <= SCHEDULE_TOL)
-    return idle
-
-
 def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                 params: StickParams, cfg: EpisodeConfig) -> EpisodeLog:
     """Run up to cfg.k_max impulses from s0 (which must sit at the odd
@@ -171,7 +153,6 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                                  scheme=cfg.fd_scheme)
             gain = stab.dlqr(lin.A, lin.B, np.diag(cfg.q_diag),
                              np.diag(cfg.r_diag), deadband=cfg.deadband)
-            idle = _idle_test(spec, lin, gain)
         # K @ e may overflow to inf; time_of_flight or check_command raise
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, k_max + 1):
@@ -181,15 +162,19 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                 rho_x, rho_y, drho_x, drho_y, impulse, offset, delta = kernel(
                     x, k, inst, params, r_policy)
                 u = stab.NO_CORRECTION
-                if stabilize and k % 2 == 1 and not idle(x):
-                    u = stab.feedback(stab.section_coords(x, spec), lin, gain)
-                    du_I, du_r = u.tolist()
-                    if du_I or du_r:  # u.any(), on two floats
-                        impulse, offset = impulse + du_I, offset + du_r
-                        delta = time_of_flight(x[5], impulse, offset, k,
-                                               spec, params)
-                        check_command(k, impulse, offset, delta, params,
-                                      r_policy)
+                if stabilize and k % 2 == 1:
+                    # x is on the section, so section_coords' checks cannot
+                    # fail: kernel's rate check has just made omega <= -1e-9,
+                    # and the schedule check and the landing pin hold theta
+                    u = stab.feedback(x[:4] + x[5:], lin, gain)
+                    if u is not stab.NO_CORRECTION:
+                        du_I, du_r = u.tolist()
+                        if du_I or du_r:  # a zero K e keeps kernel's delta
+                            impulse, offset = impulse + du_I, offset + du_r
+                            delta = time_of_flight(x[5], impulse, offset, k,
+                                                   spec, params)
+                            check_command(k, impulse, offset, delta, params,
+                                          r_policy)
                 res += rho_x, rho_y, drho_x, drho_y
                 records.append(ImpulseRecord(k, x[4], x[5], None, None, delta,
                                              impulse, offset, u))

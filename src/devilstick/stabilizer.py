@@ -264,7 +264,10 @@ def riccati_solution(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
 
 def feedback(z: np.ndarray, lin: LinearizedMap, gain: FeedbackGain) -> np.ndarray:
     """Correction u = K (z - z_star), or NO_CORRECTION inside the deadband."""
-    e = np.asarray(z, dtype=float) - lin.z_star
-    if math.sqrt(e.dot(e)) <= gain.deadband:  # np.linalg.norm's 1-D formula
+    zx, zy, zvx, zvy, zw = lin.z_star.tolist()
+    hx, hy, vx, vy, w = z
+    # hypot neither overflows nor underflows: any deadband meets the true |e|
+    norm = math.hypot(hx - zx, hy - zy, vx - zvx, vy - zvy, w - zw)
+    if norm <= gain.deadband:
         return NO_CORRECTION
-    return gain.K @ e
+    return gain.K @ (np.asarray(z, dtype=float) - lin.z_star)

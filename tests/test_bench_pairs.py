@@ -1,0 +1,104 @@
+"""The alternating-pair bench script, with the benchmark runs stubbed."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = ("setup_s", "peak_rss_mb", "work_per_s", "round_p50_ms")
+
+
+def _result(work_per_s, failed=0, **others):
+    values = {"setup_s": 0.3, "peak_rss_mb": 34.0, "round_p50_ms": 16.0,
+              "work_per_s": work_per_s, **others}
+    return {"correct": failed == 0, "attempted": 100, "failed": failed,
+            "metrics": {name: {"value": values[name], "unit": "u"}
+                        for name in METRICS}}
+
+
+def _stub(monkeypatch, work):
+    """Stub the runner: root name -> successive work_per_s values; returns
+    the list of (root name, workload) calls in order."""
+    calls, left = [], {side: list(values) for side, values in work.items()}
+
+    def run_once(root, workload, seconds):
+        calls.append((root.name, workload))
+        return _result(left[root.name].pop(0),
+                       failed=int(root.name == "change" and workload == "b"))
+    monkeypatch.setattr(bench_pairs, "_run_once", run_once)
+    return calls
+
+
+def test_pairs_alternate_which_root_goes_first(monkeypatch):
+    calls = _stub(monkeypatch, {"parent": [1, 2, 3], "change": [4, 5, 6]})
+    parent, change = bench_pairs.run_pairs(
+        (Path("parent"), Path("change")), "a", 3, 1.0)
+    assert [c[0] for c in calls] == ["parent", "change", "change", "parent",
+                                     "parent", "change"]
+    assert [r["metrics"]["work_per_s"]["value"] for r in parent] == [1, 2, 3]
+    assert [r["metrics"]["work_per_s"]["value"] for r in change] == [4, 5, 6]
+
+
+def test_report_medians_iqr_wins_and_failed():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parent = [_result(v, setup_s=0.3) for v in (100, 110, 120, 130, 140)]
+    # ties count for neither side; lower setup_s wins
+    change = [_result(v, failed=f, setup_s=s) for v, f, s in
+              ((100, 0, 0.2), (115, 1, 0.3), (125, 0, 0.3), (90, 2, 0.4),
+               (150, 0, 0.3))]
+    lines = bench_pairs.report("long_horizon", bench["end_to_end"],
+                               parent, change)
+    assert lines[0] == "long_horizon: 5 pairs"
+    work = next(line for line in lines if "work_per_s" in line)
+    assert work == ("  work_per_s: parent 120 (IQR 20), change 115 1/s, "
+                    "-4.17% (bound 25%), change wins 3/5")
+    setup = next(line for line in lines if "setup_s" in line)
+    assert setup.endswith("+0.00% (bound 25%), change wins 1/5")
+    assert lines[-1] == "  failed: parent 0, change 3"
+
+
+def test_main_prints_every_workload_and_records_both_roots(
+        tmp_path, monkeypatch, capsys):
+    for name in ("parent", "change"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "a"}, {"name": "b"}],
+        "end_to_end": [{"name": "work_per_s", "unit": "1/s",
+                        "better": "higher", "bound": 0.25}]}))
+    calls = _stub(monkeypatch, {"parent": [10, 11, 20, 21],
+                                "change": [12, 13, 22, 23]})
+    monkeypatch.setattr(bench_pairs, "_short_sha",
+                        lambda root: f"sha{root.name}")
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main([str(tmp_path / "parent"),
+                             str(tmp_path / "change"), "--pairs", "2",
+                             "--seconds", "1", "--record"]) == 0
+    assert [c[1] for c in calls] == ["a"] * 4 + ["b"] * 4
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "a: 2 pairs" and out[3] == "b: 2 pairs"
+    assert out[-3] == "  failed: parent 0, change 2"
+    assert out[-2:] == ["wrote BENCH_shaparent.json",
+                        "wrote BENCH_shachange.json"]
+    saved = json.loads((tmp_path / "BENCH_shachange.json").read_text())
+    assert saved["commit"] == "shachange"
+    assert set(saved) == {"command", "commit", "host", "note", "python",
+                          "workloads"}
+    assert saved["workloads"]["a"] == _result(12)
+    assert saved["workloads"]["b"] == _result(22, failed=1)
+
+
+@pytest.mark.parametrize("argv", [["p", "c", "--workload", "nope"],
+                                  ["p", "c", "--pairs", "1"]])
+def test_usage_errors(argv, monkeypatch, capsys):
+    monkeypatch.setattr(Path, "read_text", lambda self: json.dumps({
+        "workloads": [{"name": "a"}], "end_to_end": []}))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2

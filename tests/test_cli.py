@@ -695,6 +695,38 @@ def test_plot_empty_csv_fails(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("option, text, message", [
+    ("--impulses", "a,b\n1,2\n", "missing columns k, rho_x"),
+    ("--trajectory", "t,hx,hy,theta\n1,2\n", ":2: 2 values for 4 columns"),
+    ("--trajectory", "t,hx,hy,theta\n1,2,3,4\n\n5,6,7\n",
+     ":4: 3 values for 4 columns"),
+])
+def test_plot_malformed_csv_exits_2_naming_the_file(tmp_path, capsys, option,
+                                                     text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert main(["plot", option, str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}") and message in err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--scenario", str(SIM_VHC)],
+    ["linearize", "--scenario", str(SIM_ORBIT)],
+    ["plot", "--impulses", str(ROOT / "out" / "sim_vhc" / "impulses.csv")],
+])
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys, command):
+    # simulate makes <out>/<scenario> (NotADirectoryError), linearize and
+    # plot make <out> itself (FileExistsError)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([*command, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and str(taken) in err
+    assert taken.read_text() == ""
+
+
 def test_plot_requires_input(tmp_path):
     assert main(["plot", "--out", str(tmp_path)]) == 2
 

@@ -450,123 +450,74 @@ def test_extreme_design_settings_end_with_a_log(ic_state, spec, params,
 
 
 
-# The episode loop decides the deadband on floats and runs stab.feedback
-# only when that test fails; the test must never pass where feedback would
-# correct or raise.
-@pytest.fixture(scope="module")
-def design_sym(orbit_sym):
-    from devilstick import stabilizer as stab
-    lin = stab.linearize(orbit_sym)
-    return lin, stab.dlqr(lin.A, lin.B, np.eye(5), 2 * np.eye(2)).K
-
-
 # deadbands whose square is zero, subnormal (sqrt(d * d) > d for 8.49e-161),
 # tiny, huge, infinite, NaN or negative, among ordinary ones
 DEADBAND_EDGES = [0.0, 5e-324, 1e-200, 8.489593995678603e-161, 1e-150,
                   1e150, 1e200, math.inf, math.nan, -1e-3]
 
 
-def _loop_and_feedback_u(spec, design_sym, at_origin, deadband, direction,
-                         scale, theta_offset=0.0, special=None):
-    """u as the episode loop computes it and as feedback computes it, for
-    the state z_star + e at the odd orientation plus theta_offset, with
-    |e| = scale * deadband along direction; at_origin moves z_star to 0, so
-    that tiny e survive the addition. special = (i, value) replaces entry i
-    of the state. A NotOnSection is returned as its message."""
-    from devilstick import NotOnSection
-    from devilstick import stabilizer as stab
-    from devilstick.harness import _idle_test
-    lin, K = design_sym
-    if at_origin:
-        lin = dataclasses.replace(lin, z_star=np.zeros(5))
-    gain = stab.FeedbackGain(K=K, deadband=deadband)
-    norm = math.sqrt(sum(v * v for v in direction))
-    radius = scale * (deadband if 0 < deadband < math.inf else 1e-3)
-    z = [zs + (radius * v / norm if norm else 0.0)
-         for zs, v in zip(lin.z_star.tolist(), direction)]
-    x = [*z[:4], spec.theta_odd + theta_offset, z[4]]
-    if special is not None:
-        x[special[0]] = special[1]
-    x = tuple(x)
-
-    def feedback():
-        try:
-            return stab.feedback(stab.section_coords(x, spec), lin, gain)
-        except NotOnSection as exc:
-            return f"NotOnSection: {exc}"
-
-    idle = _idle_test(spec, lin, gain)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in the loop
-        return stab.NO_CORRECTION if idle(x) else feedback(), feedback()
-
-
-def _assert_same_u(loop, expected):
-    from devilstick.stabilizer import NO_CORRECTION
-    if isinstance(expected, str):
-        assert loop == expected
-    elif expected is NO_CORRECTION:
-        assert loop is NO_CORRECTION
-    else:
-        assert loop is not NO_CORRECTION
-        assert loop.tobytes() == expected.tobytes()
-
-
-@settings(max_examples=400, deadline=None)
-@given(at_origin=st.booleans(),
-       deadband=st.one_of(st.sampled_from(DEADBAND_EDGES),
-                          st.floats(min_value=1e-12, max_value=1e3),
-                          st.floats(min_value=1e-300, max_value=1e300)),
-       direction=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
-       scale=st.floats(min_value=1 - 1e-9, max_value=1 + 1e-9),
-       theta_offset=st.sampled_from([0.0, 1e-9, -1e-9, 1.0000000000000002e-9,
-                                     -1.0000000000000002e-9, math.nan]),
-       special=st.one_of(st.none(), st.tuples(
-           st.integers(0, 5), st.sampled_from([
-               math.inf, -math.inf, math.nan, 0.0, -0.0, 5.7, 1e308]))))
-def test_float_deadband_test_never_flips_feedback(
-        spec, design_sym, at_origin, deadband, direction, scale,
-        theta_offset, special):
-    _assert_same_u(*_loop_and_feedback_u(
-        spec, design_sym, at_origin, deadband, direction, scale,
-        theta_offset, special))
-
-
 @pytest.mark.parametrize("deadband", DEADBAND_EDGES)
 @pytest.mark.parametrize("scale", [0.0, 1.0])
 @pytest.mark.parametrize("at_origin", [False, True])
-def test_float_deadband_test_at_the_edges(spec, design_sym, at_origin,
+def test_float_deadband_test_at_the_edges(orbit_sym, spec, at_origin,
                                           deadband, scale):
-    # z_star itself and the edge |e| = d along the rate axis. A NaN or
-    # negative deadband corrects even at e = 0; a subnormal d * d rounds up
-    # so far that feedback corrects at |e| = d (sqrt(d * d) > d)
-    _assert_same_u(*_loop_and_feedback_u(
-        spec, design_sym, at_origin, deadband, [0.0, 0.0, 0.0, 0.0, -1.0],
-        scale))
+    # feedback on the section point the loop passes, x[:4] + x[5:], at
+    # z_star + e with |e| = scale * d along the rate axis (1e-3 for a d
+    # that is not finite and positive); at_origin moves z_star to 0, so
+    # that tiny e survive the addition. The edge is math.hypot(*e) <= d, on
+    # floats and without a warning: one nonzero entry gives hypot = |e|
+    # exactly, so at the origin every d idles at |e| <= d, and a NaN or
+    # negative d corrects even at e = 0
+    from devilstick import stabilizer as stab
+    lin = stab.linearize(orbit_sym)
+    if at_origin:
+        lin = dataclasses.replace(lin, z_star=np.zeros(5))
+    gain = stab.dlqr(lin.A, lin.B, np.eye(5), 2 * np.eye(2),
+                     deadband=deadband)
+    radius = scale * (deadband if 0 < deadband < math.inf else 1e-3)
+    z = lin.z_star.tolist()
+    z[4] -= radius
+    x = (*z[:4], spec.theta_odd, z[4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = stab.feedback(x[:4] + x[5:], lin, gain)
+        e = np.array(z) - lin.z_star
+        idle = math.hypot(*e.tolist()) <= deadband
+    if at_origin:
+        assert idle == (radius <= deadband)
+    if idle:
+        assert u is stab.NO_CORRECTION
+    else:
+        assert u is not stab.NO_CORRECTION
+        assert u.tobytes() == (gain.K @ e).tobytes()
 
 
-def test_float_deadband_test_takes_the_fast_path(spec, design_sym):
-    from devilstick.stabilizer import NO_CORRECTION
-    # at the origin the rate must stay negative: no e = 0 there
-    for at_origin, scale in [(False, 0.0), (False, 0.5), (False, 1 - 1e-9),
-                             (True, 0.5), (True, 1 - 1e-9)]:
-        loop, expected = _loop_and_feedback_u(
-            spec, design_sym, at_origin, 1e-3, [0.3, -0.2, 0.5, 0.1, -0.7],
-            scale)
-        assert loop is expected is NO_CORRECTION
-
-
-def test_idle_stabilizer_calls_no_feedback(orbit_sym, spec, params,
-                                           monkeypatch):
-    # on the orbit every odd impulse is inside the deadband: the loop
-    # decides that on floats and never calls the numpy feedback
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_stabilized_episode_calls_feedback_once_per_odd_impulse(
+        ic_state, orbit_sym, spec, params, perturbed, monkeypatch):
+    # the loop's one deadband decision is feedback, at every odd impulse of
+    # a stabilized episode, inside the deadband too, and at no other
+    # impulse; each record keeps the u that call returned
     from devilstick import stabilizer as stab
     calls, feedback = [], stab.feedback
     monkeypatch.setattr(stab, "feedback",
-                        lambda *a: calls.append(a) or feedback(*a))
-    s0 = on_constraint_state(orbit_sym.omega_star, 1, spec, params)
-    cfg = EpisodeConfig(k_max=12, stabilize=True, r_diag=(2.0, 2.0))
-    log = run_episode(s0, orbit_sym, params, cfg)
-    assert log.completed and calls == []
+                        lambda *a: calls.append((a[0], feedback(*a)))
+                        or calls[-1][1])
+    s0 = ic_state if perturbed else on_constraint_state(
+        orbit_sym.omega_star, 1, spec, params)
+    for stabilize in (False, True):
+        cfg = EpisodeConfig(k_max=20, stabilize=stabilize, r_diag=(2.0, 2.0),
+                            fd_scheme="forward")
+        log = run_episode(s0, orbit_sym, params, cfg)
+        assert log.completed
+        if not stabilize:
+            assert calls == []
+    odd = [rec for rec in log.records if rec.k % 2 == 1]
+    assert len(calls) == len(odd) == 10
+    for rec, (z, u) in zip(odd, calls):
+        assert z[4] == rec.omega and rec.u is u
+    idle = [u is stab.NO_CORRECTION for _, u in calls]
+    assert idle[0] is not perturbed and idle[-1]
 
 
 @pytest.mark.parametrize("hx, vy, omega, stabilize, termination", [

@@ -282,25 +282,41 @@ def test_riccati_stops_on_nan_cost():
     assert time.perf_counter() - start < 0.1
 
 
-magnitude = st.floats(min_value=1e-300, max_value=1e150)
+magnitude = st.floats(min_value=0.0, max_value=1e300)
 
 
 @given(z=st.lists(st.tuples(magnitude, st.booleans()), min_size=5,
                   max_size=5))
-def test_deadband_norm_is_numpy_norm_bitwise(z):
-    # feedback tests ||e|| <= deadband with sqrt(e.dot(e)), numpy's own 1-D
-    # norm: the deadband edge sits exactly at np.linalg.norm(e)
-    e = np.array([-v if negative else v for v, negative in z])
-    norm = np.linalg.norm(e)
-    assert math.sqrt(e.dot(e)) == norm
+def test_deadband_edge_is_math_hypot(z):
+    # feedback tests ||e|| <= deadband with math.hypot on the five float
+    # errors: the deadband edge sits exactly at math.hypot(*e), subnormal
+    # and huge errors included, and no numpy call runs inside the deadband
+    e = [-v if negative else v for v, negative in z]
+    norm = math.hypot(*e)
     lin = LinearizedMap(A=np.eye(5), B=np.ones((5, 2)), z_star=np.zeros(5),
                         u_star=np.zeros(2), scheme="forward", step=1.0)
     K = np.ones((2, 5))
     inside = feedback(e, lin, FeedbackGain(K=K, deadband=norm))
     assert not inside.any() and not inside.flags.writeable
     outside = feedback(e, lin, FeedbackGain(
-        K=K, deadband=np.nextafter(norm, -math.inf)))
-    assert np.array_equal(outside, K @ e)
+        K=K, deadband=math.nextafter(norm, -math.inf)))
+    assert np.array_equal(outside, K @ np.array(e))
+
+
+@pytest.mark.parametrize("deadband, e, idle", [
+    (5e-324, 1e-170, False),   # e.dot(e) underflows to 0
+    (1e200, 1e160, True),      # e.dot(e) overflows to inf
+])
+def test_feedback_deadband_at_the_float_extremes(deadband, e, idle):
+    lin = LinearizedMap(A=np.eye(5), B=np.ones((5, 2)), z_star=np.zeros(5),
+                        u_star=np.zeros(2), scheme="forward", step=1.0)
+    K = np.ones((2, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = feedback([0.0, 0.0, 0.0, e, 0.0], lin,
+                     FeedbackGain(K=K, deadband=deadband))
+    assert (u is stabilizer.NO_CORRECTION) == idle
+    assert u.tolist() == ([0.0, 0.0] if idle else [e, e])
 
 
 def test_feedback_deadband_and_linearity(orbit_sym):
