@@ -33,8 +33,10 @@ directory on PYTHONPATH, over:
   step too coarse for the step-halving check (`FDInconsistent`),
 - stabilized sim_orbit episodes with extreme design settings: a singular
   Riccati solve, r_diag too wide for eigvalsh, subnormal and huge r_diag,
-  huge q_diag, and central steps that overflow or underflow; each with
-  the warnings it printed, or the error that escaped it,
+  huge q_diag, central steps that overflow or underflow, and (alpha,
+  omega_star) pairs whose orbit has a denominator that underflows or a
+  fixed point that is not finite; each with the warnings it printed, or
+  the error that escaped it, the orbit design included,
 - three scenarios that leave the optional keys to the loader's defaults
   (`simulate`): the required keys only, and the required keys plus
   `stabilizer = on` and `omega_star_radps = symmetric`, once with the
@@ -194,40 +196,6 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
             s0, target, episode_params, devilstick.EpisodeConfig(
                 k_max=20, stabilize=stabilize, fd_scheme="central",
                 fd_step=1e-3)))
-    # sim_orbit with extreme design settings: each episode and the warnings
-    # it printed, or the error that escaped it
-    spec = devilstick.JuggleSpec(theta_odd=odd, theta_even=even,
-                                 alpha=0.6131, beta=3.0, lambda_x=0.5,
-                                 lambda_y=0.5)
-    forward = {"fd_scheme": "forward", "fd_step": 0.002}
-    extreme = [
-        ("singular R + B'PB", -3.0, {
-            "q_diag": (0.0, 1e-30, 1e-12, 0.1, 1e300),
-            "r_diag": (1e-30, 1.0), "fd_scheme": "forward", "fd_step": 0.1,
-            "deadband": 1000.0}),
-        ("wide r_diag", None, {**forward, "r_diag": (1e300, 1e-170)}),
-        ("subnormal r_diag", None, {**forward, "r_diag": (5e-324, 1e30)}),
-        ("huge r_diag", None, {**forward, "r_diag": (1e308, 1e308)}),
-        ("huge q_diag", None, {**forward, "q_diag": (1.7e308,) * 5}),
-        ("overflowing central step", None,
-         {"fd_scheme": "central", "fd_step": 1.7e308}),
-        ("underflowing central step", None,
-         {"fd_scheme": "central", "fd_step": 5e-324}),
-    ]
-    for name, omega_star, settings in extreme:
-        omega_star = omega_star or devilstick.symmetric_omega_star(spec,
-                                                                   params)
-        lines.append(f"episode {name} {settings!r}")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                lines += _episode_lines(devilstick.run_episode(
-                    s0, devilstick.design_orbit(spec, omega_star, params),
-                    params, devilstick.EpisodeConfig(
-                        k_max=20, stabilize=True, **settings)))
-            except Exception as exc:  # compared by name and message
-                lines.append(f"{type(exc).__name__}: {exc}")
-        lines += [f"{w.category.__name__}: {w.message}" for w in caught]
     # the first landing's entries are finite, their sum is not; the episode
     # goes on to k = 2
     spec = devilstick.JuggleSpec(theta_odd=odd, theta_even=even,
@@ -277,6 +245,59 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
                      f"{omega!r} k={k}: {result}")
         lines += handler.messages
         handler.messages.clear()
+    return lines
+
+
+def _extreme_design_lines(devilstick) -> list[str]:
+    """Stabilized sim_orbit episodes with extreme design settings: each
+    episode and the warnings it printed, or the error that escaped it, the
+    orbit design included."""
+    import numpy as np
+
+    params = devilstick.StickParams(m=0.1, ell=0.5)
+    odd, even = 0.5235987755982988, 2.6179938779914944
+    s0 = devilstick.FullState(h=np.array([0.7, 2.5]),
+                              v=np.array([0.9, -2.0]), theta=odd, omega=-5.7)
+    # (name, alpha, omega_star, settings), omega_star None for the
+    # rate-symmetric one
+    forward = {"fd_scheme": "forward", "fd_step": 0.002}
+    extreme = [
+        ("singular R + B'PB", 0.6131, -3.0, {
+            "q_diag": (0.0, 1e-30, 1e-12, 0.1, 1e300),
+            "r_diag": (1e-30, 1.0), "fd_scheme": "forward", "fd_step": 0.1,
+            "deadband": 1000.0}),
+        ("wide r_diag", 0.6131, None, {**forward, "r_diag": (1e300, 1e-170)}),
+        ("subnormal r_diag", 0.6131, None,
+         {**forward, "r_diag": (5e-324, 1e30)}),
+        ("huge r_diag", 0.6131, None, {**forward, "r_diag": (1e308, 1e308)}),
+        ("huge q_diag", 0.6131, None, {**forward, "q_diag": (1.7e308,) * 5}),
+        ("overflowing central step", 0.6131, None,
+         {"fd_scheme": "central", "fd_step": 1.7e308}),
+        ("underflowing central step", 0.6131, None,
+         {"fd_scheme": "central", "fd_step": 5e-324}),
+        # 4 * omega_star * alpha underflows in design_orbit
+        ("alpha 1e-300, omega_star -1e-100", 1e-300, -1e-100, {}),
+        # psi at the odd orientation overflows: z* is not finite
+        ("alpha 1e10, omega_star -1e300", 1e10, -1e300, {}),
+    ]
+    lines = []
+    for name, alpha, omega_star, settings in extreme:
+        spec = devilstick.JuggleSpec(theta_odd=odd, theta_even=even,
+                                     alpha=alpha, beta=3.0, lambda_x=0.5,
+                                     lambda_y=0.5)
+        omega_star = omega_star or devilstick.symmetric_omega_star(spec,
+                                                                   params)
+        lines.append(f"episode {name} {settings!r}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                lines += _episode_lines(devilstick.run_episode(
+                    s0, devilstick.design_orbit(spec, omega_star, params),
+                    params, devilstick.EpisodeConfig(
+                        k_max=20, stabilize=True, **settings)))
+            except Exception as exc:  # compared by name and message
+                lines.append(f"{type(exc).__name__}: {exc}")
+        lines += [f"{w.category.__name__}: {w.message}" for w in caught]
     return lines
 
 
@@ -481,6 +502,8 @@ def dump(out: Path) -> None:
     handler.messages.clear()
     lines = _termination_lines(devilstick, handler)
     (out / "terminations.txt").write_text("\n".join(lines) + "\n")
+    lines = _extreme_design_lines(devilstick)
+    (out / "extreme_design.txt").write_text("\n".join(lines) + "\n")
     lines = _off_schedule_lines(devilstick, handler)
     (out / "off_schedule.txt").write_text("\n".join(lines) + "\n")
 

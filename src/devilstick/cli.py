@@ -316,7 +316,14 @@ def _read_csv(path: Path, names: list[str]) -> dict[str, list[float]]:
             if len(row) != len(header):
                 raise ScenarioError(f"{path}:{reader.line_num}: {len(row)} "
                                     f"values for {len(header)} columns")
-            rows.append([float(v) for v in row])
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                values = [np.nan]  # reported below, like a nan value
+            if not np.isfinite(values).all():
+                raise ScenarioError(f"{path}:{reader.line_num}: values must "
+                                    f"be finite numbers, got {','.join(row)}")
+            rows.append(values)
     if not rows:
         raise ScenarioError(f"{path}: no data rows")
     return {name: [row[header.index(name)] for row in rows] for name in names}

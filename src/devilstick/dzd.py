@@ -84,14 +84,17 @@ def design_orbit(spec: JuggleSpec, omega_star: float,
     if not omega_star < 0:  # NaN included
         raise WrongSign(f"odd-instant rate must be < 0, got {omega_star}")
     g, dth, alpha = params.g, spec.delta_theta, spec.alpha
-    omega_even = -g * dth**2 / (4.0 * omega_star * alpha)
-    delta_odd = -4.0 * omega_star * alpha / (g * dth)
-    delta_even = -dth / omega_star
-    I_mag = abs(
-        (2.0 * params.m * alpha / (dth * math.cos(spec.theta_odd)))
-        * (omega_star + g * dth**2 / (4.0 * omega_star * alpha)))
-    r_star = (params.inertia * dth * math.cos(spec.theta_odd)
-              / (2.0 * params.m * spec.alpha))
+    try:  # a product such as 4*omega_star*alpha may underflow to 0
+        omega_even = -g * dth**2 / (4.0 * omega_star * alpha)
+        delta_odd = -4.0 * omega_star * alpha / (g * dth)
+        delta_even = -dth / omega_star
+        I_mag = abs(
+            (2.0 * params.m * alpha / (dth * math.cos(spec.theta_odd)))
+            * (omega_star + g * dth**2 / (4.0 * omega_star * alpha)))
+        r_star = (params.inertia * dth * math.cos(spec.theta_odd)
+                  / (2.0 * params.m * spec.alpha))
+    except ZeroDivisionError as exc:
+        raise Degenerate("an orbit denominator underflows to 0") from exc
     return OrbitSpec(spec=spec, params=params, omega_star=omega_star,
                      omega_even=omega_even, delta_odd=delta_odd,
                      delta_even=delta_even, I_mag=I_mag, r_star=r_star)

@@ -163,9 +163,9 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                     x, k, inst, params, r_policy)
                 u = stab.NO_CORRECTION
                 if stabilize and k % 2 == 1:
-                    # x is on the section, so section_coords' checks cannot
-                    # fail: kernel's rate check has just made omega <= -1e-9,
-                    # and the schedule check and the landing pin hold theta
+                    # x is on the section: kernel's rate check has just made
+                    # omega <= -1e-9, and the schedule check and the landing
+                    # pin hold theta
                     u = stab.feedback(x[:4] + x[5:], lin, gain)
                     if u is not stab.NO_CORRECTION:
                         du_I, du_r = u.tolist()

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg._umath_linalg import solve as lapack_solve
 
-from .dvhc import kernel, on_constraint_state
+from .dvhc import kernel, phi, psi
 from .dvhc import dvhc_control  # noqa: F401 (perfbench traces it)
 from .dynamics import jump, land, time_of_flight
 from .dzd import OrbitSpec
-from .errors import (FDInconsistent, NotOnSection, NotStabilizing,
+from .errors import (FDInconsistent, NonFinite, NotOnSection, NotStabilizing,
                      RiccatiDiverged)
-from .model import SCHEDULE_TOL, JuggleSpec, State
+from .model import JuggleSpec, State
 
 RICCATI_TOL = 1e-12
 RICCATI_MAX_ITER = 100_000
@@ -53,20 +53,9 @@ class FeedbackGain:
     deadband: float
 
 
-def section_coords(x: State, spec: JuggleSpec) -> np.ndarray:
-    """Section coordinates [hx, hy, vx, vy, omega] of a pre-impulse kernel
-    state (hx, hy, vx, vy, theta, omega).
-    """
-    hx, hy, vx, vy, theta, omega = x
-    if abs(theta - spec.theta_odd) > SCHEDULE_TOL:
-        raise NotOnSection(f"theta={theta} is not the odd orientation")
-    if omega >= 0:
-        raise NotOnSection(f"omega={omega} must be negative on the section")
-    return np.array([hx, hy, vx, vy, omega])
-
-
 def _on_section(z: np.ndarray, spec: JuggleSpec) -> State:
-    """Inverse of section_coords; exact round trip."""
+    """Kernel state (hx, hy, vx, vy, theta_odd, omega) of the section
+    coordinates z = [hx, hy, vx, vy, omega]."""
     hx, hy, vx, vy, omega = map(float, z)
     return hx, hy, vx, vy, spec.theta_odd, omega
 
@@ -74,8 +63,8 @@ def _on_section(z: np.ndarray, spec: JuggleSpec) -> State:
 def poincare_map(z: np.ndarray, impulse: float, offset: float,
                  orbit: OrbitSpec) -> np.ndarray:
     """One section return: the given inputs at the odd instant, the nominal
-    constraint-enforcing inputs at the even one. Infeasible inputs raise.
-    """
+    constraint-enforcing inputs at the even one. Infeasible inputs raise, and
+    so does a return that leaves the section (omega >= 0)."""
     spec, params = orbit.spec, orbit.params
     odd, even = orbit.instants
     x = _on_section(z, spec)
@@ -87,52 +76,52 @@ def poincare_map(z: np.ndarray, impulse: float, offset: float,
     *_, impulse, offset, delta = kernel(x, 2, even, params)
     x = land(jump(x, impulse, offset, even.normal, params), delta,
              spec.theta_odd, params)
-    return section_coords(x, spec)
+    hx, hy, vx, vy, _, omega = x
+    if omega >= 0:
+        raise NotOnSection(f"omega={omega} must be negative on the section")
+    return np.array([hx, hy, vx, vy, omega])
 
 
 def fixed_point(orbit: OrbitSpec) -> tuple[np.ndarray, float, float]:
-    """Section state and inputs that the return map leaves unchanged."""
-    s = on_constraint_state(orbit.omega_star, 1, orbit.spec, orbit.params)
-    return section_coords(s.floats(), orbit.spec), orbit.I_mag, orbit.r_star
+    """Section state and inputs that the return map leaves unchanged: both
+    residuals zero at the odd instant, at the orbit's rate."""
+    spec, theta, omega = orbit.spec, orbit.spec.theta_odd, orbit.omega_star
+    z_star = [*phi(theta, spec).tolist(),
+              *psi(theta, omega, 1, spec, orbit.params).tolist(), omega]
+    if not all(map(math.isfinite, z_star)):
+        raise NonFinite(f"fixed point {z_star} is not finite")
+    return np.array(z_star), orbit.I_mag, orbit.r_star
 
 
-def _closed_loop_return(z: np.ndarray, u: np.ndarray,
-                        orbit: OrbitSpec) -> np.ndarray:
-    """Return map with the nominal controller in the loop and the correction
-    u added to the odd-instant inputs; this is the map the linearization and
-    the closed-loop episodes both use.
-    """
+def _closed_loop_return(w: list[float], orbit: OrbitSpec) -> list[float]:
+    """Return map from section state w[:5] with the nominal controller in
+    the loop and the correction (w[5], w[6]) added to its odd-instant inputs:
+    the one function of w = (z, u) that the linearization differentiates."""
+    z = w[:5]
     *_, impulse, offset, _ = kernel(_on_section(z, orbit.spec), 1,
                                     orbit.instants[0], orbit.params)
-    du_I, du_r = u.tolist()
-    return poincare_map(z, impulse + du_I, offset + du_r, orbit)
+    return poincare_map(z, impulse + w[5], offset + w[6], orbit).tolist()
 
 
 def _fd_jacobian(orbit: OrbitSpec, z_star: np.ndarray, steps: np.ndarray,
                  scheme: str) -> np.ndarray:
     """[A | B]: one difference quotient of the closed-loop return map per
-    input w = (z, u), about (z*, 0). The z-columns move plain floats; the
-    u-columns and the forward base reuse the nominal command at z*.
-    """
+    input w = (z, u), about (z*, 0), on plain floats."""
     w_star = [*z_star.tolist(), 0.0, 0.0]
-    *_, impulse, offset, _ = kernel(_on_section(z_star, orbit.spec), 1,
-                                    orbit.instants[0], orbit.params)
 
-    def moved(i: int, step: float) -> np.ndarray:
+    def moved(i: int, step: float) -> list[float]:
         w = w_star.copy()
         w[i] += step
-        if i < 5:
-            return _closed_loop_return(w[:5], NO_CORRECTION, orbit)
-        return poincare_map(w[:5], impulse + w[5], offset + w[6], orbit)
+        return _closed_loop_return(w, orbit)
 
     if scheme == "forward":
-        base = poincare_map(z_star, impulse, offset, orbit).tolist()
+        base = _closed_loop_return(w_star, orbit)
     # Python float steps keep numpy scalars, and numpy's **, out of the plant;
     # numpy divides, so a step halved to 0 gives NaN, not ZeroDivisionError
     diffs = []
     for i, step in enumerate(steps.tolist()):
-        plus = moved(i, step).tolist()
-        minus = moved(i, -step).tolist() if scheme == "central" else base
+        plus = moved(i, step)
+        minus = moved(i, -step) if scheme == "central" else base
         diffs.append([a - b for a, b in zip(plus, minus)])
     return np.array(diffs).T / (2 * steps if scheme == "central" else steps)
 

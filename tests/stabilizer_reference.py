@@ -3,10 +3,14 @@
 The functions below are `_fd_jacobian`, `controllability`, `dlqr` and
 `riccati_solution` from `devilstick.stabilizer` as they stood before the
 Riccati step called the LAPACK solve gufunc directly and the difference
-quotients were taken on floats, copied verbatim. The return map they
-evaluate is the package's own: `_fd_jacobian` calls the package's
-`poincare_map` and `_closed_loop_return`. The iteration limits are this
-module's own, so a test can shorten both copies' iterations alike.
+quotients were taken on floats, copied verbatim. `_closed_loop_return` and
+`_fd_jacobian` are the fork that stood before every difference quotient
+went through one closed-loop return of w = (z, u): the z-columns call
+`_closed_loop_return(z, u)` with a zero u, while the u-columns and the
+forward base call `poincare_map` with the nominal command cached at z*.
+The return map they evaluate is the package's own `poincare_map`. The
+iteration limits are this module's own, so a test can shorten both copies'
+iterations alike.
 tests/test_stabilizer.py checks that the package returns the same bits, or
 raises the same error with the same message.
 """
@@ -19,11 +23,22 @@ from devilstick.dvhc import kernel
 from devilstick.dzd import OrbitSpec
 from devilstick.errors import NotStabilizing, RiccatiDiverged
 from devilstick.stabilizer import (NO_CORRECTION, SPECTRAL_MARGIN,
-                                   FeedbackGain, _closed_loop_return,
-                                   _on_section, poincare_map)
+                                   FeedbackGain, _on_section, poincare_map)
 
 RICCATI_TOL = 1e-12
 RICCATI_MAX_ITER = 100_000
+
+
+def _closed_loop_return(z: np.ndarray, u: np.ndarray,
+                        orbit: OrbitSpec) -> np.ndarray:
+    """Return map with the nominal controller in the loop and the correction
+    u added to the odd-instant inputs; this is the map the linearization and
+    the closed-loop episodes both use.
+    """
+    *_, impulse, offset, _ = kernel(_on_section(z, orbit.spec), 1,
+                                    orbit.instants[0], orbit.params)
+    du_I, du_r = u.tolist()
+    return poincare_map(z, impulse + du_I, offset + du_r, orbit)
 
 
 def _fd_jacobian(orbit: OrbitSpec, z_star: np.ndarray, steps: np.ndarray,

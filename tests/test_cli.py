@@ -288,6 +288,24 @@ def test_analyze_nan_rate_has_no_orbit(capsys):
         in rows[1]
 
 
+def test_underflowing_orbit_denominator_is_degenerate(tmp_path, capsys):
+    # 4 * omega_star * alpha underflows to -0.0
+    bad = tmp_path / "tiny.cfg"
+    bad.write_text(SIM_ORBIT.read_text()
+                   .replace("alpha_m = 0.6131", "alpha_m = 1e-300")
+                   .replace("omega_star_radps = symmetric",
+                            "omega_star_radps = -1e-100"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: an orbit denominator underflows to 0\n")
+    assert not out.exists()
+    assert main(["analyze", "--scenario", str(bad),
+                 "--omega-star=-1e-100"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        "no 2-periodic orbit (an orbit denominator underflows to 0)")
+
+
 def test_overflowing_default_inertia_exits_2_naming_j(tmp_path, capsys):
     # ell**2 overflows, so the default J is inf, which validate rejects
     bad = tmp_path / "long.cfg"
@@ -435,11 +453,18 @@ DESIGN_REPROS = [
     ({"r_diag": "1e300,1e-170"}, 0, "completed"),
     ({"r_diag": "1e308,1e308"}, 3, "RiccatiDiverged: no fixed point"),
     ({"fd_scheme": "central", "fd_step": "1.7e308"}, 3, "NoPositiveRoot"),
+    # psi at the odd orientation overflows, so z* is not finite
+    ({"alpha_m": "1e10", "omega_star_radps": "-1e300"}, 3,
+     "NonFinite: fixed point"),
+    # every return of the linearization lands on omega = 0.0
+    ({"omega_star_radps": "-1e-8"}, 3,
+     "NotOnSection: omega=0.0 must be negative on the section"),
 ]
 
 
 @pytest.mark.parametrize("keys, code, termination", DESIGN_REPROS, ids=[
-    "singular-solve", "wide-r", "huge-r", "huge-central-step"])
+    "singular-solve", "wide-r", "huge-r", "huge-central-step",
+    "non-finite-fixed-point", "return-off-the-section"])
 def test_extreme_design_settings_write_a_summary(tmp_path, monkeypatch, keys,
                                                  code, termination):
     from devilstick import stabilizer
@@ -700,6 +725,10 @@ def test_plot_empty_csv_fails(tmp_path):
     ("--trajectory", "t,hx,hy,theta\n1,2\n", ":2: 2 values for 4 columns"),
     ("--trajectory", "t,hx,hy,theta\n1,2,3,4\n\n5,6,7\n",
      ":4: 3 values for 4 columns"),
+    ("--trajectory", "t,hx,hy,theta\n1,x,3,4\n",
+     ":2: values must be finite numbers, got 1,x,3,4"),
+    ("--trajectory", "t,hx,hy,theta\n1,2,3,4\n5,nan,7,8\n9,10,inf,12\n",
+     ":3: values must be finite numbers, got 5,nan,7,8"),
 ])
 def test_plot_malformed_csv_exits_2_naming_the_file(tmp_path, capsys, option,
                                                      text, message):

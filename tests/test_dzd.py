@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from devilstick import (AsymmetricSpec, JuggleSpec, StickParams, WrongSign,
-                        design_orbit, dzd_step, growth_factor,
+from devilstick import (AsymmetricSpec, Degenerate, JuggleSpec, StickParams,
+                        WrongSign, design_orbit, dzd_step, growth_factor,
                         symmetric_omega_star)
 from devilstick.dzd import DzdState
 
@@ -120,6 +120,18 @@ def test_design_orbit_rejections(asym_spec, spec, params):
         design_orbit(spec, 2.0, params)
     with pytest.raises(AsymmetricSpec):
         symmetric_omega_star(asym_spec, params)
+
+
+@pytest.mark.parametrize("alpha, m, omega_star", [
+    (1e-300, 0.1, -1e-100),   # 4*omega_star*alpha underflows to -0.0
+    (1e-300, 1e-30, -3.0),    # 2*m*alpha underflows to 0.0
+])
+def test_design_orbit_underflowing_denominator_is_degenerate(alpha, m,
+                                                             omega_star):
+    spec = JuggleSpec(theta_odd=math.pi / 6, theta_even=5 * math.pi / 6,
+                      alpha=alpha, beta=3.0)
+    with pytest.raises(Degenerate, match="underflows to 0"):
+        design_orbit(spec, omega_star, StickParams(m=m, ell=0.5))
 
 
 def test_symmetric_rate_reference_value(spec, params):

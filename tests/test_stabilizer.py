@@ -12,9 +12,10 @@ from devilstick import (EpisodeConfig, FDInconsistent, FeedbackGain,
                         Infeasible, JuggleSpec, JugglingError, LinearizedMap, NotOnSection,
                         RiccatiDiverged, StickParams, controllability,
                         dare_residual, design_orbit, dlqr, feedback,
-                        fixed_point, linearize, poincare_map,
-                        riccati_solution, stabilizer)
-from devilstick.stabilizer import _on_section, lapack_solve, section_coords
+                        fixed_point, linearize, on_constraint_state,
+                        poincare_map, riccati_solution, stabilizer)
+from devilstick.stabilizer import (_closed_loop_return, _on_section,
+                                   lapack_solve)
 
 import stabilizer_reference
 from refvals import A_REF, B_REF, FD_SECANT_STEP, K_REF, Z_STAR
@@ -24,7 +25,7 @@ def test_section_round_trip_reference(spec, params, orbit_sym):
     z_star, _, _ = fixed_point(orbit_sym)
     x = _on_section(z_star, spec)
     assert x[4] == spec.theta_odd
-    assert np.array_equal(section_coords(x, spec), z_star)
+    assert [*x[:4], x[5]] == z_star.tolist()
 
 
 @given(hx=st.floats(-2, 2), hy=st.floats(0.5, 5), vx=st.floats(-5, 5),
@@ -32,15 +33,32 @@ def test_section_round_trip_reference(spec, params, orbit_sym):
 def test_section_round_trip_random(hx, hy, vx, vy, omega):
     spec = JuggleSpec(theta_odd=math.pi / 6, theta_even=5 * math.pi / 6,
                       alpha=0.6131, beta=3.0)
-    z = np.array([hx, hy, vx, vy, omega])
-    assert np.array_equal(section_coords(_on_section(z, spec), spec), z)
+    x = _on_section(np.array([hx, hy, vx, vy, omega]), spec)
+    assert x == (hx, hy, vx, vy, spec.theta_odd, omega)
 
 
-def test_to_section_rejections(spec):
-    with pytest.raises(NotOnSection):
-        section_coords((0.0, 0.0, 0.0, 0.0, spec.theta_odd, +1.0), spec)
-    with pytest.raises(NotOnSection):
-        section_coords((0.0, 0.0, 0.0, 0.0, spec.theta_even, -1.0), spec)
+def test_to_section_rejections(spec, params):
+    # a target rate this slow lands the return on omega = 0.0 exactly
+    orbit = design_orbit(spec, -1e-8, params)
+    z_star, I_star, r_star = fixed_point(orbit)
+    with pytest.raises(NotOnSection,
+                       match=r"omega=0\.0 must be negative on the section"):
+        poincare_map(z_star, I_star, r_star, orbit)
+
+
+@settings(deadline=None)
+@given(lam=st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 0.99)),
+       omega_star=st.floats(-1e3, -1e-3))
+def test_fixed_point_is_the_on_constraint_state_bitwise(lam, omega_star):
+    # fixed_point runs phi and psi on floats, the operations that
+    # on_constraint_state runs to build its FullState
+    spec = JuggleSpec(theta_odd=math.pi / 6, theta_even=5 * math.pi / 6,
+                      alpha=0.6131, beta=3.0, lambda_x=lam[0],
+                      lambda_y=lam[1])
+    params = StickParams(m=0.1, ell=0.5)
+    s = on_constraint_state(omega_star, 1, spec, params)
+    z_star = fixed_point(design_orbit(spec, omega_star, params))[0]
+    assert z_star.tobytes() == np.array([*s.h, *s.v, omega_star]).tobytes()
 
 
 def test_fixed_point_reference_values(orbit_sym):
@@ -90,11 +108,11 @@ def test_linearize_first_order_prediction(orbit_sym, rng):
     # oracle for the Jacobian: the map itself on small perturbations
     lin = linearize(orbit_sym)
     z_star, I_star, r_star = fixed_point(orbit_sym)
-    from devilstick.stabilizer import _closed_loop_return
     for _ in range(20):
         e = rng.normal(size=5)
         e *= 1e-4 / np.linalg.norm(e)
-        out = _closed_loop_return(z_star + e, np.zeros(2), orbit_sym)
+        out = np.array(_closed_loop_return([*(z_star + e).tolist(), 0.0, 0.0],
+                                           orbit_sym))
         assert np.max(np.abs(out - z_star - lin.A @ e)) < 1e-6
 
 
@@ -338,7 +356,6 @@ def test_closed_loop_contracts_nonlinearly(orbit_sym, rng):
     # loop is far from normal, so one return is only guaranteed to contract
     # by the largest singular value; the spectral rate emerges over a few
     # returns.
-    from devilstick.stabilizer import _closed_loop_return
     lin = linearize(orbit_sym)
     gain = dlqr(lin.A, lin.B, np.eye(5), 2 * np.eye(2), deadband=0.0)
     M = lin.A + lin.B @ gain.K
@@ -353,7 +370,9 @@ def test_closed_loop_contracts_nonlinearly(orbit_sym, rng):
         z = z_star + e
         norms = [np.linalg.norm(e)]
         for _ in range(4):
-            z = _closed_loop_return(z, gain.K @ (z - z_star), orbit_sym)
+            u = gain.K @ (z - z_star)
+            z = np.array(_closed_loop_return([*z.tolist(), *u.tolist()],
+                                             orbit_sym))
             norms.append(np.linalg.norm(z - z_star))
         assert norms[1] <= (sigma + 0.05) * norms[0]
         assert norms[4] <= four_return_bound * norms[0]
