@@ -19,9 +19,11 @@ directory on PYTHONPATH, over:
 - a fixed set of starts and schedules that end in a typed termination
   (wrong rotation sign, non-finite command, no positive root, degenerate
   rate, tangent singularities, rod bound, and error pairs that test which
-  check comes first), run as episodes and as direct `control` calls; the
-  direct calls include invalid schedules that `run_episode` rejects, so
-  untyped errors such as `ZeroDivisionError` are compared too,
+  check comes first), run as episodes and as direct `kernel` and
+  `steady_inputs` calls; the direct calls include invalid schedules that
+  `run_episode` rejects, so untyped errors such as `ZeroDivisionError` are
+  compared too,
+- an episode, and direct calls, where `g * delta_theta` underflows to 0,
 - an episode whose first landed state has finite entries whose sum
   overflows, and direct `land` calls on such a state and on states with an
   inf or NaN entry,
@@ -51,13 +53,19 @@ directory on PYTHONPATH, over:
 Episode records and design matrices are written as hexadecimal floats.
 Prints `identical`, or every difference: the files only one tree has, then
 for each file that differs its count of differing lines and the first
-MAX_SHOWN of them, old and new. The exit status is 0 when identical and 1
-otherwise. `wall_time_s` in summaries is ignored.
+MAX_SHOWN of them, old and new. The lines of the two files are aligned by
+`difflib.SequenceMatcher`, so a line that only one tree writes is reported
+alone (as `file:-/n`, or `file:n/-`) and the lines after it are compared
+with their counterparts; a line that moved is shown as `file:old/new`. The
+exit status is 0 when identical and 1 otherwise. `wall_time_s` in
+summaries is ignored.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import difflib
+import itertools
 import json
 import logging
 import math
@@ -124,10 +132,10 @@ class _Messages(logging.Handler):
 
 
 def _termination_lines(devilstick, handler: _Messages) -> list[str]:
-    """Episodes and direct control calls that end in an error, each
+    """Episodes and direct controller calls that end in an error, each
     followed by the warnings it logged."""
     import numpy as np
-    from devilstick.dvhc import control
+    from devilstick.dvhc import instant, kernel, steady_inputs
     from devilstick.dynamics import land
 
     params = devilstick.StickParams(m=0.1, ell=0.5)
@@ -174,6 +182,21 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
                 devilstick.EpisodeConfig(k_max=20, r_policy=policy)))
             lines += handler.messages
             handler.messages.clear()
+    # g * delta_theta underflows to 0 on a valid schedule (sim_vhc.cfg with
+    # g_mps2 = 5e-324): the controller divides by it at the first impulse
+    tiny_g, wide = 5e-324, (1.4, 1.7415926535897931)
+    lines.append("episode g*delta_theta underflows")
+    try:
+        lines += _episode_lines(devilstick.run_episode(
+            devilstick.FullState(h=np.array([0.7, 2.5]),
+                                 v=np.array([0.9, -2.0]), theta=wide[0],
+                                 omega=-5.7),
+            devilstick.JuggleSpec(theta_odd=wide[0], theta_even=wide[1],
+                                  alpha=0.6131, beta=3.0),
+            devilstick.StickParams(m=0.1, ell=0.5, g=tiny_g),
+            devilstick.EpisodeConfig(k_max=20)))
+    except Exception as exc:  # compared by name and message
+        lines.append(f"{type(exc).__name__}: {exc}")
     # episodes that end in the design phase, before their first impulse:
     # (name, target, params, stabilize)
     spec = devilstick.JuggleSpec(theta_odd=odd, theta_even=even,
@@ -230,6 +253,8 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
         (odd, math.nan, 9.81, odd, -5.7, 1),
         (odd, math.pi / 2 + 5e-10, 9.81, odd, -5.7, 1),
         (odd, math.pi / 2 + 5e-10, 9.81, odd, 5.7, 1),
+        (*wide, tiny_g, wide[0], -5.7, 1),       # g * delta_theta = 0
+        (*wide, tiny_g, wide[1], 5.7, 2),
     ]
     for theta_odd, theta_even, g, theta, omega, k in calls:
         spec = devilstick.JuggleSpec(theta_odd=theta_odd,
@@ -237,14 +262,20 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
                                      beta=3.0)
         call_params = devilstick.StickParams(m=0.1, ell=0.5, g=g)
         x = (0.7, 2.5, 0.9, -2.0, theta, omega)
-        try:
-            result = _floats(control(x, k, spec, call_params, "warn"))
-        except Exception as exc:  # compared by name and message
-            result = f"{type(exc).__name__}: {exc}"
-        lines.append(f"control {_floats([theta_odd, theta_even, g, theta])} "
-                     f"{omega!r} k={k}: {result}")
-        lines += handler.messages
-        handler.messages.clear()
+        for name, call in [
+                ("kernel", lambda: kernel(
+                    x, k, instant(theta, k, spec, call_params), call_params,
+                    "warn")),
+                ("steady_inputs", lambda: dataclasses.astuple(steady_inputs(
+                    omega, k, spec, call_params, "warn")))]:
+            try:
+                result = _floats(call())
+            except Exception as exc:  # compared by name and message
+                result = f"{type(exc).__name__}: {exc}"
+            lines.append(f"{name} {_floats([theta_odd, theta_even, g, theta])}"
+                         f" {omega!r} k={k}: {result}")
+            lines += handler.messages
+            handler.messages.clear()
     return lines
 
 
@@ -545,16 +576,25 @@ def differences(old: Path, new: Path) -> list[str]:
               for rel in sorted(old_files ^ new_files)]
     for rel in sorted(old_files & new_files):
         a, b = _lines(old / rel), _lines(new / rel)
-        differing = [n for n, (la, lb) in enumerate(zip(a, b), start=1)
-                     if la != lb]
-        if not differing and len(a) == len(b):
+        if a == b:
             continue
+        # (old line number, new line number) of each differing line, None
+        # where only one tree wrote it
+        differing = []
+        opcodes = difflib.SequenceMatcher(None, a, b,
+                                          autojunk=False).get_opcodes()
+        for tag, i1, i2, j1, j2 in opcodes:
+            if tag != "equal":
+                differing += itertools.zip_longest(range(i1 + 1, i2 + 1),
+                                                   range(j1 + 1, j2 + 1))
         report.append(f"{rel}: {len(differing)} differing lines"
                       + (f", {len(a)} lines vs {len(b)}"
                          if len(a) != len(b) else ""))
-        for n in differing[:MAX_SHOWN]:
-            report += [f"{rel}:{n}", f"  old: {a[n - 1]}",
-                       f"  new: {b[n - 1]}"]
+        for i, j in differing[:MAX_SHOWN]:
+            report.append(f"{rel}:{i}" if i == j
+                          else f"{rel}:{i or '-'}/{j or '-'}")
+            report += [f"  old: {a[i - 1]}"] if i else []
+            report += [f"  new: {b[j - 1]}"] if j else []
         if len(differing) > MAX_SHOWN:
             report.append(f"  ... {len(differing) - MAX_SHOWN} more")
     return report

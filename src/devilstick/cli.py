@@ -241,12 +241,15 @@ def cmd_analyze(scenario: Scenario, omega_stars: list[float]) -> int:
               f"{'delta_even':>11} {'|I|':>9} {'r':>9}")
     print(header)
     for omega_star in omega_stars:
+        rate = f"{omega_star:>10.4f}"
+        if omega_star and not float(rate):  # nonzero, yet .4f prints 0
+            rate = f"{omega_star:>10.4g}"
         try:
             orbit = design_orbit(spec, omega_star, params)
         except JugglingError as exc:
-            print(f"{omega_star:>10.4f}  no 2-periodic orbit ({exc})")
+            print(f"{rate}  no 2-periodic orbit ({exc})")
             continue
-        print(f"{omega_star:>10.4f} {orbit.omega_even:>11.4f} "
+        print(f"{rate} {orbit.omega_even:>11.4f} "
               f"{orbit.delta_odd:>10.4f} {orbit.delta_even:>11.4f} "
               f"{orbit.I_mag:>9.4f} {orbit.r_star:>9.4f}")
     return 0

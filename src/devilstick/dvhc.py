@@ -162,7 +162,11 @@ def kernel(x: State, k: int, inst: Instant, params: StickParams,
             f"no positive time-of-flight root at k={k} (a={a}, b={b}, c={c})")
     # of two positive roots, the one nearer the zero-residual flight time;
     # the smaller on a tie, and when that time is not finite
-    d_nom = sign * 2.0 * omega * alpha / g_dth * tan_ratio
+    try:
+        d_nom = sign * 2.0 * omega * alpha / g_dth * tan_ratio
+    except ZeroDivisionError:
+        raise Degenerate(f"g*delta_theta = {params.g}*{dth} underflows to 0"
+                         ) from None
     delta = r2 if r2 > r1 and abs(r2 - d_nom) < abs(r1 - d_nom) else r1
     impulse = -m * (lx_1 * rho_x + eta_x - vx * delta) / (delta * sin)
     if abs(impulse) < IMPULSE_EPS:
@@ -174,19 +178,14 @@ def kernel(x: State, k: int, inst: Instant, params: StickParams,
     return rho_x, rho_y, drho_x, drho_y, impulse, offset, delta
 
 
-def control(x: State, k: int, spec: JuggleSpec, params: StickParams,
-            r_policy: str = "strict"
-            ) -> tuple[float, float, float, float, float, float, float]:
-    """kernel on the Instant of x's orientation."""
-    return kernel(x, k, instant(x[4], k, spec, params), params, r_policy)
-
-
 def dvhc_control(s: FullState, k: int, spec: JuggleSpec, params: StickParams,
                  r_policy: str = "strict") -> ImpulseCmd:
     """Inputs that contract the position residual by diag(lambda) this step:
-    the command of control on s.floats().
+    the command of kernel on s.floats() and its orientation's Instant.
     """
-    *_, impulse, offset, delta = control(s.floats(), k, spec, params, r_policy)
+    x = s.floats()
+    *_, impulse, offset, delta = kernel(x, k, instant(x[4], k, spec, params),
+                                        params, r_policy)
     return ImpulseCmd(I=impulse, r=offset, delta=delta)
 
 
@@ -201,6 +200,8 @@ def steady_inputs(omega: float, k: int, spec: JuggleSpec,
     if abs(tan_ratio) < 1e-12:
         raise Degenerate("tangent-ratio factor vanishes")
     dth = spec.delta_theta
+    if params.g * dth == 0:
+        raise Degenerate(f"g*delta_theta = {params.g}*{dth} underflows to 0")
     delta = sign * 2.0 * omega * spec.alpha / (params.g * dth) * tan_ratio
     impulse = (sign * params.m / math.cos(theta)) * (
         omega * spec.alpha / dth * tan_ratio + params.g * dth / (2.0 * omega))

@@ -50,12 +50,9 @@ def land(x: State, delta: float, theta_next: float,
     """
     hx, hy, vx, vy, _, omega = x
     g = params.g
-    try:  # float ** calls the C library pow, which can overflow
-        # + 0.0 is the zero horizontal gravity term: it turns -0.0 into 0.0
-        x = (hx + vx * delta + 0.0, hy + vy * delta + -0.5 * g * delta**2,
-             vx + 0.0, vy + -g * delta, theta_next, omega)
-    except OverflowError:
-        raise NonFinite(f"flight of {delta} s overflows") from None
+    # + 0.0 is the zero horizontal gravity term: it turns -0.0 into 0.0
+    x = (hx + vx * delta + 0.0, hy + vy * delta + -0.5 * g * (delta * delta),
+         vx + 0.0, vy + -g * delta, theta_next, omega)
     # a finite sum needs finite entries; finite entries may sum to inf
     if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
         raise NonFinite(f"landed state {x} is not finite")
@@ -130,12 +127,9 @@ def sample_flight(x_plus: State, delta: float, dt: float,
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.arange(n) * dt
         t[-1] = delta
-        # + 0.0 is flight's horizontal gravity term: it turns -0.0 into 0.0.
-        # float_power calls the C library pow, like float ** in flight;
-        # numpy's t**2 squares by multiplication and can differ in the last
-        # bit.
+        # + 0.0 is flight's horizontal gravity term: it turns -0.0 into 0.0
         h[:, 0] = hx + vx * t + 0.0
-        h[:, 1] = hy + vy * t + -0.5 * g * np.float_power(t, 2.0)
+        h[:, 1] = hy + vy * t + -0.5 * g * (t * t)
         theta = theta0 + omega * t
     if not (np.isfinite(h).all() and np.isfinite(theta).all()):
         raise NonFinite(f"sampled {delta:.6g} s flight is not finite")
@@ -148,4 +142,4 @@ def mechanical_energy(s: FullState, params: StickParams) -> float:
     """Gravitational plus kinetic energy; conserved during flight."""
     return (params.m * params.g * s.h[1]
             + 0.5 * params.m * float(s.v @ s.v)
-            + 0.5 * params.inertia * s.omega**2)
+            + 0.5 * params.inertia * (s.omega * s.omega))

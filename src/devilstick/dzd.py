@@ -57,7 +57,7 @@ def dzd_step(s: DzdState, spec: JuggleSpec, params: StickParams) -> DzdState:
     tan_factor = 1.0 - math.tan(theta_next) / math.tan(s.theta)
     if abs(tan_factor) < TAN_FACTOR_EPS:
         raise Degenerate("tangent-ratio factor vanishes in constrained dynamics")
-    omega_next = -(params.g * spec.delta_theta**2
+    omega_next = -(params.g * (spec.delta_theta * spec.delta_theta)
                    / (2.0 * s.omega * spec.alpha * tan_factor))
     return DzdState(theta=theta_next, omega=omega_next, k=s.k + 1)
 
@@ -85,12 +85,12 @@ def design_orbit(spec: JuggleSpec, omega_star: float,
         raise WrongSign(f"odd-instant rate must be < 0, got {omega_star}")
     g, dth, alpha = params.g, spec.delta_theta, spec.alpha
     try:  # a product such as 4*omega_star*alpha may underflow to 0
-        omega_even = -g * dth**2 / (4.0 * omega_star * alpha)
+        omega_even = -g * (dth * dth) / (4.0 * omega_star * alpha)
         delta_odd = -4.0 * omega_star * alpha / (g * dth)
         delta_even = -dth / omega_star
         I_mag = abs(
             (2.0 * params.m * alpha / (dth * math.cos(spec.theta_odd)))
-            * (omega_star + g * dth**2 / (4.0 * omega_star * alpha)))
+            * (omega_star + g * (dth * dth) / (4.0 * omega_star * alpha)))
         r_star = (params.inertia * dth * math.cos(spec.theta_odd)
                   / (2.0 * params.m * spec.alpha))
     except ZeroDivisionError as exc:

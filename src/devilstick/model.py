@@ -29,7 +29,7 @@ def parity_sign(k: int) -> float:
 class StickParams:
     """Physical constants of the stick.
 
-    J defaults to the uniform-rod value m*ell**2/12 (inf if that overflows).
+    J defaults to the uniform-rod value m*ell*ell/12 (inf if that overflows).
     """
 
     m: float
@@ -39,10 +39,7 @@ class StickParams:
 
     def __post_init__(self) -> None:
         if self.J is None:
-            try:
-                object.__setattr__(self, "J", self.m * self.ell**2 / 12.0)
-            except OverflowError:  # ell**2 beyond the float range
-                object.__setattr__(self, "J", math.inf)
+            object.__setattr__(self, "J", self.m * (self.ell * self.ell) / 12.0)
 
     @property
     def inertia(self) -> float:

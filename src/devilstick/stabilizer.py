@@ -116,7 +116,7 @@ def _fd_jacobian(orbit: OrbitSpec, z_star: np.ndarray, steps: np.ndarray,
 
     if scheme == "forward":
         base = _closed_loop_return(w_star, orbit)
-    # Python float steps keep numpy scalars, and numpy's **, out of the plant;
+    # Python float steps keep numpy scalars out of the plant;
     # numpy divides, so a step halved to 0 gives NaN, not ZeroDivisionError
     diffs = []
     for i, step in enumerate(steps.tolist()):

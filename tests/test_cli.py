@@ -306,8 +306,57 @@ def test_underflowing_orbit_denominator_is_degenerate(tmp_path, capsys):
         "no 2-periodic orbit (an orbit denominator underflows to 0)")
 
 
+def test_underflowing_g_delta_theta_exits_3_with_summary(tmp_path):
+    # g * delta_theta rounds to 0: the first command is Degenerate
+    text = SIM_VHC.read_text()
+    for old, new in [("g_mps2 = 9.81", "g_mps2 = 5e-324"),
+                     ("theta_odd_rad = 0.5235987755982988",
+                      "theta_odd_rad = 1.4"),
+                     ("theta0_rad = 0.5235987755982988", "theta0_rad = 1.4"),
+                     ("theta_even_rad = 2.6179938779914944",
+                      "theta_even_rad = 1.7415926535897931")]:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "flat_g.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(cfg), "--out", str(out)]) == 3
+    summary = json.loads((out / "flat_g" / "summary.json").read_text())
+    assert summary["termination"] == (
+        "Degenerate: g*delta_theta = 5e-324*0.3415926535897933 underflows "
+        "to 0")
+    assert summary["n_impulses"] == 0
+
+
+@pytest.mark.parametrize("case", ["nan-start", "no-target-rate", "missing"])
+def test_scenario_errors_exit_2_with_their_message(tmp_path, capsys, case):
+    nan_start = tmp_path / "nan_start.cfg"
+    nan_start.write_text(SIM_VHC.read_text().replace("h_x0_m = 0.7",
+                                                     "h_x0_m = nan"))
+    missing = tmp_path / "absent.cfg"
+    command, scenario, message = {
+        "nan-start": ("simulate", nan_start, f"{nan_start}: bad initial "
+                      "state: state entries must be finite"),
+        "no-target-rate": ("linearize", SIM_VHC,
+                           "scenario 'sim_vhc' does not set omega_star_radps"),
+        "missing": ("simulate", missing, f"cannot read scenario {missing}: "),
+    }[case]
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(scenario), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def test_analyze_prints_a_rate_that_rounds_to_zero_in_g_form(capsys):
+    assert main(["analyze", "--scenario", str(SIM_VHC),
+                 "--omega-star=-1e-100,-1e-6,-2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[-3:]
+    assert [row[:10] for row in rows] == ["   -1e-100", "    -1e-06",
+                                          "   -2.0000"]
+
+
 def test_overflowing_default_inertia_exits_2_naming_j(tmp_path, capsys):
-    # ell**2 overflows, so the default J is inf, which validate rejects
+    # ell * ell overflows, so the default J is inf, which validate rejects
     bad = tmp_path / "long.cfg"
     bad.write_text(SIM_VHC.read_text().replace("ell_m = 0.5", "ell_m = 1e200"))
     out = tmp_path / "out"
@@ -729,6 +778,7 @@ def test_plot_empty_csv_fails(tmp_path):
      ":2: values must be finite numbers, got 1,x,3,4"),
     ("--trajectory", "t,hx,hy,theta\n1,2,3,4\n5,nan,7,8\n9,10,inf,12\n",
      ":3: values must be finite numbers, got 5,nan,7,8"),
+    ("--trajectory", "t,hx,hy,theta\n", ": no data rows"),
 ])
 def test_plot_malformed_csv_exits_2_naming_the_file(tmp_path, capsys, option,
                                                      text, message):

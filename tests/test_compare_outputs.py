@@ -66,8 +66,25 @@ def test_two_changed_files_report_every_line_up_to_the_cap(
     assert lines[3 * cap - 2] == f"synthesis.txt:{cap}"
     assert lines[3 * cap + 1] == f"  ... {30 - cap} more"
     assert lines[3 * cap + 2:] == [
+        "terminations.txt: 2 differing lines, 3 lines vs 4",
+        "terminations.txt:1", "  old: a", "  new: A",
+        "terminations.txt:-/4", "  new: d"]
+
+
+def test_an_added_line_does_not_shift_the_lines_after_it(
+        tmp_path, monkeypatch, capsys):
+    # the lines are aligned, so the lines after an added or a dropped one
+    # compare with their counterparts
+    new = {**BASE,
+           "synthesis.txt": BASE["synthesis.txt"].replace(
+               "line 3\n", "line 3\nextra\n").replace("line 20\n", ""),
+           "terminations.txt": "a\nb\nc\nd\n"}
+    assert _run(tmp_path, monkeypatch, capsys, new) == (1, [
+        "synthesis.txt: 2 differing lines",
+        "synthesis.txt:-/4", "  new: extra",
+        "synthesis.txt:20/-", "  old: line 20",
         "terminations.txt: 1 differing lines, 3 lines vs 4",
-        "terminations.txt:1", "  old: a", "  new: A"]
+        "terminations.txt:-/4", "  new: d"])
 
 
 def test_different_file_sets_still_compare_the_common_files(

@@ -1,5 +1,6 @@
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from devilstick import (Degenerate, EpisodeConfig, FullState, JuggleSpec,
                         WrongRotationSign, dvhc_control, flight,
                         impulsive_update, on_constraint_state, phi, psi,
                         residuals, run_episode, steady_inputs, validate)
-from devilstick.dvhc import control, quadratic_coeffs
+from devilstick.dvhc import instant, kernel, quadratic_coeffs
 
 import dvhc_reference
 from refvals import IMPULSE_2P, OFFSET
@@ -250,8 +251,8 @@ def _bits(values):
        v=st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
        rate=st.floats(0.5, 12.0), lam=st.floats(0.0, 0.99))
 def test_adapters_equal_control_bitwise(params, k, h, v, rate, lam):
-    # residuals, quadratic_coeffs and dvhc_control share control's kernel:
-    # their outputs are the matching outputs of control, bit for bit, on
+    # residuals, quadratic_coeffs and dvhc_control share the kernel: their
+    # outputs are the matching outputs of kernel, bit for bit, on
     # on-schedule states of both parities
     spec = JuggleSpec(theta_odd=0.6, theta_even=2.3, alpha=0.6131, beta=3.0,
                       lambda_x=lam, lambda_y=1.0 - lam)
@@ -260,7 +261,8 @@ def test_adapters_equal_control_bitwise(params, k, h, v, rate, lam):
     rho, drho = residuals(s, k, spec, params)
     a, b, c = quadratic_coeffs(s, k, spec, params)
     try:
-        out = control(s.floats(), k, spec, params, "warn")
+        x = s.floats()
+        out = kernel(x, k, instant(x[4], k, spec, params), params, "warn")
     except JugglingError as exc:
         with pytest.raises(type(exc)) as again:
             dvhc_control(s, k, spec, params, "warn")
@@ -293,7 +295,7 @@ def test_control_error_order(params, theta_odd, theta_even, omega, error):
                       alpha=0.6131, beta=3.0)
     x = (0.7, 2.5, 0.9, -2.0, theta_odd, omega)
     with pytest.raises(error) as raised:
-        control(x, 1, spec, params)
+        kernel(x, 1, instant(x[4], 1, spec, params), params)
     # validate accepts these schedules, so an episode ends at its first
     # impulse with the same error
     assert validate(spec, params) == []
@@ -329,6 +331,22 @@ def _outcome(fn, *args):
     finally:
         logger.removeHandler(handler)
     return result, handler.messages
+
+
+def _reference_control(x, k, spec, params, policy):
+    """The frozen controller with the one error changed since: where it
+    divides by a g*delta_theta of 0, kernel raises Degenerate, not
+    ZeroDivisionError."""
+    nominal = dvhc_reference._nominal_delta
+
+    def typed(tan_ratio, omega, sign, dth, spec, params):
+        if params.g * dth == 0:
+            raise Degenerate(
+                f"g*delta_theta = {params.g}*{dth} underflows to 0")
+        return nominal(tan_ratio, omega, sign, dth, spec, params)
+
+    with mock.patch.object(dvhc_reference, "_nominal_delta", typed):
+        return dvhc_reference.control(x, k, spec, params, policy)
 
 
 def _reference_quadratic(x, k, spec, params):
@@ -405,6 +423,12 @@ _REF_PARAMS = StickParams(m=0.1, ell=0.5)
                             theta_even=5 * math.pi / 6, alpha=0.6131,
                             beta=3.0), StickParams(m=1e308, ell=0.5, J=1e-3)),
          policy="strict")
+# g * delta_theta underflows to 0 where the nominal flight time divides by it
+@example(inputs=((0.7, 2.5, 0.9, -2.0, 1.4, -5.7), 1,
+                 JuggleSpec(theta_odd=1.4, theta_even=1.7415926535897931,
+                            alpha=0.6131, beta=3.0),
+                 StickParams(m=0.1, ell=0.5, g=5e-324)),
+         policy="strict")
 # beta = inf (validate accepts it): eta_y = beta - beta makes c NaN
 @example(inputs=((0.7, 2.5, 0.9, -2.0, math.pi / 6, -5.7), 1,
                  JuggleSpec(theta_odd=math.pi / 6,
@@ -412,11 +436,30 @@ _REF_PARAMS = StickParams(m=0.1, ell=0.5)
                             beta=math.inf), _REF_PARAMS),
          policy="strict")
 def test_control_matches_frozen_reference(inputs, policy):
-    # control returns the bits of the frozen reference copy, or raises the
+    # kernel returns the bits of the frozen reference copy, or raises the
     # same error with the same message, and logs the same rod warnings
     x, k, spec, params = inputs
-    expected = _outcome(dvhc_reference.control, x, k, spec, params, policy)
-    assert _outcome(control, x, k, spec, params, policy) == expected
+    expected = _outcome(_reference_control, x, k, spec, params, policy)
+    assert _outcome(lambda: kernel(x, k, instant(x[4], k, spec, params),
+                                   params, policy)) == expected
     s = FullState.from_floats(x)
     assert (_outcome(quadratic_coeffs, s, k, spec, params)
             == _outcome(_reference_quadratic, x, k, spec, params))
+
+
+def test_underflowing_g_delta_theta_is_degenerate():
+    # a valid schedule 0.34 rad wide under g = 5e-324: g * delta_theta
+    # rounds to 0, which the nominal flight time and steady_inputs divide by
+    spec = JuggleSpec(theta_odd=1.4, theta_even=1.7415926535897931,
+                      alpha=0.6131, beta=3.0)
+    params = StickParams(m=0.1, ell=0.5, g=5e-324)
+    assert validate(spec, params) == []
+    message = "g*delta_theta = 5e-324*0.3415926535897933 underflows to 0"
+    with pytest.raises(Degenerate) as raised:
+        steady_inputs(-1.0, 1, spec, params)
+    assert str(raised.value) == message
+    s0 = FullState(h=np.array([0.7, 2.5]), v=np.array([0.9, -2.0]),
+                   theta=1.4, omega=-5.7)
+    log = run_episode(s0, spec, params, EpisodeConfig(k_max=20))
+    assert log.termination == f"Degenerate: {message}"
+    assert log.records == []

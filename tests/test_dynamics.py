@@ -188,7 +188,7 @@ def test_sample_flight_rows_equal_flight(hx, hy, vx, vy, theta, omega,
 
 def test_sample_flight_from_rest_is_bitwise(params):
     # from rest at the origin hy(t) is the gravity term alone, so a square
-    # rounded differently from flight's delta**2 shows in the last bit; the
+    # rounded differently from flight's delta * delta shows in the last bit; the
     # signed zeros check that hx is +0.0, never -0.0, as in flight
     s = FullState(h=np.array([-0.0, 0.0]), v=np.array([-0.0, 0.0]),
                   theta=0.0, omega=0.0)
@@ -213,11 +213,32 @@ def test_overflowing_flight_is_non_finite(params):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFinite):
-            flight(rest, 1e200, params)         # delta**2 overflows
+            flight(rest, 1e200, params)         # delta * delta overflows
         with pytest.raises(NonFinite):
             flight(fast, 1e10, params)          # vy * delta overflows
         with pytest.raises(NonFinite):
             sample_flight(fast.floats(), 1e10, 1e9, params)
+
+
+def test_flight_squares_by_one_multiplication(params):
+    # on times where the C library's pow(d, 2) is not the correctly rounded
+    # d * d (172 of 200,000 with glibc 2.36), land and sample_flight both
+    # square by multiplication; from rest hy is the gravity term alone
+    draws = np.random.default_rng(0).uniform(0.0, 3.0, 200_000).tolist()
+    times = [d for d in draws if d**2 != d * d] + draws[:20]
+    rest = (0.0, 0.0, 0.0, 0.0, 0.5, -1.0)
+    moving = (0.7, 2.5, 0.9, -2.0, 0.5, -1.0)
+    for x in (rest, moving):
+        for d in times:
+            hy = land(x, d, 2.6, params)[1]
+            assert hy == x[1] + x[3] * d + -0.5 * params.g * (d * d)
+            assert sample_flight(x, d, d, params).h[-1, 1] == hy
+
+
+def test_mechanical_energy_of_a_huge_rate_is_inf(params):
+    # omega * omega overflows to inf; float ** raised OverflowError
+    s = FullState(h=np.zeros(2), v=np.zeros(2), theta=0.5, omega=1e200)
+    assert mechanical_energy(s, params) == math.inf
 
 
 def test_land_keeps_finite_entries_whose_sum_overflows(params):

@@ -5,7 +5,7 @@ plain-float kernel, and those of the off-schedule starts before the terms
 that depend only on the orientation moved out of it; every refactor since
 must reproduce them bit for bit.
 Like the shipped outputs under out/, they assume this platform's C library
-(`pow`, `tan`, `sin`, ...): another libm can change last bits and so these
+(`tan`, `sin`, ...): another libm can change last bits and so these
 digests, without any change to the package.
 
 The contraction rates are not powers of two, so that reassociating a
