@@ -222,8 +222,8 @@ def test_overflowing_flight_is_non_finite(params):
 
 def test_flight_squares_by_one_multiplication(params):
     # on times where the C library's pow(d, 2) is not the correctly rounded
-    # d * d (172 of 200,000 with glibc 2.36), land and sample_flight both
-    # square by multiplication; from rest hy is the gravity term alone
+    # d * d (163 of these 200,000 with glibc 2.36), land and sample_flight
+    # both square by multiplication; from rest hy is the gravity term alone
     draws = np.random.default_rng(0).uniform(0.0, 3.0, 200_000).tolist()
     times = [d for d in draws if d**2 != d * d] + draws[:20]
     rest = (0.0, 0.0, 0.0, 0.0, 0.5, -1.0)
