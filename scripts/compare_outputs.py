@@ -22,14 +22,15 @@ directory on PYTHONPATH, over:
   check comes first), run as episodes and as direct `kernel` and
   `steady_inputs` calls; the direct calls include invalid schedules that
   `run_episode` rejects, so untyped errors such as `ZeroDivisionError` are
-  compared too,
+  compared too, and rates of 0.0, -0.0 and 1e-300,
+- direct `dzd_step` calls at a zero rate and at a rate of the wrong sign,
 - an episode, and direct calls, where `g * delta_theta` underflows to 0,
 - an episode whose first landed state has finite entries whose sum
   overflows, and direct `land` calls on such a state and on states with an
   inf or NaN entry,
-- episodes that start off the odd orientation by -1, -0.5, 0.5 and 1 times
-  the schedule tolerance, with and without the stabilizer, under both rod
-  policies, with the rod warnings they log,
+- episodes that start off the odd orientation by -2, -1, -0.5, 0.5, 1 and
+  2 times the schedule tolerance, with and without the stabilizer, under
+  both rod policies, with the rod warnings they log,
 - episodes that end in the design phase, before their first impulse: an
   invalid schedule, invalid parameters under the stabilizer, and a central
   step too coarse for the step-halving check (`FDInconsistent`),
@@ -137,6 +138,7 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
     import numpy as np
     from devilstick.dvhc import instant, kernel, steady_inputs
     from devilstick.dynamics import land
+    from devilstick.dzd import DzdState
 
     params = devilstick.StickParams(m=0.1, ell=0.5)
     odd, even = 0.5235987755982988, 2.6179938779914944
@@ -255,6 +257,10 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
         (odd, math.pi / 2 + 5e-10, 9.81, odd, 5.7, 1),
         (*wide, tiny_g, wide[0], -5.7, 1),       # g * delta_theta = 0
         (*wide, tiny_g, wide[1], 5.7, 2),
+        # rates that the velocity constraint cannot divide by
+        (odd, even, 9.81, even, 0.0, 2),
+        (odd, even, 9.81, odd, -0.0, 1),
+        (odd, even, 9.81, even, 1e-300, 2),
     ]
     for theta_odd, theta_even, g, theta, omega, k in calls:
         spec = devilstick.JuggleSpec(theta_odd=theta_odd,
@@ -276,6 +282,15 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
                          f" {omega!r} k={k}: {result}")
             lines += handler.messages
             handler.messages.clear()
+    spec = devilstick.JuggleSpec(theta_odd=odd, theta_even=even,
+                                 alpha=0.6131, beta=3.0)
+    for omega in (0.0, 3.0):  # a zero rate, and one of the wrong sign
+        try:
+            result = repr(devilstick.dzd_step(DzdState(odd, omega, 1), spec,
+                                              params))
+        except Exception as exc:  # compared by name and message
+            result = f"{type(exc).__name__}: {exc}"
+        lines.append(f"dzd_step {omega!r} k=1: {result}")
     return lines
 
 
@@ -333,8 +348,9 @@ def _extreme_design_lines(devilstick) -> list[str]:
 
 
 def _off_schedule_lines(devilstick, handler: _Messages) -> list[str]:
-    """Episodes from starts off the odd orientation but within the schedule
-    tolerance, each followed by the warnings it logged."""
+    """Episodes from starts off the odd orientation, within the schedule
+    tolerance and twice outside it, each followed by the warnings it
+    logged."""
     import numpy as np
     from devilstick.model import SCHEDULE_TOL
 
@@ -346,7 +362,7 @@ def _off_schedule_lines(devilstick, handler: _Messages) -> list[str]:
     orbit = devilstick.design_orbit(
         spec, devilstick.symmetric_omega_star(spec, params), params)
     lines = []
-    for offset in (-1.0, -0.5, 0.5, 1.0):
+    for offset in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
         s0 = devilstick.FullState(
             h=np.array([0.7, 2.5]), v=np.array([0.9, -2.0]),
             theta=spec.theta_odd + offset * SCHEDULE_TOL, omega=-5.7)

@@ -228,6 +228,14 @@ def cmd_simulate(scenario: Scenario, outdir: Path) -> int:
     return 0 if log.completed else 3
 
 
+def _cell(value: float, width: int) -> str:
+    """value in .4f, or in g if .4f overflows width or zeroes a nonzero."""
+    text, digits = f"{value:>{width}.4f}", 4
+    while len(text) > width or value and not float(text):
+        text, digits = f"{value:>{width}.{digits}g}", digits - 1
+    return text
+
+
 def cmd_analyze(scenario: Scenario, omega_stars: list[float]) -> int:
     """Print the orbit family table for a sweep of target rates."""
     spec, params = scenario.spec, scenario.params
@@ -237,21 +245,18 @@ def cmd_analyze(scenario: Scenario, omega_stars: list[float]) -> int:
     if spec.symmetric:
         omega_sym = symmetric_omega_star(spec, params)
         print(f"rate-symmetric motion at omega* = {omega_sym:.4f}")
-    header = (f"{'omega*':>10} {'omega_even':>11} {'delta_odd':>10} "
-              f"{'delta_even':>11} {'|I|':>9} {'r':>9}")
-    print(header)
+    widths = (10, 11, 10, 11, 9, 9)
+    print(*map("{:>{}}".format, ("omega*", "omega_even", "delta_odd",
+                                 "delta_even", "|I|", "r"), widths))
     for omega_star in omega_stars:
-        rate = f"{omega_star:>10.4f}"
-        if omega_star and not float(rate):  # nonzero, yet .4f prints 0
-            rate = f"{omega_star:>10.4g}"
         try:
             orbit = design_orbit(spec, omega_star, params)
         except JugglingError as exc:
-            print(f"{rate}  no 2-periodic orbit ({exc})")
+            print(f"{_cell(omega_star, 10)}  no 2-periodic orbit ({exc})")
             continue
-        print(f"{rate} {orbit.omega_even:>11.4f} "
-              f"{orbit.delta_odd:>10.4f} {orbit.delta_even:>11.4f} "
-              f"{orbit.I_mag:>9.4f} {orbit.r_star:>9.4f}")
+        print(*map(_cell, (omega_star, orbit.omega_even, orbit.delta_odd,
+                           orbit.delta_even, orbit.I_mag, orbit.r_star),
+                   widths))
     return 0
 
 

@@ -22,6 +22,7 @@ from .model import (SCHEDULE_TOL, FullState, ImpulseCmd, JuggleSpec, State,
 TAN_SINGULARITY_TOL = 1e-9
 OMEGA_EPS = 1e-9
 IMPULSE_EPS = 1e-12
+TAN_FACTOR_EPS = 1e-12
 
 
 def _pole_check(theta: float) -> None:
@@ -98,6 +99,17 @@ def residuals(s: FullState, k: int, spec: JuggleSpec, params: StickParams
     return np.array([rho_x, rho_y]), np.array([drho_x, drho_y])
 
 
+def check_rate(omega: float, k: int, sign: float) -> None:
+    """Reject a rate within OMEGA_EPS of 0, which the velocity constraint
+    divides by, or without the sign of impulse k's rotation, sign."""
+    if abs(omega) < OMEGA_EPS:
+        raise Degenerate(f"angular rate {omega} too small for velocity constraint")
+    if math.copysign(1.0, omega) != sign:  # omega < 0 odd, > 0 even
+        raise WrongRotationSign(
+            f"omega={omega} has the wrong sign for k={k} "
+            f"(expected {'negative' if sign < 0 else 'positive'})")
+
+
 def check_command(k: int, impulse: float, offset: float, delta: float,
                   params: StickParams, policy: str) -> None:
     """Reject a non-finite command, then enforce the rod bound |r| < ell/2
@@ -129,12 +141,7 @@ def kernel(x: State, k: int, inst: Instant, params: StickParams,
     (_, _, _, sign, fault, dth, alpha, alpha_tan, beta, tan_diff, sign_g_dth,
      cot, eta_x, eta_c, lx_1, ly_1, a, four_a, g_dth, tan_ratio, sin,
      sign_j_dth, inertia, m, half_ell) = inst
-    if abs(omega) < OMEGA_EPS:
-        raise Degenerate(f"angular rate {omega} too small for velocity constraint")
-    if math.copysign(1.0, omega) != sign:  # omega < 0 odd, > 0 even
-        raise WrongRotationSign(
-            f"omega={omega} has the wrong sign for k={k} "
-            f"(expected {'negative' if sign < 0 else 'positive'})")
+    check_rate(omega, k, sign)
     rho_x, rho_y = hx - alpha_tan, hy - beta
     drho_x = vx - (sign * omega / dth) * alpha * tan_diff
     drho_y = vy - sign_g_dth / (2.0 * omega)
@@ -192,12 +199,10 @@ def dvhc_control(s: FullState, k: int, spec: JuggleSpec, params: StickParams,
 def steady_inputs(omega: float, k: int, spec: JuggleSpec,
                   params: StickParams, r_policy: str = "strict") -> ImpulseCmd:
     """Closed-form inputs on the constraint manifold (both residuals zero)."""
-    theta = spec.theta_at(k)
-    sign = parity_sign(k)
-    if math.copysign(1.0, omega) != sign:
-        raise WrongRotationSign(f"omega={omega} has the wrong sign for k={k}")
+    theta, sign = spec.theta_at(k), parity_sign(k)
+    check_rate(omega, k, sign)
     tan_ratio = 1.0 - math.tan(spec.theta_after(k)) / math.tan(theta)
-    if abs(tan_ratio) < 1e-12:
+    if abs(tan_ratio) < TAN_FACTOR_EPS:
         raise Degenerate("tangent-ratio factor vanishes")
     dth = spec.delta_theta
     if params.g * dth == 0:

@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .dvhc import Instant, instant
+from .dvhc import TAN_FACTOR_EPS, Instant, check_rate, instant
 from .errors import AsymmetricSpec, Degenerate, WrongSign
-from .model import JuggleSpec, StickParams
-
-TAN_FACTOR_EPS = 1e-12
+from .model import JuggleSpec, StickParams, parity_sign
 
 
 @dataclass(frozen=True)
@@ -53,6 +51,7 @@ class OrbitSpec:
 
 def dzd_step(s: DzdState, spec: JuggleSpec, params: StickParams) -> DzdState:
     """Advance the constrained passive dynamics by one impulse."""
+    check_rate(s.omega, s.k, parity_sign(s.k))
     theta_next = spec.theta_after(s.k)
     tan_factor = 1.0 - math.tan(theta_next) / math.tan(s.theta)
     if abs(tan_factor) < TAN_FACTOR_EPS:

@@ -20,8 +20,8 @@ from .dynamics import (MAX_FLIGHT_SAMPLES, FlightSamples, jump, land,
                        sample_flight, time_of_flight)
 from .dynamics import flight, impulsive_update  # noqa: F401 (perfbench traces)
 from .dzd import OrbitSpec
-from .errors import JugglingError, OffSchedule, ScenarioError
-from .model import SCHEDULE_TOL, FullState, JuggleSpec, StickParams, validate
+from .errors import JugglingError, ScenarioError
+from .model import FullState, JuggleSpec, StickParams, validate
 
 
 MAX_IMPULSES = 1_000_000  # per episode; its records take about 0.5 GB
@@ -122,20 +122,17 @@ class EpisodeMetrics:
 
 def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                 params: StickParams, cfg: EpisodeConfig) -> EpisodeLog:
-    """Run up to cfg.k_max impulses from s0 (which must sit at the odd
-    scheduled orientation, k = 1). Identical inputs produce bitwise
-    identical logs. Parameters that model.validate rejects end the episode
-    before its first impulse with a ScenarioError termination, as does a
-    sampled flight beyond the episode's budget of MAX_FLIGHT_SAMPLES.
+    """Run up to cfg.k_max impulses from s0, k = 1. Identical inputs produce
+    bitwise identical logs. Parameters that model.validate rejects end the
+    episode before its first impulse with a ScenarioError termination, as
+    does a sampled flight beyond the episode's budget of MAX_FLIGHT_SAMPLES.
+    instant's schedule check ends a start off the odd orientation at k = 1.
     """
     t_start = time.perf_counter()
     orbit = target if isinstance(target, OrbitSpec) else None
     spec = target if orbit is None else orbit.spec
     if cfg.stabilize and orbit is None:
         raise ValueError("stabilize=True requires an OrbitSpec target")
-    if abs(s0.theta - spec.theta_odd) > SCHEDULE_TOL:
-        raise OffSchedule(
-            f"episodes start at the odd orientation; got theta={s0.theta}")
 
     log = EpisodeLog(spec=spec, params=params, orbit=orbit)
     x = s0.floats()
@@ -163,9 +160,8 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                     x, k, inst, params, r_policy)
                 u = stab.NO_CORRECTION
                 if stabilize and k % 2 == 1:
-                    # x is on the section: kernel's rate check has just made
-                    # omega <= -1e-9, and the schedule check and the landing
-                    # pin hold theta
+                    # x is on the section: check_rate has made omega <= -1e-9,
+                    # and instant's schedule check and the landing pin theta
                     u = stab.feedback(x[:4] + x[5:], lin, gain)
                     if u is not stab.NO_CORRECTION:
                         du_I, du_r = u.tolist()

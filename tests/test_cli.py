@@ -306,6 +306,26 @@ def test_underflowing_orbit_denominator_is_degenerate(tmp_path, capsys):
         "no 2-periodic orbit (an orbit denominator underflows to 0)")
 
 
+def test_off_schedule_start_exits_3_and_the_batch_goes_on(tmp_path):
+    # the start's orientation misses theta_odd: the episode ends at k=1
+    # with a summary, and the next scenario still runs
+    text = SIM_VHC.read_text()
+    old = "theta0_rad = 0.5235987755982988"
+    assert old in text
+    off = tmp_path / "off.cfg"
+    off.write_text(text.replace(old, "theta0_rad = 0.53"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(off), "--scenario",
+                 str(SIM_VHC), "--out", str(out)]) == 3
+    summary = json.loads((out / "off" / "summary.json").read_text())
+    assert summary["termination"] == (
+        "OffSchedule: theta=0.53 does not match scheduled 0.5235987755982988"
+        " at k=1")
+    assert summary["n_impulses"] == 0 and summary["sim_duration_s"] == 0.0
+    summary = json.loads((out / "sim_vhc" / "summary.json").read_text())
+    assert summary["completed"]
+
+
 def test_underflowing_g_delta_theta_exits_3_with_summary(tmp_path):
     # g * delta_theta rounds to 0: the first command is Degenerate
     text = SIM_VHC.read_text()
@@ -353,6 +373,23 @@ def test_analyze_prints_a_rate_that_rounds_to_zero_in_g_form(capsys):
     rows = capsys.readouterr().out.splitlines()[-3:]
     assert [row[:10] for row in rows] == ["   -1e-100", "    -1e-06",
                                           "   -2.0000"]
+
+
+def test_analyze_columns_fit_and_show_every_nonzero(capsys):
+    # a cell that .4f would widen past its column or print as zero is in g
+    # form; the -2 row keeps its .4f bytes
+    assert main(["analyze", "--scenario", str(SIM_ORBIT),
+                 "--omega-star=-1e-100,-1e-6,-2"]) == 0
+    *_, header, tiny, small, plain = capsys.readouterr().out.splitlines()
+    assert header == ("    omega*  omega_even  delta_odd  delta_even"
+                      "       |I|         r")
+    for row in (tiny, small):
+        assert len(row) <= len(header)
+        assert all(float(cell) != 0 for cell in row.split())
+    assert tiny.split() == ["-1e-100", "1.755e+101", "1.194e-101",
+                            "2.094e+100", "1.19e+100", "0.0308"]
+    assert plain == ("   -2.0000      8.7733     0.2387      1.0472"
+                     "    0.7283    0.0308")
 
 
 def test_overflowing_default_inertia_exits_2_naming_j(tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""The output-identity gate's diff, on hand-made dump directories."""
+"""The output-identity gate's diff, on hand-made dump directories, and its
+adversarial episodes on this tree."""
 
 import importlib.util
+import logging
 import shutil
 from pathlib import Path
 
@@ -103,3 +105,37 @@ def test_different_file_sets_still_compare_the_common_files(
 def test_usage(argv, capsys):
     assert compare_outputs.main(argv) == 2
     assert "compare_outputs.py OLD_SRC NEW_SRC" in capsys.readouterr().err
+
+
+@pytest.fixture
+def handler():
+    """The gate's message handler on the package logger, attached as dump
+    attaches it, and detached afterwards."""
+    handler = compare_outputs._Messages()
+    package_log = logging.getLogger("devilstick")
+    propagate = package_log.propagate
+    package_log.addHandler(handler)
+    package_log.propagate = False
+    yield handler
+    package_log.removeHandler(handler)
+    package_log.propagate = propagate
+
+
+def test_no_adversarial_episode_escapes_run_episode(handler):
+    # every episode header of the gate's termination and off-schedule cases
+    # is followed by its termination line, not by an escaped exception
+    import devilstick
+    lines = (compare_outputs._termination_lines(devilstick, handler)
+             + compare_outputs._off_schedule_lines(devilstick, handler))
+    episodes = [(header, following) for header, following
+                in zip(lines, lines[1:]) if header.startswith("episode ")]
+    assert len(episodes) == 61
+    assert [(header, following) for header, following in episodes
+            if not following.startswith("termination ")] == []
+    # a start twice the schedule tolerance off ends in instant's check
+    outside = [following for header, following in episodes
+               if header.startswith(("episode theta_odd-2.0 ",
+                                     "episode theta_odd+2.0 "))]
+    assert len(outside) == 8
+    assert all(line.startswith("termination OffSchedule: theta=")
+               and line.endswith(" at k=1") for line in outside)

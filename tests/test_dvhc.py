@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -463,3 +464,28 @@ def test_underflowing_g_delta_theta_is_degenerate():
     log = run_episode(s0, spec, params, EpisodeConfig(k_max=20))
     assert log.termination == f"Degenerate: {message}"
     assert log.records == []
+
+
+@pytest.mark.parametrize("omega, k", [(0.0, 2), (-0.0, 1), (1e-300, 2),
+                                      (-1e-10, 1)])
+def test_steady_inputs_rejects_a_degenerate_rate(spec, params, omega, k):
+    # the rate check of kernel: a rate within OMEGA_EPS of 0 is Degenerate,
+    # where 0.0 and -0.0 used to divide by zero and 1e-300 to return an
+    # impulse of about 1e300
+    with pytest.raises(Degenerate, match=(
+            f"^angular rate {omega} too small for velocity constraint$")):
+        steady_inputs(omega, k, spec, params)
+
+
+@pytest.mark.parametrize("omega, k, expected", [(5.7, 1, "negative"),
+                                                (-5.7, 2, "positive")])
+def test_steady_inputs_wrong_sign_names_the_expected_sign(
+        spec, params, omega, k, expected):
+    x = (0.7, 2.5, 0.9, -2.0, spec.theta_at(k), omega)
+    message = (f"omega={omega} has the wrong sign for k={k} "
+               f"(expected {expected})")
+    with pytest.raises(WrongRotationSign) as kernel_error:
+        kernel(x, k, instant(x[4], k, spec, params), params)
+    assert str(kernel_error.value) == message
+    with pytest.raises(WrongRotationSign, match=rf"^{re.escape(message)}$"):
+        steady_inputs(omega, k, spec, params)

@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from devilstick import (AsymmetricSpec, Degenerate, JuggleSpec, StickParams,
-                        WrongSign, design_orbit, dzd_step, growth_factor,
-                        symmetric_omega_star)
+                        WrongRotationSign, WrongSign, design_orbit, dzd_step,
+                        growth_factor, symmetric_omega_star)
 from devilstick.dzd import DzdState
 
 from refvals import OFFSET
@@ -150,3 +150,22 @@ def test_long_iteration_tracks_growth_factor(asym_spec, params):
     for n in range(1, 6):
         s = dzd_step(dzd_step(s, asym_spec, params), asym_spec, params)
         assert abs(s.omega / -1.7) == pytest.approx(factor**n, rel=1e-9)
+
+
+@pytest.mark.parametrize("omega, k, error, message", [
+    (0.0, 1, Degenerate, "angular rate 0.0 too small for velocity constraint"),
+    (-1e-300, 1, Degenerate,
+     "angular rate -1e-300 too small for velocity constraint"),
+    (3.0, 1, WrongRotationSign,
+     "omega=3.0 has the wrong sign for k=1 (expected negative)"),
+    (-3.0, 2, WrongRotationSign,
+     "omega=-3.0 has the wrong sign for k=2 (expected positive)"),
+])
+def test_step_checks_the_rate_as_the_controller_does(spec, params, omega, k,
+                                                     error, message):
+    # the constrained rate recursion divides by omega: a zero rate used to
+    # raise ZeroDivisionError, and a wrong-signed one returned a value
+    s = DzdState(theta=spec.theta_at(k), omega=omega, k=k)
+    with pytest.raises(error) as exc:
+        dzd_step(s, spec, params)
+    assert str(exc.value) == message
