@@ -31,9 +31,11 @@ directory on PYTHONPATH, over:
 - episodes that start off the odd orientation by -2, -1, -0.5, 0.5, 1 and
   2 times the schedule tolerance, with and without the stabilizer, under
   both rod policies, with the rod warnings they log,
-- episodes that end in the design phase, before their first impulse: an
-  invalid schedule, invalid parameters under the stabilizer, and a central
-  step too coarse for the step-halving check (`FDInconsistent`),
+- episodes that end before their first record: an invalid schedule,
+  invalid parameters under the stabilizer, and a central step too coarse
+  for the step-halving check (`FDInconsistent`), the last also from a
+  start off the odd orientation and from one of the wrong sign, which end
+  at k = 1 before the stabilizer is designed,
 - stabilized sim_orbit episodes with extreme design settings: a singular
   Riccati solve, r_diag too wide for eigvalsh, subnormal and huge r_diag,
   huge q_diag, central steps that overflow or underflow, and (alpha,
@@ -199,23 +201,30 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
             devilstick.EpisodeConfig(k_max=20)))
     except Exception as exc:  # compared by name and message
         lines.append(f"{type(exc).__name__}: {exc}")
-    # episodes that end in the design phase, before their first impulse:
-    # (name, target, params, stabilize)
+    # episodes that end in the design phase, at their first impulse, and
+    # two whose start fails at k = 1 before a design that would fail too:
+    # (name, target, params, stabilize, theta, omega)
     spec = devilstick.JuggleSpec(theta_odd=odd, theta_even=even,
                                  alpha=0.6131, beta=3.0)
     orbit = devilstick.design_orbit(
         spec, devilstick.symmetric_omega_star(spec, params), params)
-    s0 = devilstick.FullState(h=np.array([0.7, 2.5]),
-                              v=np.array([0.9, -2.0]), theta=odd, omega=-5.7)
     design = [
         ("invalid schedule", devilstick.JuggleSpec(
             theta_odd=odd, theta_even=odd, alpha=0.6131, beta=3.0),
-         params, False),                                 # ScenarioError
+         params, False, odd, -5.7),                      # ScenarioError
         ("invalid parameters", orbit,
-         devilstick.StickParams(m=0.1, ell=0.5, g=0.0), True),
-        ("coarse central step", orbit, params, True),    # FDInconsistent
+         devilstick.StickParams(m=0.1, ell=0.5, g=0.0), True, odd, -5.7),
+        ("coarse central step", orbit, params, True, odd,
+         -5.7),                                          # FDInconsistent
+        ("coarse central step, start off schedule", orbit, params, True,
+         odd + 1e-3, -5.7),                              # OffSchedule
+        ("coarse central step, start of the wrong sign", orbit, params, True,
+         odd, 5.7),                                      # WrongRotationSign
     ]
-    for name, target, episode_params, stabilize in design:
+    for name, target, episode_params, stabilize, theta, omega in design:
+        s0 = devilstick.FullState(h=np.array([0.7, 2.5]),
+                                  v=np.array([0.9, -2.0]), theta=theta,
+                                  omega=omega)
         lines.append(f"episode {name} stabilize={stabilize}")
         lines += _episode_lines(devilstick.run_episode(
             s0, target, episode_params, devilstick.EpisodeConfig(

@@ -20,8 +20,8 @@ import numpy as np
 from . import stabilizer as stab
 from .dzd import OrbitSpec, design_orbit, growth_factor, symmetric_omega_star
 from .errors import JugglingError, ScenarioError
-from .harness import (SETTING_RULES, EpisodeConfig, EpisodeLog, metrics,
-                      run_episode)
+from .harness import (SETTING_RULES, EpisodeConfig, EpisodeLog,
+                      design_stabilizer, metrics, run_episode)
 from .model import FullState, JuggleSpec, StickParams, validate
 
 FLOAT_FMT = "%.17g"
@@ -269,13 +269,9 @@ def _matrix_text(name: str, M: np.ndarray) -> str:
 
 def cmd_linearize(scenario: Scenario, outdir: Path | None) -> int:
     """Print the return-map linearization, controllability, and LQR gain."""
-    orbit = _scenario_orbit(scenario)
-    cfg = scenario.config
-    lin = stab.linearize(orbit, step_scale=cfg.fd_step, scheme=cfg.fd_scheme)
+    lin, gain = design_stabilizer(_scenario_orbit(scenario), scenario.config)
     z_star, (I_star, r_star) = lin.z_star, lin.u_star.tolist()
     rank, controllable = stab.controllability(lin.A, lin.B)
-    gain = stab.dlqr(lin.A, lin.B, np.diag(cfg.q_diag), np.diag(cfg.r_diag),
-                     deadband=cfg.deadband)
     eigs = np.sort(np.abs(np.linalg.eigvals(lin.A + lin.B @ gain.K)))[::-1]
 
     print(f"fixed point z* = [{', '.join(f'{v:.4f}' for v in z_star)}]")
@@ -416,6 +412,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             outroot = Path(args.out)
             jobs = [(p, str(outroot / Path(p).stem)) for p in args.scenario]
+            first = {}  # output directory: the first scenario it is for
+            for path, outdir in jobs:
+                if outdir in first:
+                    raise ScenarioError(
+                        f"scenarios {first[outdir]} and {path} share the "
+                        f"stem {Path(path).stem!r}, so both would write "
+                        f"{outdir}")
+                first[outdir] = path
             # a fork pool starts all of its workers up front, so size it by
             # the CPUs this process may use (its affinity mask, where the OS
             # has one) and run serially when that leaves one worker

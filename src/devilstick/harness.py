@@ -31,6 +31,7 @@ MAX_IMPULSES = 1_000_000  # per episode; its records take about 0.5 GB
 SETTING_RULES = {
     "k_max": (lambda n: isinstance(n, int) and 1 <= n <= MAX_IMPULSES,
               f"must be an integer from 1 to {MAX_IMPULSES}"),
+    "stabilize": (lambda b: isinstance(b, bool), "must be True or False"),
     "deadband": (lambda x: x >= 0, "must be >= 0"),
     "r_policy": (lambda s: s in ("strict", "warn"),
                  "must be 'strict' or 'warn'"),
@@ -120,6 +121,14 @@ class EpisodeMetrics:
     terminal_error: float | None    # section distance of the last odd record
 
 
+def design_stabilizer(orbit: OrbitSpec, cfg: EpisodeConfig
+                      ) -> tuple[stab.LinearizedMap, stab.FeedbackGain]:
+    """cfg's return-map linearization of orbit and its LQR gain."""
+    lin = stab.linearize(orbit, step_scale=cfg.fd_step, scheme=cfg.fd_scheme)
+    return lin, stab.dlqr(lin.A, lin.B, np.diag(cfg.q_diag),
+                          np.diag(cfg.r_diag), deadband=cfg.deadband)
+
+
 def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                 params: StickParams, cfg: EpisodeConfig) -> EpisodeLog:
     """Run up to cfg.k_max impulses from s0, k = 1. Identical inputs produce
@@ -127,6 +136,7 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
     episode before its first impulse with a ScenarioError termination, as
     does a sampled flight beyond the episode's budget of MAX_FLIGHT_SAMPLES.
     instant's schedule check ends a start off the odd orientation at k = 1.
+    The stabilizer is designed at k = 1, once kernel has the start's command.
     """
     t_start = time.perf_counter()
     orbit = target if isinstance(target, OrbitSpec) else None
@@ -145,11 +155,6 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
         failures = validate(spec, params)
         if failures:
             raise ScenarioError(f"invalid parameters: {', '.join(failures)}")
-        if stabilize:
-            lin = stab.linearize(orbit, step_scale=cfg.fd_step,
-                                 scheme=cfg.fd_scheme)
-            gain = stab.dlqr(lin.A, lin.B, np.diag(cfg.q_diag),
-                             np.diag(cfg.r_diag), deadband=cfg.deadband)
         # K @ e may overflow to inf; time_of_flight or check_command raise
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, k_max + 1):
@@ -160,6 +165,8 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                     x, k, inst, params, r_policy)
                 u = stab.NO_CORRECTION
                 if stabilize and k % 2 == 1:
+                    if k == 1:  # the start has a command: design for it
+                        lin, gain = design_stabilizer(orbit, cfg)
                     # x is on the section: check_rate has made omega <= -1e-9,
                     # and instant's schedule check and the landing pin theta
                     u = stab.feedback(x[:4] + x[5:], lin, gain)

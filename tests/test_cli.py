@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -429,6 +430,15 @@ def test_duplicate_and_malformed_keys(tmp_path):
         load_scenario(mal)
 
 
+def test_empty_value_is_named_with_its_line(tmp_path):
+    path = write_scenario(tmp_path, m_kg=None)
+    path.write_text(path.read_text() + "# no mass\nm_kg =\n")
+    lineno = len(path.read_text().splitlines())
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == f"{path}:{lineno}: empty value for 'm_kg'"
+
+
 def test_invalid_parameter_rejected(tmp_path):
     bad = tmp_path / "badtheta.cfg"
     bad.write_text(SIM_VHC.read_text().replace(
@@ -624,6 +634,25 @@ def test_batch_jobs(tmp_path):
     assert (tmp_path / "sim_orbit" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_of_two_scenarios_with_one_stem_exits_2(tmp_path, capsys,
+                                                      jobs):
+    # both would write <out>/a: the batch is rejected before any scenario
+    # runs, so neither overwrites the other
+    (tmp_path / "x").mkdir()
+    (tmp_path / "y").mkdir()
+    first = write_scenario(tmp_path / "x", name="a")
+    second = write_scenario(tmp_path / "y", name="a", k_max="3")
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(first), "--scenario",
+                 str(SIM_VHC), "--scenario", str(second), "--out", str(out),
+                 "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == (
+        f"error: scenarios {first} and {second} share the stem 'a', so both "
+        f"would write {out / 'a'}\n")
+    assert not out.exists()
+
+
 def test_k_max_bound_is_accepted(tmp_path):
     from devilstick.harness import MAX_IMPULSES
     path = write_scenario(tmp_path, k_max=str(MAX_IMPULSES))
@@ -804,6 +833,26 @@ def test_plot_empty_csv_fails(tmp_path):
     truly_empty.write_text("")
     assert main(["plot", "--impulses", str(truly_empty),
                  "--out", str(tmp_path)]) == 2
+
+
+def test_plot_of_one_impulse_pads_the_constant_ranges(tmp_path):
+    # one row gives every panel a zero-width x and y range; svgplot pads
+    # both, so each panel's one marker sits at the center of its frame
+    path = write_scenario(tmp_path, k_max="1")
+    assert main(["simulate", "--scenario", str(path), "--out",
+                 str(tmp_path)]) == 0
+    impulses = tmp_path / "sc" / "impulses.csv"
+    assert len(read_rows(impulses)[1]) == 1
+    assert main(["plot", "--impulses", str(impulses), "--out",
+                 str(tmp_path / "plots")]) == 0
+    svg = (tmp_path / "plots" / "impulses.svg").read_text()
+    frames = re.findall(r'<rect x="([\d.]+)" y="([\d.]+)" width="([\d.]+)" '
+                        r'height="([\d.]+)" fill="none"', svg)
+    markers = re.findall(r'<circle cx="([\d.]+)" cy="([\d.]+)"', svg)
+    assert len(frames) == len(markers) == 8
+    for (x, y, w, h), (cx, cy) in zip(frames, markers):
+        assert float(cx) == pytest.approx(float(x) + float(w) / 2, abs=0.01)
+        assert float(cy) == pytest.approx(float(y) + float(h) / 2, abs=0.01)
 
 
 @pytest.mark.parametrize("option, text, message", [

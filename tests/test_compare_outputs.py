@@ -129,7 +129,7 @@ def test_no_adversarial_episode_escapes_run_episode(handler):
              + compare_outputs._off_schedule_lines(devilstick, handler))
     episodes = [(header, following) for header, following
                 in zip(lines, lines[1:]) if header.startswith("episode ")]
-    assert len(episodes) == 61
+    assert len(episodes) == 63
     assert [(header, following) for header, following in episodes
             if not following.startswith("termination ")] == []
     # a start twice the schedule tolerance off ends in instant's check
@@ -139,3 +139,9 @@ def test_no_adversarial_episode_escapes_run_episode(handler):
     assert len(outside) == 8
     assert all(line.startswith("termination OffSchedule: theta=")
                and line.endswith(" at k=1") for line in outside)
+    # a start that fails at k = 1 ends there, before the stabilizer design
+    # that its coarse central step would fail
+    starts = [following.split(":")[0] for header, following in episodes
+              if header.startswith("episode coarse central step, start ")]
+    assert starts == ["termination OffSchedule",
+                      "termination WrongRotationSign"]

@@ -489,3 +489,12 @@ def test_steady_inputs_wrong_sign_names_the_expected_sign(
     assert str(kernel_error.value) == message
     with pytest.raises(WrongRotationSign, match=rf"^{re.escape(message)}$"):
         steady_inputs(omega, k, spec, params)
+
+
+def test_steady_inputs_with_a_negative_flight_time_has_no_root(spec, params):
+    # alpha < 0 turns the closed-form steady time of flight negative
+    flipped = JuggleSpec(theta_odd=spec.theta_odd, theta_even=spec.theta_even,
+                         alpha=-0.6131, beta=3.0)
+    with pytest.raises(NoPositiveRoot, match=r"^steady time of flight "
+                                             r"-0\.358\d* not positive$"):
+        steady_inputs(-3.0, 1, flipped, params)

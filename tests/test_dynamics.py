@@ -67,6 +67,14 @@ def test_negative_flight_rejected(params):
         flight(s, -0.1, params)
 
 
+def test_sample_flight_rejects_a_negative_flight_time(params):
+    s = FullState(h=np.array([0.7, 2.5]), v=np.array([0.9, -2.0]),
+                  theta=0.5, omega=-5.7)
+    with pytest.raises(ValueError,
+                       match=r"^flight time must be >= 0, got -1\.0$"):
+        sample_flight(s, -1.0, 0.01, params)
+
+
 def test_flight_lands_on_even_orientation(spec, params, orbit_sym):
     # post-impulse state on the rate-symmetric orbit flies exactly one swing
     s_plus = FullState(h=np.array([spec.alpha * math.tan(spec.theta_odd), 3.0]),

@@ -169,3 +169,12 @@ def test_step_checks_the_rate_as_the_controller_does(spec, params, omega, k,
     with pytest.raises(error) as exc:
         dzd_step(s, spec, params)
     assert str(exc.value) == message
+
+
+def test_step_where_the_tangent_ratio_vanishes_is_degenerate(spec, params):
+    # theta_even - pi has the tangent of theta_even, so the factor
+    # 1 - tan(theta_even) / tan(theta) of the rate recursion is 0
+    s = DzdState(theta=spec.theta_even - math.pi, omega=-3.0, k=1)
+    with pytest.raises(Degenerate, match="^tangent-ratio factor vanishes in "
+                                         "constrained dynamics$"):
+        dzd_step(s, spec, params)

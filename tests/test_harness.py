@@ -200,6 +200,9 @@ def test_sample_budget_is_per_episode(ic_state, spec, params, monkeypatch):
     {"r_diag": (1.0, "a")},
     {"fd_step": "1e-6"},
     {"flight_dt": "x"},
+    {"stabilize": "off"},  # was accepted and, being truthy, stabilized
+    {"stabilize": 1},
+    {"stabilize": None},
 ])
 def test_cost_weights_must_be_finite_and_signed(weights):
     (name, _), = weights.items()
@@ -292,6 +295,48 @@ def test_stabilizer_setup_failure_is_data(ic_state, orbit_sym, params):
     assert not log.completed
     assert log.termination.startswith("FDInconsistent")
     assert log.records == []
+
+
+@pytest.mark.parametrize("theta_off, hy, vx, vy, omega, termination", [
+    (1e-3, 2.5, 0.9, -2.0, -5.7, "OffSchedule: theta=0.5245987755982988 does "
+                                 "not match scheduled 0.5235987755982988 at "
+                                 "k=1"),
+    (0.0, 2.5, 0.9, -2.0, 5.7, "WrongRotationSign: omega=5.7 has the wrong "
+                               "sign for k=1 (expected negative)"),
+    (0.0, -7.0, 0.0, -5.0, -5.7, "NoPositiveRoot: no positive time-of-flight "
+                                 "root at k=1 "),
+], ids=["off schedule", "wrong sign", "no root"])
+def test_a_start_that_fails_at_k1_is_never_designed_for(
+        orbit_sym, spec, params, theta_off, hy, vx, vy, omega, termination,
+        monkeypatch):
+    # the stabilizer is designed once kernel has the start's command, so a
+    # start that fails at k = 1 ends with its own termination and no design
+    from devilstick import stabilizer as stab
+
+    def linearize(*args, **kwargs):
+        raise AssertionError("linearize called")
+
+    monkeypatch.setattr(stab, "linearize", linearize)
+    s0 = FullState(h=np.array([0.7, hy]), v=np.array([vx, vy]),
+                   theta=spec.theta_odd + theta_off, omega=omega)
+    for cfg in (EpisodeConfig(stabilize=True),
+                EpisodeConfig(stabilize=True, fd_scheme="central",
+                              fd_step=1e-3)):
+        log = run_episode(s0, orbit_sym, params, cfg)
+        assert log.termination.startswith(termination)
+        assert log.records == [] and log.sim_duration == 0.0
+
+
+def test_a_stabilized_episode_designs_once_at_its_first_impulse(
+        ic_state, orbit_sym, params, monkeypatch):
+    from devilstick import harness
+    calls, design = [], harness.design_stabilizer
+    monkeypatch.setattr(harness, "design_stabilizer",
+                        lambda *args: calls.append(args) or design(*args))
+    cfg = EpisodeConfig(k_max=20, stabilize=True, r_diag=(2.0, 2.0),
+                        fd_scheme="forward")
+    assert run_episode(ic_state, orbit_sym, params, cfg).completed
+    assert calls == [(orbit_sym, cfg)]
 
 
 @pytest.mark.parametrize("h, v", [((0.7, 2.5), (0.9, 1e300)),

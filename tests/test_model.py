@@ -86,6 +86,11 @@ def test_full_state_rejects_nonfinite():
         FullState(h=np.zeros(2), v=np.zeros(2), theta=math.inf, omega=-1.0)
 
 
+def test_full_state_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^h and v must be 2-vectors$"):
+        FullState(h=np.zeros(3), v=np.zeros(2), theta=0.5, omega=-1.0)
+
+
 def test_full_state_is_immutable():
     s = FullState(h=np.array([0.1, 0.2]), v=np.zeros(2), theta=0.5, omega=-1.0)
     with pytest.raises(ValueError):

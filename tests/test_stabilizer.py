@@ -143,6 +143,11 @@ def test_linearize_inconsistent_step_raises(orbit_sym):
         linearize(orbit_sym, step_scale=1e-3, scheme="central")
 
 
+def test_linearize_rejects_an_unknown_scheme(orbit_sym):
+    with pytest.raises(ValueError, match="^unknown scheme 'backward'$"):
+        linearize(orbit_sym, scheme="backward")
+
+
 def test_controllability_reference_pair(orbit_sym):
     lin = linearize(orbit_sym)
     rank, ok = controllability(lin.A, lin.B)
