@@ -42,6 +42,12 @@ directory on PYTHONPATH, over:
   omega_star) pairs whose orbit has a denominator that underflows or a
   fixed point that is not finite; each with the warnings it printed, or
   the error that escaped it, the orbit design included,
+- direct `dlqr` and `controllability` calls on the edge inputs of each
+  LAPACK call's failure branch: an R that is not a square matrix, zero,
+  indefinite, asymmetric, NaN or inf; closed loops with a real, a complex
+  and a non-square spectrum; a singular and an overflowing gain solve and
+  a zero gain, from a cost-to-go that stands in for `riccati_solution`'s;
+  NaN and inf entries in A or B,
 - three scenarios that leave the optional keys to the loader's defaults
   (`simulate`): the required keys only, and the required keys plus
   `stabilizer = on` and `omega_star_radps = symmetric`, once with the
@@ -353,6 +359,74 @@ def _extreme_design_lines(devilstick) -> list[str]:
             except Exception as exc:  # compared by name and message
                 lines.append(f"{type(exc).__name__}: {exc}")
         lines += [f"{w.category.__name__}: {w.message}" for w in caught]
+    return lines + _lapack_branch_lines(devilstick)
+
+
+def _lapack_branch_lines(devilstick) -> list[str]:
+    """Direct dlqr and controllability calls on the edge inputs of each
+    LAPACK call's failure branch: the gain or rank, or the error that
+    escaped, and the warnings printed. A cost-to-go P, where given, stands
+    in for riccati_solution's, to reach the gain solve's branches."""
+    import contextlib
+    from unittest import mock
+
+    import numpy as np
+
+    eye, zeros = np.eye(2), np.zeros((2, 2))
+    rotation = np.array([[0.0, -1.2], [1.2, 0.0]])
+    diagonal = np.diag([1.5, 0.5])
+    # (name, A, B, R, P)
+    designs = [
+        ("R 2x3", eye, eye, np.ones((2, 3)), None),
+        ("R 1-D", eye, eye, np.ones(2), None),
+        ("R zero", eye, eye, zeros, None),
+        ("R indefinite", eye, eye, np.array([[1.0, 2.0], [2.0, 1.0]]), None),
+        ("R asymmetric, symmetric part indefinite", eye, eye,
+         np.array([[1.0, 4.0], [0.0, 1.0]]), None),
+        ("R asymmetric, symmetric part I", eye, eye,
+         np.array([[1.0, 1.0], [-1.0, 1.0]]), None),
+        ("R with NaN", eye, eye, np.diag([math.nan, 1.0]), None),
+        ("R with inf", eye, eye, np.diag([math.inf, 1.0]), None),
+        ("real closed-loop spectrum", diagonal, eye, eye, None),
+        ("complex closed-loop spectrum", rotation, np.array([[0.0], [1.0]]),
+         np.eye(1), None),
+        ("A + BK 2x1", np.zeros((2, 1)), eye, eye, None),
+        ("singular gain solve", eye, eye, eye, -eye),
+        ("overflowing gain", 10 * eye, eye, eye, 1e308 * eye),
+        ("K = 0, complex spectrum", rotation, eye, eye, zeros),
+        ("K = 0, real spectrum", diagonal, eye, eye, zeros),
+    ]
+    positive = np.array([[0.5, 0.25], [0.25, 0.5]])
+    column = np.array([[1.0], [2.0]])
+
+    def outcome(call, *args) -> list[str]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                found = [call(*args)]
+            except Exception as exc:  # compared by name and message
+                found = [f"{type(exc).__name__}: {exc}"]
+        return found + [f"{w.category.__name__}: {w.message}" for w in caught]
+
+    def gain(A, B, R) -> str:
+        return "K " + _floats(devilstick.dlqr(A, B, eye, R).K.ravel())
+
+    def rank(A, B) -> str:
+        return "rank {} {}".format(*devilstick.controllability(A, B))
+
+    lines = []
+    for name, A, B, R, P in designs:
+        stand_in = (contextlib.nullcontext() if P is None else
+                    mock.patch.object(devilstick.stabilizer,
+                                      "riccati_solution", lambda *_, P=P: P))
+        with stand_in:
+            lines += [f"dlqr {name}", *outcome(gain, A, B, R)]
+    for which in ("A", "B"):
+        for value in (math.nan, math.inf, -math.inf):
+            A, B = positive.copy(), column.copy()
+            (A if which == "A" else B)[0, 0] = value
+            lines += [f"controllability {which}[0, 0] = {value!r}",
+                      *outcome(rank, A, B)]
     return lines
 
 

@@ -340,6 +340,11 @@ def cmd_plot(impulses: Path | None, trajectory: Path | None,
 
     if impulses is None and trajectory is None:
         raise ScenarioError("nothing to plot: give --impulses and/or --trajectory")
+    if (impulses is not None and trajectory is not None
+            and impulses.stem == trajectory.stem):
+        raise ScenarioError(
+            f"{impulses} and {trajectory} share the stem {impulses.stem!r}, "
+            f"so both would write {outdir / (impulses.stem + '.svg')}")
     outdir.mkdir(parents=True, exist_ok=True)
     if impulses is not None:
         titles = {

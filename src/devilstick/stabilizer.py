@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg._umath_linalg import solve as lapack_solve
+from numpy.linalg._umath_linalg import (cholesky_lo as lapack_cholesky,
+                                        eigvals as lapack_eigvals,
+                                        solve as lapack_solve)
 
 from .dvhc import kernel, phi, psi
 from .dvhc import dvhc_control  # noqa: F401 (perfbench traces it)
@@ -29,6 +31,7 @@ RICCATI_TOL = 1e-12
 RICCATI_MAX_ITER = 100_000
 SPECTRAL_MARGIN = 1e-9
 FD_STEP = {"central": 1e-6, "forward": 2e-3}  # default step_scale per scheme
+EPS = np.finfo(float).eps  # numpy float64: float32 thresholds stay float64
 NO_CORRECTION = np.zeros(2)  # shared, read-only: the correction u when idle
 NO_CORRECTION.setflags(write=False)
 
@@ -176,7 +179,7 @@ def controllability(A: np.ndarray, B: np.ndarray) -> tuple[int, bool]:
         blocks.append(A.dot(blocks[-1]))
     ctrb = np.hstack(blocks)
     sv = np.linalg.svd(ctrb, compute_uv=False)
-    thresh = sv[0] * n * np.finfo(float).eps * 1e3 if sv[0] > 0 else np.inf
+    thresh = sv[0] * n * EPS * 1e3 if sv[0] > 0 else np.inf
     rank = int(np.sum(sv > thresh))
     return rank, rank == n
 
@@ -189,26 +192,33 @@ def dlqr(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
     The minus sign is folded into K, so u = K e is the stabilizing feedback
     and all eigenvalues of A + B K lie strictly inside the unit circle.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    R = np.asarray(R, dtype=float)
-    try:  # the symmetric part, exact for a symmetric R; Cholesky, unlike
-        # eigvalsh, does not underflow on a wide one
-        finite = np.isfinite(np.linalg.cholesky(R + 0.5 * (R.T - R))).all()
-    except np.linalg.LinAlgError:
+    A, B, Q, R = (np.asarray(M, dtype=float) for M in (A, B, Q, R))
+    R_sym = R + 0.5 * (R.T - R)  # the symmetric part, exact for a symmetric R
+    try:  # Cholesky, unlike eigvalsh, does not underflow on a wide R; the
+        # gufunc fails with NaN, and rejects what is not a square matrix
+        finite = np.isfinite(lapack_cholesky(R_sym, signature="d->d")).all()
+    except ValueError:
         finite = False
     if not finite:
         raise ValueError("R must be positive definite")
     P = riccati_solution(A, B, Q, R)
     BtP = B.T.dot(P)
-    try:
-        K = -np.linalg.solve(R + BtP.dot(B), BtP.dot(A))
-    except np.linalg.LinAlgError as exc:
-        raise RiccatiDiverged("R + B'PB is singular at the converged P") from exc
+    S, N = R + BtP.dot(B), BtP.dot(A)
+    K = -lapack_solve(S, N, signature="dd->d")
+    if not np.isfinite(K).all():  # a singular S gives NaN: ask the wrapper
+        try:
+            np.linalg.solve(S, N)
+        except np.linalg.LinAlgError as exc:
+            raise RiccatiDiverged(
+                "R + B'PB is singular at the converged P") from exc
     closed = A + B.dot(K)
-    radius = (np.max(np.abs(np.linalg.eigvals(closed)))
-              if np.isfinite(closed).all() else np.inf)
+    try:  # |a+0j| is |a|: the radius of the real spectrum keeps its bits
+        radius = (np.abs(lapack_eigvals(closed, signature="d->D")).max()
+                  if np.isfinite(closed).all() else np.inf)
+    except ValueError:  # not square, or empty
+        radius = np.nan
+    if np.isnan(radius):  # the wrapper raises where the gufunc failed
+        radius = np.max(np.abs(np.linalg.eigvals(closed)))
     if not radius < 1.0 - SPECTRAL_MARGIN:
         raise NotStabilizing(f"closed-loop spectral radius {radius:.6f} >= 1")
     return FeedbackGain(K=K, deadband=deadband)

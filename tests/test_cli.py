@@ -896,6 +896,26 @@ def test_plot_requires_input(tmp_path):
     assert main(["plot", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("copy", [True, False])
+def test_plot_of_two_inputs_with_one_stem_exits_2(tmp_path, capsys, copy):
+    # both plots would write <out>/impulses.svg; the pair is rejected before
+    # either CSV is read (so also when the second one does not exist), and
+    # nothing is written
+    impulses = ROOT / "out" / "sim_vhc" / "impulses.csv"
+    trajectory = tmp_path / "t" / "impulses.csv"
+    if copy:
+        trajectory.parent.mkdir()
+        trajectory.write_bytes(
+            (ROOT / "out" / "sim_vhc" / "trajectory.csv").read_bytes())
+    plots = tmp_path / "plots"
+    assert main(["plot", "--impulses", str(impulses), "--trajectory",
+                 str(trajectory), "--out", str(plots)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {impulses} and {trajectory} share the stem 'impulses', so "
+        f"both would write {plots / 'impulses.svg'}\n")
+    assert not plots.exists()
+
+
 def test_failed_first_impulse_still_writes_summary(tmp_path):
     # start far below the constraint height and falling: the first command
     # has no positive time-of-flight root, so the episode ends at k=1 with

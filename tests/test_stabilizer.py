@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from devilstick import (EpisodeConfig, FDInconsistent, FeedbackGain,
                         Infeasible, JuggleSpec, JugglingError, LinearizedMap, NotOnSection,
-                        RiccatiDiverged, StickParams, controllability,
-                        dare_residual, design_orbit, dlqr, feedback,
-                        fixed_point, linearize, on_constraint_state,
-                        poincare_map, riccati_solution, stabilizer)
+                        NotStabilizing, RiccatiDiverged, StickParams,
+                        controllability, dare_residual, design_orbit, dlqr,
+                        feedback, fixed_point, harness, linearize,
+                        on_constraint_state, poincare_map, riccati_solution,
+                        stabilizer)
 from devilstick.stabilizer import (_closed_loop_return, _on_section,
+                                   lapack_cholesky, lapack_eigvals,
                                    lapack_solve)
 
 import stabilizer_reference
@@ -464,6 +466,115 @@ def test_riccati_errors_match_frozen_reference(monkeypatch, A, B, Q, R,
     expected = _outcome(stabilizer_reference.riccati_solution, A, B, Q, R)
     assert expected[0] is RiccatiDiverged and message in expected[1]
     assert _outcome(riccati_solution, A, B, Q, R) == expected
+
+
+_ROTATION = np.array([[0.0, -1.2], [1.2, 0.0]])
+
+
+@pytest.mark.parametrize("A, B, R, error", [
+    # R + R.T does not broadcast: numpy's own ValueError, before Cholesky
+    (np.eye(2), np.eye(2), np.ones((2, 3)), (ValueError, "operands could")),
+    # the Cholesky gufunc rejects a 1-D R, the wrapper raised LinAlgError
+    (np.eye(2), np.eye(2), np.ones(2), (ValueError, "positive definite")),
+    (np.eye(2), np.eye(2), np.zeros((2, 2)), (ValueError, "positive definite")),
+    (np.eye(2), np.eye(2), [[1.0, 2.0], [2.0, 1.0]],
+     (ValueError, "positive definite")),
+    # asymmetric: only the symmetric part counts, indefinite here ...
+    (np.eye(2), np.eye(2), [[1.0, 4.0], [0.0, 1.0]],
+     (ValueError, "positive definite")),
+    # ... and the identity here
+    (np.eye(2), np.eye(2), [[1.0, 1.0], [-1.0, 1.0]], None),
+    (np.eye(2), np.eye(2), np.diag([math.nan, 1.0]),
+     (ValueError, "positive definite")),
+    (np.eye(2), np.eye(2), np.diag([math.inf, 1.0]),
+     (ValueError, "positive definite")),
+    # closed loops with a real and with a complex spectrum
+    (np.diag([1.5, 0.5]), np.eye(2), np.eye(2), None),
+    (_ROTATION, [[0.0], [1.0]], np.eye(1), None),
+    # A + B K is 2x1: the eigenvalue gufunc rejects it, the wrapper names it
+    (np.zeros((2, 1)), np.eye(2), np.eye(2),
+     (np.linalg.LinAlgError, "must be square")),
+])
+def test_dlqr_lapack_branches_match_frozen_reference(A, B, R, error):
+    # error: None for a gain, else the type and a fragment of the message
+    A, B, R = (np.array(M, dtype=float) for M in (A, B, R))
+    outcome = _outcome(stabilizer_reference.dlqr, A, B, np.eye(2), R)
+    if error is None:
+        assert outcome[0] == "ok"
+    else:
+        assert outcome[0] is error[0] and error[1] in outcome[1]
+    assert _outcome(dlqr, A, B, np.eye(2), R) == outcome
+
+
+@pytest.mark.parametrize("P, A, message", [
+    # R + B'PB = I - I = 0: the gain solve is singular
+    (-np.eye(2), np.eye(2), "R + B'PB is singular at the converged P"),
+    # S is regular but K overflows: the wrapper raises nothing
+    (1e308 * np.eye(2), 10 * np.eye(2), "spectral radius inf >= 1"),
+    # K = 0 leaves A's spectrum, complex and real
+    (np.zeros((2, 2)), _ROTATION, "spectral radius 1.200000 >= 1"),
+    (np.zeros((2, 2)), np.diag([1.5, 0.5]), "spectral radius 1.500000 >= 1"),
+])
+def test_dlqr_gain_failures_match_frozen_reference(monkeypatch, P, A,
+                                                   message):
+    # no weight reaches these branches through the Riccati iteration, so
+    # both copies are handed the cost-to-go P
+    monkeypatch.setattr(stabilizer, "riccati_solution", lambda *args: P)
+    monkeypatch.setattr(stabilizer_reference, "riccati_solution",
+                        lambda *args: P)
+    I = np.eye(2)
+    outcome = _outcome(stabilizer_reference.dlqr, A, I, I, I)
+    assert outcome[0] in (RiccatiDiverged, NotStabilizing)
+    assert message in outcome[1]
+    assert _outcome(dlqr, A, I, I, I) == outcome
+
+
+@pytest.mark.parametrize("which", ["A", "B"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_controllability_of_non_finite_entries_matches_frozen_reference(
+        which, value):
+    # positive entries: an inf spreads through the products without the
+    # 0 * inf or inf - inf that would warn (from .dot here, @ there)
+    A = np.array([[0.5, 0.25], [0.25, 0.5]])
+    B = np.array([[1.0], [2.0]])
+    (A if which == "A" else B)[0, 0] = value
+    outcome = _outcome(stabilizer_reference.controllability, A, B)
+    assert outcome == ((np.linalg.LinAlgError, "SVD did not converge")
+                       if math.isnan(value) else ("ok", (0, False)))
+    assert _outcome(controllability, A, B) == outcome
+
+
+@pytest.mark.parametrize("scheme", ["central", "forward"])
+def test_design_step_success_calls_no_linalg_wrapper(monkeypatch, orbit_sym,
+                                                     scheme):
+    # sim_orbit's orbit: dlqr calls the LAPACK gufuncs themselves, and runs
+    # the np.linalg wrappers only on a failure branch
+    def wrapper(*args, **kwargs):
+        raise AssertionError("np.linalg wrapper called")
+
+    for name in ("solve", "cholesky", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    lin, gain = harness.design_stabilizer(
+        orbit_sym, EpisodeConfig(r_diag=(2.0, 2.0), fd_scheme=scheme))
+    assert np.isfinite(gain.K).all()
+    rank, _ = controllability(lin.A, lin.B)
+    assert rank >= 4
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 5]),
+       scale=st.floats(0.0, 8.0))
+def test_lapack_cholesky_and_eigvals_are_np_linalg_bitwise(seed, n, scale):
+    # dlqr calls the gufuncs np.linalg.cholesky and eigvals wrap: the same
+    # LAPACK calls, and |a + 0j| is |a| on a real spectrum
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-scale, scale, (n, n))
+    R = M @ M.T + np.diag(10.0 ** rng.uniform(-scale, scale, n))
+    assert (lapack_cholesky(R, signature="d->d").tobytes()
+            == np.linalg.cholesky(R).tobytes())
+    for closed in (M, np.triu(M)):  # real spectra are likely, then certain
+        radius = np.abs(lapack_eigvals(closed, signature="d->D")).max()
+        assert radius.tobytes() == np.max(
+            np.abs(np.linalg.eigvals(closed))).tobytes()
 
 
 @given(seed=st.integers(0, 2**32 - 1), cols=st.sampled_from([2, 5]),
