@@ -17,6 +17,11 @@ of the medians next to the metric's bound, and the pairs the change wins
 (ties count for neither side); then the `failed` operations summed over
 each side's runs.
 
+The roots must agree on which of `src/devilstick/__pycache__` and
+`perfbench/__pycache__` they hold: under PYTHONDONTWRITEBYTECODE a root
+without them compiles ~20 ms of source in every process, so the script
+exits 2 before running when exactly one root has either.
+
 --record writes BENCH_<short-sha>.json for each root into the current
 directory, in the format of the committed files: the first pair's result of
 each workload, the host and the Python version. Recording needs both roots
@@ -36,6 +41,7 @@ from pathlib import Path
 
 SEED = 0
 RUN_TIMEOUT_S = 600
+CACHES = ("src/devilstick/__pycache__", "perfbench/__pycache__")
 
 
 def _run_once(root: Path, workload: str, seconds: float) -> dict:
@@ -142,6 +148,12 @@ def main(argv: list[str]) -> int:
     if unknown or args.pairs < 2:
         parser.error(f"unknown workloads {unknown}" if unknown
                      else "--pairs must be at least 2")
+    for cache in CACHES:
+        held = [root for root in (args.parent, args.change)
+                if (root / cache).is_dir()]
+        if len(held) == 1:
+            parser.error(f"only {held[0]} has {cache}: a root without it "
+                         f"compiles the package in every process")
     shas = [_short_sha(root) for root in (args.parent, args.change)] \
         if args.record else []
     firsts: tuple[dict, dict] = ({}, {})

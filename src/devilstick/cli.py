@@ -175,11 +175,9 @@ def _write_trajectory_csv(log: EpisodeLog, path: Path) -> None:
     row = ",".join([FLOAT_FMT] * 4) + "\r\n"
     with path.open("w", newline="") as fh:
         fh.write("t,hx,hy,theta\r\n")
-        for trace in log.flights:
-            s = trace.samples
-            fh.write("".join(row % values for values in zip(
-                (trace.t0 + s.t).tolist(), s.h[:, 0].tolist(),
-                s.h[:, 1].tolist(), s.theta.tolist())))
+        for s in log.flights:
+            fh.write((row * len(s)) % tuple(
+                np.column_stack((s.t, s.h, s.theta)).ravel().tolist()))
 
 
 def _summary(scenario: Scenario, log: EpisodeLog) -> dict:
@@ -195,16 +193,17 @@ def _summary(scenario: Scenario, log: EpisodeLog) -> dict:
         return out
     m = metrics(log)
     last = log.records[-1]
-    odd = [r for r in log.records if r.k % 2 == 1]
-    even = [r for r in log.records if r.k % 2 == 0]
+    # k runs 1, 2, ...: the last two records hold the last of each parity
+    tail = {r.k % 2: r for r in log.records[-2:]}
+    odd, even = tail.get(1), tail.get(0)
     out.update({
         "rho_contraction_dev": m.rho_contraction_dev,
         "terminal_orbit_error": m.terminal_error,
         "final_k": last.k,
-        "final_omega_odd": odd[-1].omega if odd else None,
-        "final_omega_even": even[-1].omega if even else None,
-        "final_delta_odd": odd[-1].delta if odd else None,
-        "final_delta_even": even[-1].delta if even else None,
+        "final_omega_odd": odd.omega if odd else None,
+        "final_omega_even": even.omega if even else None,
+        "final_delta_odd": odd.delta if odd else None,
+        "final_delta_even": even.delta if even else None,
         "final_impulse": last.I,
         "final_offset": last.r,
     })

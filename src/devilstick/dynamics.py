@@ -21,8 +21,8 @@ MAX_FLIGHT_SAMPLES = 1_000_000  # per episode; bounds sampling time and memory
 
 @dataclass(frozen=True, eq=False)
 class FlightSamples:
-    """Pose along one flight: times t (n,) since its start, positions h
-    (n, 2) and orientations theta (n,). Arrays are read-only.
+    """Pose along one flight: times t (n,) on the episode clock, positions
+    h (n, 2) and orientations theta (n,). Arrays are read-only.
     """
 
     t: np.ndarray
@@ -99,12 +99,12 @@ def time_of_flight(omega: float, impulse: float, offset: float, k: int,
 
 
 def sample_flight(x_plus: State, delta: float, dt: float,
-                  params: StickParams,
-                  max_samples: int = MAX_FLIGHT_SAMPLES) -> FlightSamples:
-    """Sample a flight at t = 0, dt, 2*dt, ..., delta (endpoint exact).
+                  params: StickParams, max_samples: int = MAX_FLIGHT_SAMPLES,
+                  t0: float = 0.0) -> FlightSamples:
+    """Sample a flight at t0 + s, s = 0, dt, 2*dt, ..., delta (endpoint exact).
 
-    Each row equals the pose of flight from x_plus after t bitwise: the
-    columns are evaluated with the same operations in the same order. Raises
+    Row s equals the pose of flight from x_plus after s bitwise: the columns
+    are evaluated with the same operations in the same order. Raises
     ScenarioError, before allocating, when the flight needs more than
     max_samples samples, and NonFinite when a sampled pose overflows.
     """
@@ -131,6 +131,7 @@ def sample_flight(x_plus: State, delta: float, dt: float,
         h[:, 0] = hx + vx * t + 0.0
         h[:, 1] = hy + vy * t + -0.5 * g * (t * t)
         theta = theta0 + omega * t
+        t = t0 + t
     if not (np.isfinite(h).all() and np.isfinite(theta).all()):
         raise NonFinite(f"sampled {delta:.6g} s flight is not finite")
     for arr in (t, h, theta):

@@ -90,21 +90,13 @@ class ImpulseRecord:
     u: np.ndarray              # stabilizer correction; NO_CORRECTION if none
 
 
-@dataclass(frozen=True, eq=False)
-class FlightTrace:
-    """Sampled trajectory of the flight that follows impulse k."""
-
-    k: int
-    t0: float                  # episode time at the impulse
-    samples: FlightSamples
-
-
 @dataclass(eq=False)
 class EpisodeLog:
     spec: JuggleSpec
     params: StickParams
     records: list[ImpulseRecord] = field(default_factory=list)
-    flights: list[FlightTrace] = field(default_factory=list)
+    # flights[i] follows records[i], its times on the episode clock
+    flights: list[FlightSamples] = field(default_factory=list)
     sim_duration: float = 0.0  # first impulse to last impulse
     wall_time: float = 0.0
     termination: str = "completed"
@@ -189,9 +181,9 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                     x = land(x_plus, delta, inst.theta_next, params)
                     if flight_dt is not None:
                         samples = sample_flight(x_plus, delta, flight_dt,
-                                                params, budget)
+                                                params, budget, t)
                         budget -= len(samples)
-                        log.flights.append(FlightTrace(k, t, samples))
+                        log.flights.append(samples)
                     t += delta
     except JugglingError as exc:
         log.termination = f"{type(exc).__name__}: {exc}"
@@ -201,14 +193,6 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
     log.sim_duration = t
     log.wall_time = time.perf_counter() - t_start
     return log
-
-
-def section_state_of(record: ImpulseRecord, spec: JuggleSpec,
-                     params: StickParams) -> np.ndarray:
-    """Section coordinates of a logged odd-instant record."""
-    h = phi(record.theta, spec) + record.rho
-    v = psi(record.theta, record.omega, record.k, spec, params) + record.drho
-    return np.array([h[0], h[1], v[0], v[1], record.omega])
 
 
 def metrics(log: EpisodeLog) -> EpisodeMetrics:
@@ -221,10 +205,11 @@ def metrics(log: EpisodeLog) -> EpisodeMetrics:
     terminal_error = None
     if log.orbit is not None:
         z_star, _, _ = stab.fixed_point(log.orbit)
-        last_odd = next((r for r in reversed(log.records) if r.k % 2 == 1),
-                        None)
-        if last_odd is not None:
-            z = section_state_of(last_odd, log.spec, log.params)
+        r = next((rec for rec in reversed(log.records) if rec.k % 2), None)
+        if r is not None:  # the section coordinates of the last odd record
+            h = phi(r.theta, log.spec) + r.rho
+            v = psi(r.theta, r.omega, r.k, log.spec, log.params) + r.drho
+            z = np.array([h[0], h[1], v[0], v[1], r.omega])
             terminal_error = float(np.linalg.norm(z - z_star))
     return EpisodeMetrics(rho_contraction_dev=dev,
                           terminal_error=terminal_error)

@@ -130,17 +130,26 @@ def validate(spec: JuggleSpec, params: StickParams) -> list[str]:
     question, answered by spec.symmetric.
     """
     checks = {
-        "m": params.m > 0,
-        "ell": params.ell > 0,
-        "J": 0 < params.inertia < math.inf,
-        "g": params.g > 0,
+        "m": lambda: params.m > 0,
+        "ell": lambda: params.ell > 0,
+        "J": lambda: 0 < params.inertia < math.inf,
+        "g": lambda: params.g > 0,
         # SCHEDULE_TOL clear of 0 and pi: no start on schedule has tan = 0
-        "theta_odd": SCHEDULE_TOL < spec.theta_odd < math.pi / 2,
-        "theta_even": math.pi / 2 < spec.theta_even < math.pi - SCHEDULE_TOL,
-        "delta_theta": spec.delta_theta > 0,
-        "alpha": spec.alpha > 0,
-        "beta": spec.beta > 0,
-        "lambda_x": 0.0 <= spec.lambda_x < 1.0,
-        "lambda_y": 0.0 <= spec.lambda_y < 1.0,
+        "theta_odd": lambda: SCHEDULE_TOL < spec.theta_odd < math.pi / 2,
+        "theta_even": lambda: (math.pi / 2 < spec.theta_even
+                               < math.pi - SCHEDULE_TOL),
+        "delta_theta": lambda: spec.delta_theta > 0,
+        "alpha": lambda: spec.alpha > 0,
+        "beta": lambda: spec.beta > 0,
+        "lambda_x": lambda: 0.0 <= spec.lambda_x < 1.0,
+        "lambda_y": lambda: 0.0 <= spec.lambda_y < 1.0,
     }
-    return [name for name, passed in checks.items() if not passed]
+    failures = []
+    for name, check in checks.items():
+        try:
+            passed = bool(check())
+        except (TypeError, ValueError):  # a value of the wrong type fails
+            passed = False
+        if not passed:
+            failures.append(name)
+    return failures

@@ -239,8 +239,12 @@ def riccati_solution(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
 
     Each step solves S X = N with the LAPACK gufunc np.linalg.solve wraps,
     without its checks: a singular S gives NaN, and the blow-up test below
-    catches it and asks the wrapper whether S was singular.
+    catches it and asks the wrapper whether S was singular. Raises
+    ValueError when an operand is not 2-D, before its first product.
     """
+    for name, M in zip("ABQR", (A, B, Q, R)):
+        if np.ndim(M) != 2:
+            raise ValueError(f"{name} must be a 2-D matrix, got {np.ndim(M)}-D")
     P = np.asarray(Q, dtype=float).copy()
     At, Bt = A.T, B.T
     for step in range(RICCATI_MAX_ITER):

@@ -102,3 +102,27 @@ def test_usage_errors(argv, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("cache", ["src/devilstick/__pycache__",
+                                   "perfbench/__pycache__"])
+def test_roots_with_different_bytecode_caches_are_refused(
+        cache, tmp_path, monkeypatch, capsys):
+    # a root without the cache compiles the package in each run, ~8% of a
+    # reference_cli round, so a pair would compare compile time
+    for name in ("parent", "change"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "a"}], "end_to_end": []}))
+    (tmp_path / "change" / cache).mkdir(parents=True)
+    calls = _stub(monkeypatch, {"parent": [1, 2], "change": [3, 4]})
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"),
+            "--pairs", "2"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2 and calls == []
+    assert f"has {cache}" in capsys.readouterr().err
+    # the same caches on both sides run
+    (tmp_path / "parent" / cache).mkdir(parents=True)
+    assert bench_pairs.main(argv) == 0
+    assert len(calls) == 4

@@ -194,6 +194,25 @@ def test_sample_flight_rows_equal_flight(hx, hy, vx, vy, theta, omega,
         assert samples.theta[i] == end.theta
 
 
+@given(hx=finite, hy=finite, vx=finite, vy=finite, theta=finite,
+       omega=finite, delta=st.floats(min_value=0.0, max_value=3.0),
+       dt=st.floats(min_value=1e-2, max_value=1.0),
+       t0=st.floats(min_value=-1e6, max_value=1e6))
+def test_sample_flight_shifts_only_its_times_by_t0(hx, hy, vx, vy, theta,
+                                                   omega, delta, dt, t0):
+    # the start time moves the times onto the episode clock; the poses are
+    # those of the flight's own times since its start, bit for bit
+    params = StickParams(m=0.1, ell=0.5)
+    x = (hx, hy, vx, vy, theta, omega)
+    rel = sample_flight(x, delta, dt, params)
+    shifted = sample_flight(x, delta, dt, params, t0=t0)
+    assert shifted.t.tobytes() == (t0 + rel.t).tobytes()
+    assert shifted.h.tobytes() == rel.h.tobytes()
+    assert shifted.theta.tobytes() == rel.theta.tobytes()
+    for arr in (shifted.t, shifted.h, shifted.theta):
+        assert not arr.flags.writeable
+
+
 def test_sample_flight_from_rest_is_bitwise(params):
     # from rest at the origin hy(t) is the gravity term alone, so a square
     # rounded differently from flight's delta * delta shows in the last bit; the

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devilstick import (EpisodeConfig, FullState, JuggleSpec, StickParams,
-                        design_orbit, metrics, on_constraint_state,
-                        run_episode, validate)
+from devilstick import (EpisodeConfig, FlightSamples, FullState, JuggleSpec,
+                        StickParams, design_orbit, metrics,
+                        on_constraint_state, run_episode, validate)
 from devilstick.dzd import growth_factor
 
 from refvals import (DELTA_EVEN, DELTA_ODD, DURATION_2P, DURATION_SYM,
@@ -98,11 +98,10 @@ def test_episode_is_deterministic(ic_state, spec, params):
         assert np.array_equal(ra.rho, rb.rho)
         assert np.array_equal(ra.drho, rb.drho)
         assert (ra.delta, ra.I, ra.r) == (rb.delta, rb.I, rb.r)
+    assert len(a.flights) == len(b.flights) == 11
     for fa, fb in zip(a.flights, b.flights):
-        assert fa.t0 == fb.t0
         for name in ("t", "h", "theta"):
-            assert np.array_equal(getattr(fa.samples, name),
-                                  getattr(fb.samples, name))
+            assert np.array_equal(getattr(fa, name), getattr(fb, name))
     assert a.sim_duration == b.sim_duration
 
 
@@ -144,13 +143,16 @@ def test_flight_sampling(ic_state, spec, params):
     cfg = EpisodeConfig(k_max=5, flight_dt=0.05)
     log = run_episode(ic_state, spec, params, cfg)
     assert len(log.flights) == 4
-    for trace, rec in zip(log.flights, log.records):
-        assert trace.k == rec.k
-        assert trace.samples.t[-1] == rec.delta
-    expected = [0.0]
-    for rec in log.records[:3]:
-        expected.append(expected[-1] + rec.delta)
-    assert [trace.t0 for trace in log.flights] == expected
+    # flight i follows records[i]: it starts at the sum of the earlier
+    # records' deltas and ends records[i].delta later, on the episode clock
+    t0 = 0.0
+    for flight, rec in zip(log.flights, log.records):
+        assert isinstance(flight, FlightSamples)
+        assert flight.t[0] == t0
+        assert flight.t[-1] == t0 + rec.delta
+        for arr in (flight.t, flight.h, flight.theta):
+            assert not arr.flags.writeable
+        t0 += rec.delta
 
 
 def test_sample_budget_is_per_episode(ic_state, spec, params, monkeypatch):
@@ -159,13 +161,13 @@ def test_sample_budget_is_per_episode(ic_state, spec, params, monkeypatch):
     from devilstick import harness
     cfg = EpisodeConfig(k_max=10, flight_dt=0.05)
     full = run_episode(ic_state, spec, params, cfg)
-    sizes = [len(trace.samples) for trace in full.flights]
+    sizes = [len(flight) for flight in full.flights]
     assert full.completed and max(sizes) <= 25 < sum(sizes)
     monkeypatch.setattr(harness, "MAX_FLIGHT_SAMPLES", 25)
     log = run_episode(ic_state, spec, params, cfg)
     assert log.termination.startswith("ScenarioError: ")
     assert "sample budget" in log.termination
-    used = [len(trace.samples) for trace in log.flights]
+    used = [len(flight) for flight in log.flights]
     assert sum(used) <= 25
     assert sum(used) + sizes[len(used)] > 25
     assert len(log.records) == len(used) + 1
@@ -384,6 +386,23 @@ def test_invalid_parameters_end_episode_as_data(spec, spec_kw, params_kw,
                    theta=spec.theta_odd, omega=-5.7)
     log = run_episode(s0, spec, StickParams(**params_kw),
                       EpisodeConfig(k_max=10))
+    assert log.termination == f"ScenarioError: invalid parameters: {failures}"
+    assert log.records == []
+
+
+@pytest.mark.parametrize("params_kw, spec_kw, failures", [
+    ({"J": "x"}, {}, "J"),     # escaped as a bare ValueError
+    ({"J": 1j}, {}, "J"),      # escaped as a TypeError, as did the next two
+    ({"g": "x"}, {}, "g"),
+    ({}, {"alpha": "x"}, "alpha"),
+])
+def test_wrongly_typed_parameters_end_episode_as_data(spec, params_kw,
+                                                      spec_kw, failures):
+    params = StickParams(**{"m": 0.1, "ell": 0.5, **params_kw})
+    spec = dataclasses.replace(spec, **spec_kw)
+    s0 = FullState(h=np.array([0.7, 2.5]), v=np.array([0.9, -2.0]),
+                   theta=spec.theta_odd, omega=-5.7)
+    log = run_episode(s0, spec, params, EpisodeConfig(k_max=10))
     assert log.termination == f"ScenarioError: invalid parameters: {failures}"
     assert log.records == []
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,20 @@ def test_validate_is_pure_and_idempotent(spec, params):
     bad = StickParams(m=-1.0, ell=0.5, g=0.0)
     assert validate(spec, bad) == validate(spec, bad) == ["m", "J", "g"]
     assert validate(spec, params) == validate(spec, params)
+
+
+@pytest.mark.parametrize("params_kw, spec_kw, failures", [
+    ({"J": "x"}, {}, ["J"]),           # float("x") raised ValueError
+    ({"J": 1j}, {}, ["J"]),            # float(1j) raised TypeError
+    ({"g": "x"}, {}, ["g"]),           # "x" > 0 raised TypeError
+    ({}, {"alpha": "x"}, ["alpha"]),
+    ({"m": np.ones(2)}, {}, ["m", "J"]),  # an array's truth is ambiguous
+])
+def test_a_value_of_the_wrong_type_fails_its_check(spec, params_kw, spec_kw,
+                                                   failures):
+    params = StickParams(**{"m": 0.1, "ell": 0.5, **params_kw})
+    spec = dataclasses.replace(spec, **spec_kw)
+    assert validate(spec, params) == failures
 
 
 def test_overflowing_default_inertia_fails_j(spec):

@@ -307,6 +307,21 @@ def test_riccati_stops_on_nan_cost():
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("design", [dlqr, riccati_solution])
+@pytest.mark.parametrize("i, name", enumerate("ABQR"))
+def test_stacked_operand_is_rejected_by_name(design, i, name):
+    # .dot on a (2, 2, 2) operand added axes at every Riccati step until
+    # an allocation of 128 GiB or more failed with MemoryError
+    ops = [np.eye(2)] * 4
+    ops[i] = np.stack([np.eye(2)] * 2)
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be a 2-D matrix"):
+            design(*ops)
+    assert time.perf_counter() - start < 0.05
+
+
 magnitude = st.floats(min_value=0.0, max_value=1e300)
 
 
