@@ -19,7 +19,7 @@ each side's runs.
 
 The roots must agree on which of `src/devilstick/__pycache__` and
 `perfbench/__pycache__` they hold: under PYTHONDONTWRITEBYTECODE a root
-without them compiles ~20 ms of source in every process, so the script
+without them compiles ~25-30 ms of source in every process, so the script
 exits 2 before running when exactly one root has either.
 
 --record writes BENCH_<short-sha>.json for each root into the current

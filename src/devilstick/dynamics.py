@@ -103,8 +103,8 @@ def sample_flight(x_plus: State, delta: float, dt: float,
                   t0: float = 0.0) -> FlightSamples:
     """Sample a flight at t0 + s, s = 0, dt, 2*dt, ..., delta (endpoint exact).
 
-    Row s equals the pose of flight from x_plus after s bitwise: the columns
-    are evaluated with the same operations in the same order. Raises
+    The row at s equals the pose of flight from x_plus after s bitwise: the
+    columns are evaluated with the same operations in the same order. Raises
     ScenarioError, before allocating, when the flight needs more than
     max_samples samples, and NonFinite when a sampled pose overflows.
     """

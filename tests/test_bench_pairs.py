@@ -108,8 +108,8 @@ def test_usage_errors(argv, monkeypatch, capsys):
                                    "perfbench/__pycache__"])
 def test_roots_with_different_bytecode_caches_are_refused(
         cache, tmp_path, monkeypatch, capsys):
-    # a root without the cache compiles the package in each run, ~8% of a
-    # reference_cli round, so a pair would compare compile time
+    # a root without the cache compiles the package in each run, about a
+    # tenth of a reference_cli round, so a pair would compare compile time
     for name in ("parent", "change"):
         (tmp_path / name).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
