@@ -48,6 +48,13 @@ directory on PYTHONPATH, over:
   and a non-square spectrum; a singular and an overflowing gain solve and
   a zero gain, from a cost-to-go that stands in for `riccati_solution`'s;
   NaN and inf entries in A or B,
+- direct `riccati_solution` calls whose cost-to-go nears the 1e100
+  blow-up bound: one that passes it at step 3, one that settles at 9.33e99,
+  one that stays at 1e100, two that creep up on it for ~300 steps and
+  settle 3 ulps below it or pass it at step 324, and one that turns NaN at
+  step 14 after costs below 4e8; each prints P in hex floats or the error,
+  and the warnings, and a blow-up runs with the step limit one past its
+  step, so a blow-up test that fires late reads "no fixed point",
 - three scenarios that leave the optional keys to the loader's defaults
   (`simulate`): the required keys only, and the required keys plus
   `stabilizer = on` and `omega_star_radps = symmetric`, once with the
@@ -359,7 +366,45 @@ def _extreme_design_lines(devilstick) -> list[str]:
             except Exception as exc:  # compared by name and message
                 lines.append(f"{type(exc).__name__}: {exc}")
         lines += [f"{w.category.__name__}: {w.message}" for w in caught]
-    return lines + _lapack_branch_lines(devilstick)
+    return (lines + _lapack_branch_lines(devilstick)
+            + _riccati_bound_lines(devilstick))
+
+
+def _riccati_bound_lines(devilstick) -> list[str]:
+    """Direct riccati_solution calls whose cost-to-go nears the 1e100
+    blow-up bound: P in hex floats, or the error that escaped, and the
+    warnings printed. A blow-up runs with RICCATI_MAX_ITER one past its
+    step, so a test that fires a step late reads "no fixed point"."""
+    from unittest import mock
+
+    import numpy as np
+
+    creep = 1e100 * (1 - 0.9025)  # 0.95**2 per step: P settles near 1e100
+    # (name, A, B, Q, RICCATI_MAX_ITER), all 1x1, R = 1
+    cases = [
+        ("passes 1e100 at step 3", 1e5, 0.0, 1e60, 4),
+        ("settles at 9.33e99", 0.5, 0.0, 7e99, 100_000),
+        ("stays at 1e100", 0.0, 0.0, 1e100, 100_000),
+        ("creeps up to 3 ulps below 1e100", 0.95, 0.0, creep, 100_000),
+        ("creeps past 1e100 at step 324", 0.95, 0.0, creep * (1 + 3e-15),
+         325),
+        ("NaN at step 14", 2.0, 1e300, 1.0, 15),
+    ]
+    lines = []
+    for name, a, b, q, steps in cases:
+        A, B, Q, R = (np.array([[v]]) for v in (a, b, q, 1.0))
+        lines.append(f"riccati_solution {name}, at most {steps} steps")
+        with warnings.catch_warnings(record=True) as caught, \
+                mock.patch.object(devilstick.stabilizer, "RICCATI_MAX_ITER",
+                                  steps):
+            warnings.simplefilter("always")
+            try:
+                lines.append("P " + _floats(
+                    devilstick.riccati_solution(A, B, Q, R).ravel()))
+            except Exception as exc:  # compared by name and message
+                lines.append(f"{type(exc).__name__}: {exc}")
+        lines += [f"{w.category.__name__}: {w.message}" for w in caught]
+    return lines
 
 
 def _lapack_branch_lines(devilstick) -> list[str]:

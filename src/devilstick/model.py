@@ -144,11 +144,13 @@ def validate(spec: JuggleSpec, params: StickParams) -> list[str]:
         "lambda_x": lambda: 0.0 <= spec.lambda_x < 1.0,
         "lambda_y": lambda: 0.0 <= spec.lambda_y < 1.0,
     }
+    fields = {**vars(params), **vars(spec)}
     failures = []
     for name, check in checks.items():
-        try:
+        try:  # np.float64 overflows on an int past the float range
+            np.float64(fields.get(name, 0.0))  # and passes an array through
             passed = bool(check())
-        except (TypeError, ValueError):  # a value of the wrong type fails
+        except (TypeError, ValueError, OverflowError):  # wrong types fail too
             passed = False
         if not passed:
             failures.append(name)

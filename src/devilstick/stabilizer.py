@@ -32,6 +32,7 @@ RICCATI_MAX_ITER = 100_000
 SPECTRAL_MARGIN = 1e-9
 FD_STEP = {"central": 1e-6, "forward": 2e-3}  # default step_scale per scheme
 EPS = np.finfo(float).eps  # numpy float64: float32 thresholds stay float64
+BOUND_GROWTH = float(1 + 4 * EPS)  # outgrows the roundoff of a bound update
 NO_CORRECTION = np.zeros(2)  # shared, read-only: the correction u when idle
 NO_CORRECTION.setflags(write=False)
 
@@ -96,36 +97,34 @@ def fixed_point(orbit: OrbitSpec) -> tuple[np.ndarray, float, float]:
     return np.array(z_star), orbit.I_mag, orbit.r_star
 
 
-def _closed_loop_return(w: list[float], orbit: OrbitSpec) -> list[float]:
+def _closed_loop_return(w: list[float], orbit: OrbitSpec) -> np.ndarray:
     """Return map from section state w[:5] with the nominal controller in
     the loop and the correction (w[5], w[6]) added to its odd-instant inputs:
     the one function of w = (z, u) that the linearization differentiates."""
-    z = w[:5]
-    *_, impulse, offset, _ = kernel(_on_section(z, orbit.spec), 1,
-                                    orbit.instants[0], orbit.params)
-    return poincare_map(z, impulse + w[5], offset + w[6], orbit).tolist()
+    hx, hy, vx, vy, omega, du, dr = w
+    *_, impulse, offset, _ = kernel((hx, hy, vx, vy, orbit.spec.theta_odd,
+                                     omega), 1, orbit.instants[0], orbit.params)
+    return poincare_map(w[:5], impulse + du, offset + dr, orbit)
 
 
 def _fd_jacobian(orbit: OrbitSpec, z_star: np.ndarray, steps: np.ndarray,
                  scheme: str) -> np.ndarray:
     """[A | B]: one difference quotient of the closed-loop return map per
-    input w = (z, u), about (z*, 0), on plain floats."""
+    input w = (z, u), about (z*, 0), on plain-float inputs."""
     w_star = [*z_star.tolist(), 0.0, 0.0]
-
-    def moved(i: int, step: float) -> list[float]:
-        w = w_star.copy()
-        w[i] += step
-        return _closed_loop_return(w, orbit)
-
-    if scheme == "forward":
-        base = _closed_loop_return(w_star, orbit)
+    if scheme == "forward":  # every forward quotient starts at w*
+        minus = _closed_loop_return(w_star, orbit)
     # Python float steps keep numpy scalars out of the plant;
     # numpy divides, so a step halved to 0 gives NaN, not ZeroDivisionError
     diffs = []
     for i, step in enumerate(steps.tolist()):
-        plus = moved(i, step)
-        minus = moved(i, -step) if scheme == "central" else base
-        diffs.append([a - b for a, b in zip(plus, minus)])
+        w = w_star.copy()
+        w[i] += step
+        plus = _closed_loop_return(w, orbit)
+        if scheme == "central":
+            w[i] = w_star[i] - step
+            minus = _closed_loop_return(w, orbit)
+        diffs.append(plus - minus)
     return np.array(diffs).T / (2 * steps if scheme == "central" else steps)
 
 
@@ -154,15 +153,17 @@ def linearize(orbit: OrbitSpec, step_scale: float | None = None,
     J = _fd_jacobian(orbit, z_star, steps, scheme)
     if scheme == "central":
         J2 = _fd_jacobian(orbit, z_star, steps / 2, scheme)
-        for name, cols in (("A", slice(0, 5)), ("B", slice(5, 7))):
-            M, M2 = J[:, cols], J2[:, cols]
-            tol = np.maximum(1e-4, 1e-3 * np.abs(M))
-            if not np.all(np.abs(M - M2) <= tol):  # NaN fails too
-                worst = np.unravel_index(np.argmax(np.abs(M - M2) - tol), M.shape)
-                i, j = (int(v) for v in worst)
-                raise FDInconsistent(
-                    f"{name}[{i},{j}] fails step-halving: "
-                    f"|{M[worst]:.6g} - {M2[worst]:.6g}| > {tol[worst]:.2g}")
+        gap, tol = abs(J - J2), np.maximum(1e-4, 1e-3 * abs(J))
+        if not (gap <= tol).all():  # NaN fails too; A's entries come first
+            name, cols = (("A", slice(0, 5))
+                          if not (gap[:, :5] <= tol[:, :5]).all()
+                          else ("B", slice(5, 7)))
+            M, M2, tol = J[:, cols], J2[:, cols], tol[:, cols]
+            worst = np.unravel_index(np.argmax(gap[:, cols] - tol), M.shape)
+            i, j = (int(v) for v in worst)
+            raise FDInconsistent(
+                f"{name}[{i},{j}] fails step-halving: "
+                f"|{M[worst]:.6g} - {M2[worst]:.6g}| > {tol[worst]:.2g}")
         J = J2
     # copies, so A and B are contiguous like any other matrix
     return LinearizedMap(A=J[:, :5].copy(), B=J[:, 5:].copy(), z_star=z_star,
@@ -239,27 +240,37 @@ def riccati_solution(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
 
     Each step solves S X = N with the LAPACK gufunc np.linalg.solve wraps,
     without its checks: a singular S gives NaN, and the blow-up test below
-    catches it and asks the wrapper whether S was singular. Raises
-    ValueError when an operand is not 2-D, before its first product.
+    catches it and asks the wrapper whether S was singular. The blow-up
+    test max|P_next| <= 1e100 runs only when the running bound
+    (bound + max|P_next - P|) * BOUND_GROWTH passes 1e100 or is NaN: as
+    fl(a - b) = (a - b)(1 + d) with |d| <= EPS/2, the bound never falls
+    below max|P_next|, so the test fails at the same step as when it ran
+    every step. Raises ValueError when an operand is not 2-D, before its
+    first product.
     """
     for name, M in zip("ABQR", (A, B, Q, R)):
         if np.ndim(M) != 2:
             raise ValueError(f"{name} must be a 2-D matrix, got {np.ndim(M)}-D")
     P = np.asarray(Q, dtype=float).copy()
     At, Bt = A.T, B.T
+    bound = math.inf  # an upper bound on max|P|
     for step in range(RICCATI_MAX_ITER):
         BtP = Bt.dot(P)
         S, N = R + BtP.dot(B), BtP.dot(A)
         X = lapack_solve(S, N, signature="dd->d")
         P_next = Q + At.dot(P).dot(A - B.dot(X))
-        if not abs(P_next).max() <= 1e100:  # also stops on NaN
-            try:
-                np.linalg.solve(S, N)
-            except np.linalg.LinAlgError as exc:
-                raise RiccatiDiverged(
-                    f"R + B'PB is singular at Riccati step {step}") from exc
-            raise RiccatiDiverged("cost-to-go iteration blew up")
-        if abs(P_next - P).max() < RICCATI_TOL:
+        moved = abs(P_next - P).max()
+        bound = (bound + moved) * BOUND_GROWTH  # NaN when moved is
+        if not bound <= 1e100:
+            bound = abs(P_next).max()
+            if not bound <= 1e100:  # also stops on NaN
+                try:
+                    np.linalg.solve(S, N)
+                except np.linalg.LinAlgError as exc:
+                    raise RiccatiDiverged(
+                        f"R + B'PB is singular at Riccati step {step}") from exc
+                raise RiccatiDiverged("cost-to-go iteration blew up")
+        if moved < RICCATI_TOL:
             return P_next
         P = P_next
     raise RiccatiDiverged(f"no fixed point within {RICCATI_MAX_ITER} iterations")

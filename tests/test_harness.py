@@ -407,6 +407,23 @@ def test_wrongly_typed_parameters_end_episode_as_data(spec, params_kw,
     assert log.records == []
 
 
+@pytest.mark.parametrize("params_kw, spec_kw, failures", [
+    # each escaped as a bare OverflowError from the first impulse
+    ({"m": 10**400, "J": 0.01}, {}, "m"),
+    ({"ell": 10**400, "J": 0.01}, {}, "ell"),
+    ({}, {"beta": 10**400}, "beta"),
+])
+def test_ints_too_large_for_a_float_end_episode_as_data(spec, params_kw,
+                                                       spec_kw, failures):
+    params = StickParams(**{"m": 0.1, "ell": 0.5, **params_kw})
+    spec = dataclasses.replace(spec, **spec_kw)
+    s0 = FullState(h=np.array([0.7, 2.5]), v=np.array([0.9, -2.0]),
+                   theta=spec.theta_odd, omega=-5.7)
+    log = run_episode(s0, spec, params, EpisodeConfig(k_max=10))
+    assert log.termination == f"ScenarioError: invalid parameters: {failures}"
+    assert log.records == []
+
+
 # out-of-range parameter sets, each failing one validate check
 BROKEN = [{"m": 0.0}, {"g": 0.0}, {"alpha": -1.0}, {"lambda_x": 1.0},
           {"theta_odd": math.pi / 2}, {"theta_even": 0.5, "theta_odd": 0.5}]

@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import math
 
 import numpy as np
@@ -48,6 +49,25 @@ def test_validate_is_pure_and_idempotent(spec, params):
 ])
 def test_a_value_of_the_wrong_type_fails_its_check(spec, params_kw, spec_kw,
                                                    failures):
+    params = StickParams(**{"m": 0.1, "ell": 0.5, **params_kw})
+    spec = dataclasses.replace(spec, **spec_kw)
+    assert validate(spec, params) == failures
+
+
+@pytest.mark.parametrize("params_kw, spec_kw, failures", [
+    ({"m": 10**400, "J": 0.01}, {}, ["m"]),
+    ({"ell": 10**400, "J": 0.01}, {}, ["ell"]),
+    ({"J": 10**400}, {}, ["J"]),    # float(J) raised OverflowError
+    ({"g": -10**400}, {}, ["g"]),
+    ({}, {"alpha": 10**400, "beta": 10**400}, ["alpha", "beta"]),
+    # what float() takes stays as it was: the checks alone decide
+    ({"m": 10**300, "J": 0.01}, {}, []),
+    ({"J": fractions.Fraction(1, 10**400)}, {}, ["J"]),  # float(J) is 0
+    ({"ell": np.full(1, 0.5), "J": 0.01}, {}, []),
+    ({"J": math.inf}, {}, ["J"]),
+])
+def test_an_int_too_large_for_a_float_fails_its_check(spec, params_kw,
+                                                      spec_kw, failures):
     params = StickParams(**{"m": 0.1, "ell": 0.5, **params_kw})
     spec = dataclasses.replace(spec, **spec_kw)
     assert validate(spec, params) == failures

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import time
 import warnings
@@ -143,6 +144,45 @@ def test_linearize_inconsistent_step_raises(orbit_sym):
     # the entries and the consistency gate must fire
     with pytest.raises(FDInconsistent):
         linearize(orbit_sym, step_scale=1e-3, scheme="central")
+
+
+def _per_block_message(J, J2):
+    """The step-halving message as linearize formed it block by block,
+    A before B."""
+    for name, cols in (("A", slice(0, 5)), ("B", slice(5, 7))):
+        M, M2 = J[:, cols], J2[:, cols]
+        tol = np.maximum(1e-4, 1e-3 * np.abs(M))
+        if not np.all(np.abs(M - M2) <= tol):
+            worst = np.unravel_index(np.argmax(np.abs(M - M2) - tol), M.shape)
+            i, j = (int(v) for v in worst)
+            return (f"{name}[{i},{j}] fails step-halving: "
+                    f"|{M[worst]:.6g} - {M2[worst]:.6g}| > {tol[worst]:.2g}")
+    return None
+
+
+@pytest.mark.parametrize("entries, message", [
+    # (row, column, J, J2) entries of [A | B]; zero elsewhere
+    ([(1, 6, 0.0, 0.5)], "B[1,1] fails step-halving: |0 - 0.5| > 0.0001"),
+    ([(4, 4, 2.0, 2.01)], "A[4,4] fails step-halving: |2 - 2.01| > 0.002"),
+    # B's entry fails by more, but A's entries are named first
+    ([(2, 3, 0.0, 0.25), (0, 5, 0.0, 7.0)],
+     "A[2,3] fails step-halving: |0 - 0.25| > 0.0001"),
+    # a NaN wins argmax over B's larger finite failure
+    ([(3, 5, 0.0, math.nan), (0, 6, 0.0, 5.0), (4, 1, 1.0, 1.0)],
+     "B[3,0] fails step-halving: |0 - nan| > 0.0001"),
+    ([(3, 5, math.nan, 0.0)], "B[3,0] fails step-halving: |nan - 0| > nan"),
+])
+def test_step_halving_names_the_worst_entry_of_the_first_failing_block(
+        monkeypatch, orbit_sym, entries, message):
+    J, J2 = np.zeros((5, 7)), np.zeros((5, 7))
+    for i, j, before, after in entries:
+        J[i, j], J2[i, j] = before, after
+    quotients = iter([J, J2])
+    monkeypatch.setattr(stabilizer, "_fd_jacobian",
+                        lambda *_: next(quotients))
+    with pytest.raises(FDInconsistent) as caught:
+        linearize(orbit_sym)
+    assert str(caught.value) == _per_block_message(J, J2) == message
 
 
 def test_linearize_rejects_an_unknown_scheme(orbit_sym):
@@ -472,15 +512,72 @@ _NAN_Q[2, 2] = math.nan
     ([[2.0]], [[0.0]], [[1.0]], [[1.0]], "blew up"),
     (A_REF, B_REF, np.eye(5), np.diag([1e308, 1e308]),
      "no fixed point within 500 iterations"),
+    # where the running bound on max|P| hands over to the exact blow-up
+    # test: a cost that passes 1e100 at step 3, ...
+    ([[1e5]], [[0.0]], [[1e60]], [[1.0]], "blew up"),
+    # ... one that settles at 9.33e99, below the bound throughout, ...
+    ([[0.5]], [[0.0]], [[7e99]], [[1.0]], None),
+    # ... one that starts and stays at 1e100, ...
+    ([[0.0]], [[0.0]], [[1e100]], [[1.0]], None),
+    # ... ones whose bound passes 1e100 from step 281 on, so the exact test
+    # runs again and again: the cost settles 3 ulps below 1e100, or passes
+    # it at step 324
+    ([[0.95]], [[0.0]], [[1e100 * (1 - 0.9025)]], [[1.0]], None),
+    ([[0.95]], [[0.0]], [[1e100 * (1 - 0.9025) * (1 + 3e-15)]], [[1.0]],
+     "blew up"),
+    # ... and a NaN at step 14, where B'P overflows, after costs below 4e8
+    ([[2.0]], [[1e300]], [[1.0]], [[1.0]], "blew up"),
 ])
 def test_riccati_errors_match_frozen_reference(monkeypatch, A, B, Q, R,
                                                message):
     monkeypatch.setattr(stabilizer, "RICCATI_MAX_ITER", 500)
     monkeypatch.setattr(stabilizer_reference, "RICCATI_MAX_ITER", 500)
     A, B, Q, R = (np.array(M, dtype=float) for M in (A, B, Q, R))
-    expected = _outcome(stabilizer_reference.riccati_solution, A, B, Q, R)
-    assert expected[0] is RiccatiDiverged and message in expected[1]
-    assert _outcome(riccati_solution, A, B, Q, R) == expected
+    with _counted(np.linalg, "solve") as steps:
+        expected = _outcome(stabilizer_reference.riccati_solution, A, B, Q, R)
+    if message is None:
+        assert expected[0] == "ok"
+    else:
+        assert expected[0] is RiccatiDiverged and message in expected[1]
+    # one solve per step on both sides: the same iteration count
+    with _counted(stabilizer, "lapack_solve") as lapack_steps:
+        assert _outcome(riccati_solution, A, B, Q, R) == expected
+    assert len(lapack_steps) == len(steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       scale=st.floats(98.0, 100.5))
+def test_riccati_near_the_blow_up_bound_matches_frozen_reference(seed, n,
+                                                                scale):
+    # costs of 1e97 to 3e100: some settle below 1e100, some pass it after a
+    # number of steps; the outcome and the step count match either way
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1.1, 1.1, (n, n))
+    B = rng.uniform(-1.0, 1.0, (n, 1)) * rng.integers(0, 2)
+    Q, R = np.diag(10.0 ** (scale - rng.uniform(0.0, 1.0, n))), np.eye(1)
+    with mock.patch.object(stabilizer, "RICCATI_MAX_ITER", 200), \
+            mock.patch.object(stabilizer_reference, "RICCATI_MAX_ITER", 200):
+        with _counted(np.linalg, "solve") as steps:
+            expected = _outcome(stabilizer_reference.riccati_solution, A, B,
+                                Q, R)
+        with _counted(stabilizer, "lapack_solve") as lapack_steps:
+            assert _outcome(riccati_solution, A, B, Q, R) == expected
+    assert len(lapack_steps) == len(steps)
+
+
+@contextlib.contextmanager
+def _counted(owner, name):
+    """Count the calls of owner.name within the block into the yielded
+    list."""
+    calls, real = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(owner, name, counting):
+        yield calls
 
 
 _ROTATION = np.array([[0.0, -1.2], [1.2, 0.0]])
