@@ -157,7 +157,6 @@ def _per_block_message(J, J2):
             i, j = (int(v) for v in worst)
             return (f"{name}[{i},{j}] fails step-halving: "
                     f"|{M[worst]:.6g} - {M2[worst]:.6g}| > {tol[worst]:.2g}")
-    return None
 
 
 @pytest.mark.parametrize("entries, message", [
