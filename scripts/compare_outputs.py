@@ -55,6 +55,10 @@ directory on PYTHONPATH, over:
   step 14 after costs below 4e8; each prints P in hex floats or the error,
   and the warnings, and a blow-up runs with the step limit one past its
   step, so a blow-up test that fires late reads "no fixed point",
+- values that escaped the constructors or `run_episode` as an untyped
+  error (ints past the float range, arrays where a scalar belongs,
+  Fractions whose float is 0 or that sampling could not take, text), one
+  row each with the episode or the error raised,
 - three scenarios that leave the optional keys to the loader's defaults
   (`simulate`): the required keys only, and the required keys plus
   `stabilizer = on` and `omega_star_radps = symmetric`, once with the
@@ -512,6 +516,72 @@ def _off_schedule_lines(devilstick, handler: _Messages) -> list[str]:
     return lines
 
 
+def _escape_lines(devilstick) -> list[str]:
+    """Values that escaped StickParams, EpisodeConfig, FullState or
+    run_episode as an untyped error, one row each: sim_vhc with the named
+    fields replaced, 20 impulses, and the forward-scheme stabilizer on its
+    rate-symmetric orbit where a row says so. A row prints the episode, or
+    the name and message of the error raised while building or running it.
+    """
+    import fractions
+
+    import numpy as np
+
+    huge, tiny = 10**400, fractions.Fraction(1, 10**400)
+    sim_vhc = {"m": 0.1, "ell": 0.5, "theta_odd": 0.5235987755982988,
+               "theta_even": 2.6179938779914944, "alpha": 0.6131,
+               "beta": 3.0, "h": (0.7, 2.5), "v": (0.9, -2.0),
+               "theta": 0.5235987755982988, "omega": -5.7, "k_max": 20}
+    params = devilstick.StickParams(m=0.1, ell=0.5)
+    spec = devilstick.JuggleSpec(
+        **{k: sim_vhc[k] for k in ("theta_odd", "theta_even", "alpha",
+                                   "beta")})
+    orbit = devilstick.design_orbit(
+        spec, devilstick.symmetric_omega_star(spec, params), params)
+    # (fields replaced, stabilized)
+    rows = [
+        ({"q_diag": (huge, 1, 1, 1, 1)}, True),
+        ({"r_diag": (huge, 1)}, True),
+        ({"fd_step": huge}, True),
+        ({"flight_dt": huge}, False),
+        ({"flight_dt": np.full(1, 0.01)}, False),
+        ({"deadband": np.ones(2)}, True),
+        ({"fd_step": np.ones(2)}, True),
+        ({"fd_step": tiny}, True),
+        ({"r_diag": (tiny, 1.0)}, True),
+        ({"flight_dt": tiny}, False),
+        ({"flight_dt": fractions.Fraction(1, 3)}, False),
+        ({"m": np.ones(1), "J": 0.01}, False),
+        ({"beta": np.full(1, 3.0)}, False),
+        ({"ell": np.full(1, 0.5), "J": 0.01}, False),
+        ({"ell": np.full(1, 0.5), "J": 0.01, "h": (-3.0, 2.5),
+          "v": (0.9, 5.0)}, False),
+        ({"ell": tiny, "J": 0.01}, False),
+        ({"m": huge}, False),
+        ({"ell": "x"}, False),
+        ({"theta": huge}, False),
+        ({"omega": np.ones(1)}, False),
+        ({"h": (huge, 2.5)}, False),
+    ]
+    types = (devilstick.StickParams, devilstick.JuggleSpec,
+             devilstick.FullState, devilstick.EpisodeConfig)
+    lines = []
+    for change, stabilize in rows:
+        lines.append(f"escape {change!r} stabilize={stabilize}")
+        kw = {**sim_vhc, **change}
+        if stabilize:
+            kw.update(stabilize=True, fd_scheme="forward")
+        try:
+            row_params, row_spec, s0, cfg = (
+                cls(**{f.name: kw[f.name] for f in dataclasses.fields(cls)
+                       if f.name in kw}) for cls in types)
+            lines += _episode_lines(devilstick.run_episode(
+                s0, orbit if stabilize else row_spec, row_params, cfg))
+        except Exception as exc:  # compared by name and message
+            lines.append(f"{type(exc).__name__}: {exc}")
+    return lines
+
+
 def _good_value(rng, key: str, theta_odd: float) -> str:
     """A value the loader accepts for key on its own (the file as a whole
     may still fail, e.g. stabilizer = on without omega_star_radps)."""
@@ -681,6 +751,8 @@ def dump(out: Path) -> None:
     (out / "extreme_design.txt").write_text("\n".join(lines) + "\n")
     lines = _off_schedule_lines(devilstick, handler)
     (out / "off_schedule.txt").write_text("\n".join(lines) + "\n")
+    lines = _escape_lines(devilstick)
+    (out / "escapes.txt").write_text("\n".join(lines) + "\n")
 
     ctx = workloads.Synthesis.prepare(SEED, None)
     lines = []

@@ -22,7 +22,7 @@ from .dzd import OrbitSpec, design_orbit, growth_factor, symmetric_omega_star
 from .errors import JugglingError, ScenarioError
 from .harness import (SETTING_RULES, EpisodeConfig, EpisodeLog,
                       design_stabilizer, metrics, run_episode)
-from .model import FullState, JuggleSpec, StickParams, validate
+from .model import FullState, JuggleSpec, StickParams, passes, validate
 
 FLOAT_FMT = "%.17g"
 
@@ -117,7 +117,7 @@ def load_scenario(path: str | Path) -> Scenario:
             continue
         try:
             val[name] = parse(pairs[key])
-            if name in _RULES and not _RULES[name][0](val[name]):
+            if name in _RULES and not passes(_RULES[name][0], val[name]):
                 raise ValueError(_RULES[name][1])
         except (ValueError, OverflowError) as exc:
             raise ScenarioError(f"{path}: key {key!r}: {exc}") from exc

@@ -21,13 +21,13 @@ from .dynamics import (MAX_FLIGHT_SAMPLES, FlightSamples, jump, land,
 from .dynamics import flight, impulsive_update  # noqa: F401 (perfbench traces)
 from .dzd import OrbitSpec
 from .errors import JugglingError, ScenarioError
-from .model import FullState, JuggleSpec, StickParams, validate
+from .model import FullState, JuggleSpec, StickParams, passes, validate
 
 
 MAX_IMPULSES = 1_000_000  # per episode; its records take about 0.5 GB
 
 # field: (check a value must pass, reason it failed). EpisodeConfig runs
-# every check; the scenario loader runs the check of the field a key sets.
+# every check, the scenario loader that of each key it reads, via passes().
 SETTING_RULES = {
     "k_max": (lambda n: isinstance(n, int) and 1 <= n <= MAX_IMPULSES,
               f"must be an integer from 1 to {MAX_IMPULSES}"),
@@ -65,11 +65,7 @@ class EpisodeConfig:
     def __post_init__(self) -> None:
         for name, (check, reason) in SETTING_RULES.items():
             value = getattr(self, name)
-            try:
-                ok = check(value)
-            except TypeError:  # a value of the wrong type fails its check
-                ok = False
-            if not ok:
+            if not passes(check, value):
                 raise ValueError(f"{name} {reason}, got {value!r}")
         if self.fd_step is None:
             object.__setattr__(self, "fd_step", stab.FD_STEP[self.fd_scheme])
@@ -180,8 +176,8 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                     # raises NonFinite first, so x_plus is finite below.
                     x = land(x_plus, delta, inst.theta_next, params)
                     if flight_dt is not None:
-                        samples = sample_flight(x_plus, delta, flight_dt,
-                                                params, budget, t)
+                        samples = sample_flight(  # a Fraction dt as well
+                            x_plus, delta, float(flight_dt), params, budget, t)
                         budget -= len(samples)
                         log.flights.append(samples)
                     t += delta

@@ -25,6 +25,22 @@ def parity_sign(k: int) -> float:
     return -1.0 if k % 2 else 1.0
 
 
+def passes(check, value) -> bool:
+    """Whether check(value) is true, check taking value, not its float; never
+    raises. value is a scalar or a tuple or list of scalars. It fails if one
+    is an array, or is not text and has no float: np.float64 rejects it (a
+    wrong type, an int past the float range) or rounds it to 0 from nonzero.
+    """
+    items = value if isinstance(value, (tuple, list)) else (value,)
+    numbers = [x for x in items if not isinstance(x, str)]
+    try:
+        floats = list(map(np.float64, numbers))
+        return all(f.ndim == 0 and (f != 0 or x == 0)
+                   for x, f in zip(numbers, floats)) and bool(check(value))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class StickParams:
     """Physical constants of the stick.
@@ -38,12 +54,13 @@ class StickParams:
     g: float = 9.81
 
     def __post_init__(self) -> None:
-        if self.J is None:
+        if self.J is None and passes(lambda me: me[0] * (me[1] * me[1]) or True,
+                                     (self.m, self.ell)):  # else J stays None
             object.__setattr__(self, "J", self.m * (self.ell * self.ell) / 12.0)
 
     @property
     def inertia(self) -> float:
-        """J with the auto-derived default resolved (always a float)."""
+        """J as a float, the auto-derived default resolved."""
         return float(self.J)  # type: ignore[arg-type]
 
 
@@ -92,17 +109,15 @@ class FullState:
     omega: float
 
     def __post_init__(self) -> None:
-        h = np.array(self.h, dtype=float)
-        v = np.array(self.v, dtype=float)
-        if h.shape != (2,) or v.shape != (2,):
+        if np.shape(self.h) != (2,) or np.shape(self.v) != (2,):
             raise ValueError("h and v must be 2-vectors")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(v))
-                and math.isfinite(self.theta) and math.isfinite(self.omega)):
+        if not passes(lambda x: all(map(math.isfinite, x)),
+                      [*self.h, *self.v, self.theta, self.omega]):
             raise ValueError("state entries must be finite")
-        h.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "v", v)
+        for name in ("h", "v"):
+            vector = np.array(getattr(self, name), dtype=float)
+            vector.setflags(write=False)
+            object.__setattr__(self, name, vector)
 
     @classmethod
     def from_floats(cls, x: State) -> FullState:
@@ -126,32 +141,24 @@ class ImpulseCmd:
 
 def validate(spec: JuggleSpec, params: StickParams) -> list[str]:
     """Names of the failed physical and scheduling checks, empty when all
-    pass; never raises. Whether a 2-periodic juggle exists is a separate
-    question, answered by spec.symmetric.
+    pass; never raises, as each check runs through passes(). Whether a
+    2-periodic juggle exists is a separate question: spec.symmetric.
     """
     checks = {
-        "m": lambda: params.m > 0,
-        "ell": lambda: params.ell > 0,
-        "J": lambda: 0 < params.inertia < math.inf,
-        "g": lambda: params.g > 0,
+        "m": lambda m: m > 0,
+        "ell": lambda ell: ell > 0,
+        "J": lambda J: 0 < float(J) < math.inf,  # J as params.inertia
+        "g": lambda g: g > 0,
         # SCHEDULE_TOL clear of 0 and pi: no start on schedule has tan = 0
-        "theta_odd": lambda: SCHEDULE_TOL < spec.theta_odd < math.pi / 2,
-        "theta_even": lambda: (math.pi / 2 < spec.theta_even
-                               < math.pi - SCHEDULE_TOL),
-        "delta_theta": lambda: spec.delta_theta > 0,
-        "alpha": lambda: spec.alpha > 0,
-        "beta": lambda: spec.beta > 0,
-        "lambda_x": lambda: 0.0 <= spec.lambda_x < 1.0,
-        "lambda_y": lambda: 0.0 <= spec.lambda_y < 1.0,
+        "theta_odd": lambda t: SCHEDULE_TOL < t < math.pi / 2,
+        "theta_even": lambda t: math.pi / 2 < t < math.pi - SCHEDULE_TOL,
+        "delta_theta": lambda t: t[1] - t[0] > 0,  # spec.delta_theta
+        "alpha": lambda alpha: alpha > 0,
+        "beta": lambda beta: beta > 0,
+        "lambda_x": lambda lam: 0.0 <= lam < 1.0,
+        "lambda_y": lambda lam: 0.0 <= lam < 1.0,
     }
-    fields = {**vars(params), **vars(spec)}
-    failures = []
-    for name, check in checks.items():
-        try:  # np.float64 overflows on an int past the float range
-            np.float64(fields.get(name, 0.0))  # and passes an array through
-            passed = bool(check())
-        except (TypeError, ValueError, OverflowError):  # wrong types fail too
-            passed = False
-        if not passed:
-            failures.append(name)
-    return failures
+    values = {**vars(params), **vars(spec),
+              "delta_theta": (spec.theta_odd, spec.theta_even)}
+    return [name for name, check in checks.items()
+            if not passes(check, values[name])]

@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import math
 import warnings
 
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from devilstick import (EpisodeConfig, FlightSamples, FullState, JuggleSpec,
                         StickParams, design_orbit, metrics,
-                        on_constraint_state, run_episode, validate)
+                        on_constraint_state, run_episode,
+                        symmetric_omega_star, validate)
+from devilstick import errors as juggling_errors
 from devilstick.dzd import growth_factor
 
 from refvals import (DELTA_EVEN, DELTA_ODD, DURATION_2P, DURATION_SYM,
@@ -422,6 +425,150 @@ def test_ints_too_large_for_a_float_end_episode_as_data(spec, params_kw,
     log = run_episode(s0, spec, params, EpisodeConfig(k_max=10))
     assert log.termination == f"ScenarioError: invalid parameters: {failures}"
     assert log.records == []
+
+
+# sim_vhc's stick, schedule, start and settings, by field name, with 8
+# impulses and the forward scheme when stabilized
+SIM_VHC = {"m": 0.1, "ell": 0.5, "theta_odd": 0.5235987755982988,
+           "theta_even": 2.6179938779914944, "alpha": 0.6131, "beta": 3.0,
+           "h": (0.7, 2.5), "v": (0.9, -2.0), "theta": 0.5235987755982988,
+           "omega": -5.7, "k_max": 8, "flight_dt": 0.01,
+           "fd_scheme": "forward"}
+EPISODE_TYPES = (StickParams, JuggleSpec, FullState, EpisodeConfig)
+
+
+def _sim_vhc_with(change, stabilize):
+    """Run sim_vhc with the fields named in change replaced, stabilized on
+    its rate-symmetric orbit or not: "ValueError: <message>" when
+    EpisodeConfig or FullState rejects a value, else (validate's failures,
+    the episode's termination). A stabilized episode whose stick and
+    schedule pass validate runs on their orbit; one whose do not, on the
+    reference orbit carrying them, so that run_episode sees them.
+    """
+    kw = {**SIM_VHC, "stabilize": stabilize, **change}
+    params, spec = (cls(**{f.name: kw[f.name] for f in dataclasses.fields(cls)
+                           if f.name in kw}) for cls in EPISODE_TYPES[:2])
+    try:
+        s0, cfg = (cls(**{f.name: kw[f.name] for f in dataclasses.fields(cls)
+                          if f.name in kw}) for cls in EPISODE_TYPES[2:])
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    failures = validate(spec, params)
+    target = spec
+    if cfg.stabilize:
+        reference = StickParams(m=0.1, ell=0.5)
+        ref_spec = JuggleSpec(**{k: SIM_VHC[k] for k in (
+            "theta_odd", "theta_even", "alpha", "beta")})
+        omega_star = symmetric_omega_star(ref_spec, reference)
+        target = (dataclasses.replace(design_orbit(
+            ref_spec, omega_star, reference), spec=spec, params=params)
+            if failures else design_orbit(spec, omega_star, params))
+    return failures, run_episode(s0, target, params, cfg).termination
+
+
+HUGE = 10**400
+TINY = fractions.Fraction(1, HUGE)  # nonzero; its float is 0.0
+
+
+@pytest.mark.parametrize("stabilize", [False, True])
+@pytest.mark.parametrize("change, outcome", [
+    # each escaped EpisodeConfig, FullState or run_episode as a bare
+    # OverflowError, TypeError, ZeroDivisionError or numpy's ValueError
+    ({"q_diag": (HUGE, 1, 1, 1, 1)},
+     f"ValueError: q_diag needs 5 finite values >= 0, got ({HUGE}, 1, 1, "
+     f"1, 1)"),
+    ({"r_diag": (HUGE, 1)},
+     f"ValueError: r_diag needs 2 finite values > 0, got ({HUGE}, 1)"),
+    ({"fd_step": HUGE}, f"ValueError: fd_step must be finite and > 0, got "
+                        f"{HUGE}"),
+    ({"flight_dt": HUGE}, f"ValueError: flight_dt must be finite and > 0, "
+                          f"got {HUGE}"),
+    ({"flight_dt": np.full(1, 0.01)},
+     "ValueError: flight_dt must be finite and > 0, got array([0.01])"),
+    ({"deadband": np.ones(2)},
+     "ValueError: deadband must be >= 0, got array([1., 1.])"),
+    ({"fd_step": np.ones(2)},
+     "ValueError: fd_step must be finite and > 0, got array([1., 1.])"),
+    ({"fd_step": TINY},
+     f"ValueError: fd_step must be finite and > 0, got {TINY!r}"),
+    ({"r_diag": (TINY, 1.0)},
+     f"ValueError: r_diag needs 2 finite values > 0, got ({TINY!r}, 1.0)"),
+    ({"flight_dt": TINY},
+     f"ValueError: flight_dt must be finite and > 0, got {TINY!r}"),
+    ({"theta": HUGE}, "ValueError: state entries must be finite"),
+    ({"omega": np.ones(1)}, "ValueError: state entries must be finite"),
+    ({"h": (HUGE, 2.5)}, "ValueError: state entries must be finite"),
+    ({"omega": "x"}, "ValueError: state entries must be finite"),
+    ({"m": np.ones(1), "J": 0.01}, (["m"], "ScenarioError: invalid "
+                                   "parameters: m")),
+    ({"beta": np.full(1, 3.0)}, (["beta"], "ScenarioError: invalid "
+                                 "parameters: beta")),
+    ({"ell": np.full(1, 0.5), "J": 0.01},
+     (["ell"], "ScenarioError: invalid parameters: ell")),
+    # check_command formatted the array ell at the rod bound
+    ({"ell": np.full(1, 0.5), "J": 0.01, "h": (-3.0, 2.5), "v": (0.9, 5.0)},
+     (["ell"], "ScenarioError: invalid parameters: ell")),
+    ({"ell": TINY, "J": 0.01}, (["ell"], "ScenarioError: invalid "
+                                "parameters: ell")),
+    # StickParams' default J raised on m * (ell * ell)
+    ({"m": HUGE}, (["m", "J"], "ScenarioError: invalid parameters: m, J")),
+    ({"ell": "x"}, (["ell", "J"], "ScenarioError: invalid parameters: ell, "
+                    "J")),
+    # sample_flight's np.isfinite took no object array of Fractions
+    ({"flight_dt": fractions.Fraction(1, 3)}, ([], "completed")),
+])
+def test_values_that_escaped_end_in_their_checks(change, outcome, stabilize):
+    assert _sim_vhc_with(change, stabilize) == outcome
+
+
+# values of the wrong type or past the float range, for any field
+ODD_VALUES = [HUGE, -HUGE, np.ones(1), np.ones(2), np.float32(0.5),
+              np.int64(3), fractions.Fraction(1, 3), fractions.Fraction(HUGE),
+              TINY, -TINY, True, False, "x", "0.5", None, math.nan, math.inf,
+              -math.inf]
+
+
+@pytest.mark.parametrize("stabilize", [False, True])
+def test_an_odd_value_in_any_field_ends_in_a_check_or_a_log(stabilize):
+    """Each field of sim_vhc's stick, schedule, start and settings, and the
+    first entry of each vector field, set to each of ODD_VALUES: either
+    EpisodeConfig or FullState raises ValueError, or run_episode returns a
+    log that completed or ended in a JugglingError, and exactly validate's
+    ScenarioError when validate fails. StickParams and JuggleSpec never
+    raise; design_orbit may end a stabilized case with its JugglingError.
+    Whether every such episode also ends in bounded time is not asserted:
+    that waits for a Riccati stop test that cannot run to its iteration
+    cap on accepted weights.
+    """
+    escaped = []
+    for cls in EPISODE_TYPES:
+        for f in dataclasses.fields(cls):
+            base = SIM_VHC.get(f.name, f.default)
+            for value in ODD_VALUES:
+                changes = [{f.name: value}]
+                if isinstance(base, tuple):
+                    changes.append({f.name: (value, *base[1:])})
+                for change in changes:
+                    try:
+                        outcome = _sim_vhc_with(change, stabilize)
+                    except juggling_errors.JugglingError:
+                        continue  # design_orbit's typed error, no episode
+                    except Exception as exc:  # noqa: BLE001 (an escape)
+                        escaped.append((change, f"{type(exc).__name__}: "
+                                                f"{exc}"))
+                        continue
+                    if isinstance(outcome, str):
+                        continue  # EpisodeConfig or FullState said why
+                    failures, termination = outcome
+                    kind = termination.split(":")[0]
+                    typed = termination == "completed" or issubclass(
+                        getattr(juggling_errors, kind, type(None)),
+                        juggling_errors.JugglingError)
+                    if not typed or failures and termination != (
+                            "ScenarioError: invalid parameters: "
+                            + ", ".join(failures)):
+                        escaped.append((change, termination))
+    assert escaped == []
 
 
 # out-of-range parameter sets, each failing one validate check

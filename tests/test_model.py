@@ -46,6 +46,13 @@ def test_validate_is_pure_and_idempotent(spec, params):
     ({"g": "x"}, {}, ["g"]),           # "x" > 0 raised TypeError
     ({}, {"alpha": "x"}, ["alpha"]),
     ({"m": np.ones(2)}, {}, ["m", "J"]),  # an array's truth is ambiguous
+    # a one-element array's truth is not: each passed its check
+    ({"m": np.ones(1), "J": 0.01}, {}, ["m"]),
+    ({}, {"beta": np.full(1, 3.0)}, ["beta"]),
+    ({}, {"theta_even": np.full(1, 2.0)}, ["theta_even", "delta_theta"]),
+    # the default J raised TypeError on m * (ell * ell)
+    ({"m": "x"}, {}, ["m", "J"]),
+    ({"ell": None}, {}, ["ell", "J"]),
 ])
 def test_a_value_of_the_wrong_type_fails_its_check(spec, params_kw, spec_kw,
                                                    failures):
@@ -63,8 +70,15 @@ def test_a_value_of_the_wrong_type_fails_its_check(spec, params_kw, spec_kw,
     # what float() takes stays as it was: the checks alone decide
     ({"m": 10**300, "J": 0.01}, {}, []),
     ({"J": fractions.Fraction(1, 10**400)}, {}, ["J"]),  # float(J) is 0
-    ({"ell": np.full(1, 0.5), "J": 0.01}, {}, []),
+    # an array fails, one element or more; it used to pass ell > 0
+    ({"ell": np.full(1, 0.5), "J": 0.01}, {}, ["ell"]),
     ({"J": math.inf}, {}, ["J"]),
+    # StickParams' default J raised OverflowError on m * (ell * ell)
+    ({"m": 10**400}, {}, ["m", "J"]),
+    # a nonzero value whose float is 0 fails, as a Fraction J did
+    ({"m": fractions.Fraction(1, 10**400), "J": 0.01}, {}, ["m"]),
+    ({}, {"lambda_x": fractions.Fraction(-1, 10**400)}, ["lambda_x"]),
+    ({"g": fractions.Fraction(1, 3)}, {}, []),
 ])
 def test_an_int_too_large_for_a_float_fails_its_check(spec, params_kw,
                                                       spec_kw, failures):
@@ -119,6 +133,21 @@ def test_full_state_rejects_nonfinite():
                   theta=0.5, omega=-1.0)
     with pytest.raises(ValueError):
         FullState(h=np.zeros(2), v=np.zeros(2), theta=math.inf, omega=-1.0)
+
+
+@pytest.mark.parametrize("entries", [
+    {"theta": 10**400},        # raised OverflowError
+    {"omega": np.ones(1)},     # raised TypeError, as did the next three
+    {"omega": np.ones(2)},
+    {"theta": "0.5"},
+    {"omega": None},
+    {"h": (10**400, 2.5)},     # raised OverflowError
+    {"v": (0.9, fractions.Fraction(1, 10**400))},
+])
+def test_full_state_entries_without_a_float_are_not_finite(entries):
+    with pytest.raises(ValueError, match="^state entries must be finite$"):
+        FullState(**{"h": (0.7, 2.5), "v": (0.9, -2.0), "theta": 0.5,
+                     "omega": -1.0, **entries})
 
 
 def test_full_state_rejects_a_vector_of_the_wrong_length():
