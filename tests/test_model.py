@@ -142,7 +142,7 @@ def test_full_state_rejects_nonfinite():
     {"theta": "0.5"},
     {"omega": None},
     {"h": (10**400, 2.5)},     # raised OverflowError
-    {"v": (0.9, fractions.Fraction(1, 10**400))},
+    {"v": (0.9, fractions.Fraction(1, 10**400))},  # was taken as 0.0
 ])
 def test_full_state_entries_without_a_float_are_not_finite(entries):
     with pytest.raises(ValueError, match="^state entries must be finite$"):
