@@ -57,8 +57,13 @@ directory on PYTHONPATH, over:
   step, so a blow-up test that fires late reads "no fixed point",
 - values that escaped the constructors or `run_episode` as an untyped
   error (ints past the float range, arrays where a scalar belongs,
-  Fractions whose float is 0 or that sampling could not take, text), one
-  row each with the episode or the error raised,
+  Fractions whose float is 0 or that sampling could not take, text), or
+  ran as complex numbers, one row each with the episode or the error
+  raised,
+- inputs rebuilt from a default by `dataclasses.replace`: sim_vhc's stick
+  with a longer `ell`, with its inertia and its episode, and the default
+  stabilizer settings switched to the forward scheme, with the step and
+  the gain designed on sim_orbit's orbit,
 - three scenarios that leave the optional keys to the loader's defaults
   (`simulate`): the required keys only, and the required keys plus
   `stabilizer = on` and `omega_star_radps = symmetric`, once with the
@@ -67,8 +72,8 @@ directory on PYTHONPATH, over:
 - a seeded loader pass over 4000 generated scenario files: random subsets
   of the keys in shuffled order, valid, malformed and out-of-range values,
   unknown and duplicate keys, lines without `=` and empty values; each
-  file's loaded fields or error message is compared, with the file's path
-  masked.
+  file's loaded fields, with the stick's inertia as a hexadecimal float,
+  or its error message is compared, with the file's path masked.
 
 Episode records and design matrices are written as hexadecimal floats.
 Prints `identical`, or every difference: the files only one tree has, then
@@ -518,16 +523,18 @@ def _off_schedule_lines(devilstick, handler: _Messages) -> list[str]:
 
 def _escape_lines(devilstick) -> list[str]:
     """Values that escaped StickParams, EpisodeConfig, FullState or
-    run_episode as an untyped error, one row each: sim_vhc with the named
-    fields replaced, 20 impulses, and the forward-scheme stabilizer on its
-    rate-symmetric orbit where a row says so. A row prints the episode, or
-    the name and message of the error raised while building or running it.
+    run_episode as an untyped error, or ran complex, one row each: sim_vhc
+    with the named fields replaced, 20 impulses, and the forward-scheme
+    stabilizer on its rate-symmetric orbit where a row says so. A row
+    prints the episode, or the name and message of the error raised while
+    building or running it.
     """
     import fractions
 
     import numpy as np
 
     huge, tiny = 10**400, fractions.Fraction(1, 10**400)
+    imaginary = np.complex128(0.1 + 1j)
     sim_vhc = {"m": 0.1, "ell": 0.5, "theta_odd": 0.5235987755982988,
                "theta_even": 2.6179938779914944, "alpha": 0.6131,
                "beta": 3.0, "h": (0.7, 2.5), "v": (0.9, -2.0),
@@ -562,6 +569,10 @@ def _escape_lines(devilstick) -> list[str]:
         ({"theta": huge}, False),
         ({"omega": np.ones(1)}, False),
         ({"h": (huge, 2.5)}, False),
+        ({"m": imaginary, "J": 0.01}, False),
+        ({"m": imaginary}, False),
+        ({"deadband": imaginary}, True),
+        ({"theta": imaginary}, False),
     ]
     types = (devilstick.StickParams, devilstick.JuggleSpec,
              devilstick.FullState, devilstick.EpisodeConfig)
@@ -580,6 +591,29 @@ def _escape_lines(devilstick) -> list[str]:
         except Exception as exc:  # compared by name and message
             lines.append(f"{type(exc).__name__}: {exc}")
     return lines
+
+
+def _replaced_lines(devilstick) -> list[str]:
+    """Inputs rebuilt from a default by dataclasses.replace: sim_vhc's stick
+    with ell = 0.6, its inertia and its 20-impulse episode, and
+    EpisodeConfig(stabilize=True) switched to the forward scheme, the step
+    and the gain it designs on sim_orbit's rate-symmetric orbit.
+    """
+    from devilstick.cli import load_scenario
+
+    sc = load_scenario(ROOT / "scenarios" / "sim_vhc.cfg")
+    params = dataclasses.replace(sc.params, ell=0.6)
+    lines = ["stick ell=0.6 inertia " + _floats([params.inertia])]
+    lines += _episode_lines(devilstick.run_episode(sc.s0, sc.spec, params,
+                                                   sc.config))
+    orbit = devilstick.design_orbit(
+        sc.spec, devilstick.symmetric_omega_star(sc.spec, sc.params),
+        sc.params)
+    cfg = dataclasses.replace(devilstick.EpisodeConfig(stabilize=True),
+                              fd_scheme="forward")
+    lin, gain = devilstick.harness.design_stabilizer(orbit, cfg)
+    return lines + ["config fd_scheme=forward step " + _floats([lin.step]),
+                    "K " + _floats(gain.K.ravel())]
 
 
 def _good_value(rng, key: str, theta_odd: float) -> str:
@@ -661,7 +695,8 @@ def _loader_lines(path: Path) -> list[str]:
             message = str(exc).replace(str(path), "<path>")
             lines.append(f"{i}: {type(exc).__name__}: {message}")
             continue
-        lines.append(f"{i}: {sc.name} {sc.params!r} {sc.spec!r} "
+        lines.append(f"{i}: {sc.name} {sc.params!r} "
+                     f"{sc.params.inertia.hex()} {sc.spec!r} "
                      f"{sc.s0.floats()!r} {sc.config!r} {sc.omega_star!r}")
     return lines
 
@@ -753,6 +788,8 @@ def dump(out: Path) -> None:
     (out / "off_schedule.txt").write_text("\n".join(lines) + "\n")
     lines = _escape_lines(devilstick)
     (out / "escapes.txt").write_text("\n".join(lines) + "\n")
+    lines = _replaced_lines(devilstick)
+    (out / "replaced.txt").write_text("\n".join(lines) + "\n")
 
     ctx = workloads.Synthesis.prepare(SEED, None)
     lines = []

@@ -60,15 +60,13 @@ class EpisodeConfig:
     q_diag: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0, 1.0)
     r_diag: tuple[float, ...] = (1.0, 1.0)
     fd_scheme: str = "central"
-    fd_step: float | None = None       # None: stabilizer.FD_STEP[fd_scheme]
+    fd_step: float | None = None       # None: linearize's default
 
     def __post_init__(self) -> None:
         for name, (check, reason) in SETTING_RULES.items():
             value = getattr(self, name)
             if not passes(check, value):
                 raise ValueError(f"{name} {reason}, got {value!r}")
-        if self.fd_step is None:
-            object.__setattr__(self, "fd_step", stab.FD_STEP[self.fd_scheme])
 
 
 @dataclass(eq=False, slots=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,15 +29,16 @@ def parity_sign(k: int) -> float:
 def passes(check, value) -> bool:
     """Whether check(value) is true, check taking value, not its float; never
     raises. value is a scalar or a tuple or list of scalars. It fails if one
-    is an array, or is not text and has no float: np.float64 rejects it (a
-    wrong type, an int past the float range) or rounds it to 0 from nonzero.
+    is an array or complex, or is not text and has no float: np.float64
+    rejects it (wrong type, int past the float range) or rounds nonzero to 0.
     """
     items = value if isinstance(value, (tuple, list)) else (value,)
     numbers = [x for x in items if not isinstance(x, str)]
     try:
-        floats = list(map(np.float64, numbers))
-        return all(f.ndim == 0 and (f != 0 or x == 0)
-                   for x, f in zip(numbers, floats)) and bool(check(value))
+        return (not any(map(np.iscomplexobj, numbers))  # before np.float64
+                and all(f.ndim == 0 and (f != 0 or x == 0)
+                        for x, f in zip(numbers, map(np.float64, numbers)))
+                and bool(check(value)))
     except (TypeError, ValueError, OverflowError):
         return False
 
@@ -45,7 +47,7 @@ def passes(check, value) -> bool:
 class StickParams:
     """Physical constants of the stick.
 
-    J defaults to the uniform-rod value m*ell*ell/12 (inf if that overflows).
+    J stays None unless given: inertia then reads the rod value m*ell*ell/12.
     """
 
     m: float
@@ -53,15 +55,11 @@ class StickParams:
     J: float | None = None
     g: float = 9.81
 
-    def __post_init__(self) -> None:
-        if self.J is None and passes(lambda me: me[0] * (me[1] * me[1]) or True,
-                                     (self.m, self.ell)):  # else J stays None
-            object.__setattr__(self, "J", self.m * (self.ell * self.ell) / 12.0)
-
-    @property
+    @cached_property
     def inertia(self) -> float:
-        """J as a float, the auto-derived default resolved."""
-        return float(self.J)  # type: ignore[arg-type]
+        """J as a float; None reads as the rod value (inf if it overflows)."""
+        return float(self.m * (self.ell * self.ell) / 12.0 if self.J is None
+                     else self.J)
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,7 @@ def validate(spec: JuggleSpec, params: StickParams) -> list[str]:
     checks = {
         "m": lambda m: m > 0,
         "ell": lambda ell: ell > 0,
-        "J": lambda J: 0 < float(J) < math.inf,  # J as params.inertia
+        "J": lambda _: 0 < params.inertia < math.inf,
         "g": lambda g: g > 0,
         # SCHEDULE_TOL clear of 0 and pi: no start on schedule has tan = 0
         "theta_odd": lambda t: SCHEDULE_TOL < t < math.pi / 2,
@@ -159,6 +157,7 @@ def validate(spec: JuggleSpec, params: StickParams) -> list[str]:
         "lambda_y": lambda lam: 0.0 <= lam < 1.0,
     }
     values = {**vars(params), **vars(spec),
+              "J": (params.m, params.ell) if params.J is None else params.J,
               "delta_theta": (spec.theta_odd, spec.theta_even)}
     return [name for name, check in checks.items()
             if not passes(check, values[name])]

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devilstick import ScenarioError
+from devilstick import ScenarioError, design_orbit, symmetric_omega_star
 from devilstick.cli import cmd_analyze, load_scenario, main
+from devilstick.harness import design_stabilizer
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -110,7 +111,7 @@ def test_load_required_keys_only(tmp_path):
     sc = load_scenario(write_scenario(tmp_path, "bare"))
     assert sc.name == "bare"
     assert (sc.params.m, sc.params.ell, sc.params.g) == (0.2, 0.8, 9.81)
-    assert sc.params.J == 0.2 * 0.8**2 / 12.0
+    assert sc.params.inertia == 0.2 * 0.8**2 / 12.0
     spec = sc.spec
     assert (spec.theta_odd, spec.theta_even, spec.alpha, spec.beta,
             spec.lambda_x, spec.lambda_y) == (
@@ -121,17 +122,20 @@ def test_load_required_keys_only(tmp_path):
     assert sc.omega_star is None
     cfg = sc.config
     assert (cfg.k_max, cfg.stabilize, cfg.deadband, cfg.r_policy,
-            cfg.flight_dt, cfg.q_diag, cfg.r_diag, cfg.fd_scheme,
-            cfg.fd_step) == (20, False, 1e-3, "strict", None, (1.0,) * 5,
-                             (1.0, 1.0), "central", 1e-6)
+            cfg.flight_dt, cfg.q_diag, cfg.r_diag, cfg.fd_scheme) == (
+        20, False, 1e-3, "strict", None, (1.0,) * 5, (1.0, 1.0), "central")
+    # the default step is linearize's, read when the stabilizer is designed
+    orbit = design_orbit(spec, symmetric_omega_star(spec, sc.params),
+                         sc.params)
+    assert design_stabilizer(orbit, cfg)[0].step == 1e-6
 
 
 def test_load_scheme_default_step_and_symmetric_rate(tmp_path):
-    from devilstick import symmetric_omega_star
     sc = load_scenario(write_scenario(
         tmp_path, fd_scheme="forward", omega_star_radps="Symmetric"))
-    assert sc.config.fd_step == 2e-3
     assert sc.omega_star == symmetric_omega_star(sc.spec, sc.params)
+    orbit = design_orbit(sc.spec, sc.omega_star, sc.params)
+    assert design_stabilizer(orbit, sc.config)[0].step == 2e-3
 
 
 @pytest.mark.parametrize("keys, named", [

@@ -14,6 +14,7 @@ from devilstick import (EpisodeConfig, FlightSamples, FullState, JuggleSpec,
                         symmetric_omega_star, validate)
 from devilstick import errors as juggling_errors
 from devilstick.dzd import growth_factor
+from devilstick.harness import design_stabilizer
 
 from refvals import (DELTA_EVEN, DELTA_ODD, DURATION_2P, DURATION_SYM,
                      IMPULSE_2P, IMPULSE_SYM, OFFSET, OMEGA_EVEN, OMEGA_ODD,
@@ -90,6 +91,32 @@ def test_uncorrected_records_share_a_read_only_zero(log_2p, log_sym):
     assert copy.k == rec.k and copy.u is rec.u
     assert np.array_equal(copy.rho, rec.rho + 1e-6)
     assert not np.array_equal(copy.rho, rec.rho)
+
+
+def _record_floats(rec):
+    return (rec.k, rec.theta, rec.omega, *rec.rho, *rec.drho, rec.delta,
+            rec.I, rec.r, *rec.u)
+
+
+def test_a_replaced_stick_runs_as_a_fresh_one(ic_state, spec):
+    # the default J is read from the stick's own m and ell, so replacing ell
+    # does not keep the inertia of the old rod
+    replaced = dataclasses.replace(StickParams(m=0.1, ell=0.5), ell=0.6)
+    a, b = (run_episode(ic_state, spec, p, EpisodeConfig())
+            for p in (replaced, StickParams(m=0.1, ell=0.6)))
+    assert a.completed and b.completed
+    assert [_record_floats(rec) for rec in a.records] == \
+        [_record_floats(rec) for rec in b.records]
+
+
+def test_a_replaced_scheme_designs_with_its_own_default_step(orbit_sym):
+    replaced = dataclasses.replace(EpisodeConfig(stabilize=True),
+                                   fd_scheme="forward")
+    lin, gain = design_stabilizer(orbit_sym, replaced)
+    _, fresh = design_stabilizer(
+        orbit_sym, EpisodeConfig(stabilize=True, fd_scheme="forward"))
+    assert lin.step == 2e-3
+    assert np.array_equal(gain.K, fresh.K)
 
 
 def test_episode_is_deterministic(ic_state, spec, params):
@@ -468,6 +495,7 @@ def _sim_vhc_with(change, stabilize):
 
 HUGE = 10**400
 TINY = fractions.Fraction(1, HUGE)  # nonzero; its float is 0.0
+COMPLEX = np.complex128(0.1 + 1j)
 
 
 @pytest.mark.parametrize("stabilize", [False, True])
@@ -516,6 +544,15 @@ TINY = fractions.Fraction(1, HUGE)  # nonzero; its float is 0.0
                     "J")),
     # sample_flight's np.isfinite took no object array of Fractions
     ({"flight_dt": fractions.Fraction(1, 3)}, ([], "completed")),
+    # np.float64 dropped the imaginary part with a ComplexWarning, and the
+    # episode ran on complex impulses
+    ({"m": COMPLEX, "J": 0.01}, (["m"], "ScenarioError: invalid "
+                                 "parameters: m")),
+    ({"m": COMPLEX}, (["m", "J"], "ScenarioError: invalid parameters: m, "
+                      "J")),
+    ({"deadband": COMPLEX},
+     f"ValueError: deadband must be >= 0, got {COMPLEX!r}"),
+    ({"theta": COMPLEX}, "ValueError: state entries must be finite"),
 ])
 def test_values_that_escaped_end_in_their_checks(change, outcome, stabilize):
     assert _sim_vhc_with(change, stabilize) == outcome
@@ -525,7 +562,7 @@ def test_values_that_escaped_end_in_their_checks(change, outcome, stabilize):
 ODD_VALUES = [HUGE, -HUGE, np.ones(1), np.ones(2), np.float32(0.5),
               np.int64(3), fractions.Fraction(1, 3), fractions.Fraction(HUGE),
               TINY, -TINY, True, False, "x", "0.5", None, math.nan, math.inf,
-              -math.inf]
+              -math.inf, np.complex128(0.5 + 1j), np.complex128(0.5)]
 
 
 @pytest.mark.parametrize("stabilize", [False, True])

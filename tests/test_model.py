@@ -1,6 +1,7 @@
 import dataclasses
 import fractions
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from devilstick import FullState, JuggleSpec, StickParams, validate
-from devilstick.model import SCHEDULE_TOL
+from devilstick.model import SCHEDULE_TOL, passes
 
 
 def test_reference_spec_validates(spec, params):
@@ -79,6 +80,9 @@ def test_a_value_of_the_wrong_type_fails_its_check(spec, params_kw, spec_kw,
     ({"m": fractions.Fraction(1, 10**400), "J": 0.01}, {}, ["m"]),
     ({}, {"lambda_x": fractions.Fraction(-1, 10**400)}, ["lambda_x"]),
     ({"g": fractions.Fraction(1, 3)}, {}, []),
+    # each has a float, their rod inertia has none: StickParams raised
+    ({"m": fractions.Fraction(10**300), "ell": fractions.Fraction(10**300)},
+     {}, ["J"]),
 ])
 def test_an_int_too_large_for_a_float_fails_its_check(spec, params_kw,
                                                       spec_kw, failures):
@@ -89,9 +93,26 @@ def test_an_int_too_large_for_a_float_fails_its_check(spec, params_kw,
 
 def test_overflowing_default_inertia_fails_j(spec):
     long = StickParams(m=0.1, ell=1e200)
-    assert long.J == math.inf
+    assert long.inertia == math.inf
     assert validate(spec, long) == ["J"]
     assert validate(spec, StickParams(m=0.1, ell=0.5, J=math.inf)) == ["J"]
+
+
+def test_a_replaced_stick_derives_its_inertia_from_its_new_fields():
+    replaced = dataclasses.replace(StickParams(m=0.1, ell=0.5), ell=0.6)
+    assert replaced.J is None
+    assert replaced.inertia.hex() == StickParams(m=0.1, ell=0.6).inertia.hex()
+
+
+@pytest.mark.parametrize("value", [1j, np.complex128(0.5), np.complex64(1),
+                                   np.array(0.5 + 0j)])
+def test_a_complex_value_fails_without_a_warning(spec, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.float64 warned and dropped imag
+        assert not passes(lambda _: True, value)
+        assert not passes(lambda _: True, (0.5, value))
+        assert validate(spec, StickParams(m=value, ell=0.5, J=0.01)) == ["m"]
+        assert validate(spec, StickParams(m=value, ell=0.5)) == ["m", "J"]
 
 
 def test_inertia_default_is_exact_rod_value():

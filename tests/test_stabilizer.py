@@ -126,11 +126,15 @@ def test_linearize_secant_matches_reference(orbit_sym):
 
 
 def test_default_step_follows_the_scheme(orbit_sym):
-    # one table, stabilizer.FD_STEP, sets the step that linearize and
-    # EpisodeConfig use when none is given
-    assert EpisodeConfig().fd_step == 1e-6
-    assert EpisodeConfig(fd_scheme="forward").fd_step == 2e-3
-    assert EpisodeConfig(fd_scheme="forward", fd_step=1e-3).fd_step == 1e-3
+    # one table, stabilizer.FD_STEP, read by linearize alone, sets the step
+    # when neither linearize's caller nor the EpisodeConfig gives one
+    def design_step(**kw):
+        lin, _ = harness.design_stabilizer(orbit_sym, EpisodeConfig(**kw))
+        return lin.step
+
+    assert design_step() == 1e-6
+    assert design_step(fd_scheme="forward") == 2e-3
+    assert design_step(fd_scheme="forward", fd_step=1e-3) == 1e-3
     assert linearize(orbit_sym).step == 1e-6
     forward = linearize(orbit_sym, scheme="forward")
     assert forward.step == 2e-3
