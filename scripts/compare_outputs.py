@@ -55,11 +55,12 @@ directory on PYTHONPATH, over:
   step 14 after costs below 4e8; each prints P in hex floats or the error,
   and the warnings, and a blow-up runs with the step limit one past its
   step, so a blow-up test that fires late reads "no fixed point",
-- values that escaped the constructors or `run_episode` as an untyped
-  error (ints past the float range, arrays where a scalar belongs,
-  Fractions whose float is 0 or that sampling could not take, text), or
-  ran as complex numbers, one row each with the episode or the error
-  raised,
+- values that escaped the constructors, `design_orbit` or `run_episode`
+  as an untyped error (ints past the float range, arrays where a scalar
+  belongs, Fractions whose float is 0 or that sampling could not take,
+  text) or a numpy warning (numpy floats that overflow or divide by 0), or
+  ran as complex numbers or in single precision, one row each with the
+  episode or the error raised, and the warnings printed,
 - inputs rebuilt from a default by `dataclasses.replace`: sim_vhc's stick
   with a longer `ell`, with its inertia and its episode, and the default
   stabilizer settings switched to the forward scheme, with the step and
@@ -522,12 +523,14 @@ def _off_schedule_lines(devilstick, handler: _Messages) -> list[str]:
 
 
 def _escape_lines(devilstick) -> list[str]:
-    """Values that escaped StickParams, EpisodeConfig, FullState or
-    run_episode as an untyped error, or ran complex, one row each: sim_vhc
-    with the named fields replaced, 20 impulses, and the forward-scheme
-    stabilizer on its rate-symmetric orbit where a row says so. A row
-    prints the episode, or the name and message of the error raised while
-    building or running it.
+    """Values that escaped StickParams, EpisodeConfig, FullState,
+    design_orbit or run_episode as an untyped error or a numpy warning, or
+    ran complex or in single precision, one row each: sim_vhc with the named
+    fields replaced, 20 impulses, and the forward-scheme stabilizer where a
+    row says so, on the orbit designed from the row's stick and schedule at
+    sim_vhc's rate-symmetric omega*. A row prints the episode, or the name
+    and message of the error raised while building or running it, then the
+    warnings it printed.
     """
     import fractions
 
@@ -543,8 +546,7 @@ def _escape_lines(devilstick) -> list[str]:
     spec = devilstick.JuggleSpec(
         **{k: sim_vhc[k] for k in ("theta_odd", "theta_even", "alpha",
                                    "beta")})
-    orbit = devilstick.design_orbit(
-        spec, devilstick.symmetric_omega_star(spec, params), params)
+    omega_star = devilstick.symmetric_omega_star(spec, params)
     # (fields replaced, stabilized)
     rows = [
         ({"q_diag": (huge, 1, 1, 1, 1)}, True),
@@ -573,6 +575,16 @@ def _escape_lines(devilstick) -> list[str]:
         ({"m": imaginary}, False),
         ({"deadband": imaginary}, True),
         ({"theta": imaginary}, False),
+        # numpy scalars that overflow or divide by 0 in StickParams.inertia
+        # or design_orbit
+        ({"ell": np.float64(1e200)}, False),
+        ({"m": np.float64(1e308)}, True),
+        ({"g": np.float64(1e308)}, True),
+        ({"alpha": np.float64(1e308)}, True),
+        ({"g": np.float64(5e-324)}, True),
+        ({"alpha": np.float64(5e-324)}, True),
+        # a single-precision stick runs the impulse path in float32
+        ({"m": np.float32(0.1)}, False),
     ]
     types = (devilstick.StickParams, devilstick.JuggleSpec,
              devilstick.FullState, devilstick.EpisodeConfig)
@@ -582,14 +594,21 @@ def _escape_lines(devilstick) -> list[str]:
         kw = {**sim_vhc, **change}
         if stabilize:
             kw.update(stabilize=True, fd_scheme="forward")
-        try:
-            row_params, row_spec, s0, cfg = (
-                cls(**{f.name: kw[f.name] for f in dataclasses.fields(cls)
-                       if f.name in kw}) for cls in types)
-            lines += _episode_lines(devilstick.run_episode(
-                s0, orbit if stabilize else row_spec, row_params, cfg))
-        except Exception as exc:  # compared by name and message
-            lines.append(f"{type(exc).__name__}: {exc}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                row_params, row_spec, s0, cfg = (
+                    cls(**{f.name: kw[f.name]
+                           for f in dataclasses.fields(cls) if f.name in kw})
+                    for cls in types)
+                target = (devilstick.design_orbit(row_spec, omega_star,
+                                                  row_params)
+                          if stabilize else row_spec)
+                lines += _episode_lines(devilstick.run_episode(
+                    s0, target, row_params, cfg))
+            except Exception as exc:  # compared by name and message
+                lines.append(f"{type(exc).__name__}: {exc}")
+        lines += [f"{w.category.__name__}: {w.message}" for w in caught]
     return lines
 
 

@@ -6,8 +6,8 @@ passive dynamics and orbit design, and return-map orbital stabilization.
 
 from .dvhc import (dvhc_control, on_constraint_state, phi, psi, residuals,
                    steady_inputs)
-from .dynamics import (FlightSamples, flight, impulsive_update,
-                       mechanical_energy, sample_flight, time_of_flight)
+from .dynamics import (flight, impulsive_update, mechanical_energy,
+                       sample_flight, time_of_flight)
 from .dzd import (DzdState, OrbitSpec, design_orbit, dzd_step, growth_factor,
                   symmetric_omega_star)
 from .errors import (AsymmetricSpec, Degenerate, FDInconsistent, Infeasible,

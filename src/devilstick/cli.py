@@ -160,24 +160,15 @@ def _scenario_orbit(scenario: Scenario) -> OrbitSpec:
     return design_orbit(scenario.spec, scenario.omega_star, scenario.params)
 
 
-# both CSV writers: one format string per row, csv.writer's CRLF, no quotes
-def _write_impulses_csv(log: EpisodeLog, path: Path) -> None:
-    row = "%d," + ",".join([FLOAT_FMT] * 11) + "\r\n"
+def _write_csv(path: Path, header: str, blocks) -> None:
+    """header, then each block's flat values as FLOAT_FMT rows, one block at
+    a time, unquoted and CRLF-ended as csv.writer's; an int k <=
+    MAX_IMPULSES prints as with %d."""
+    width = header.count(",") + 1
+    row = ",".join([FLOAT_FMT] * width) + "\r\n"
     with path.open("w", newline="") as fh:
-        fh.write("k,theta,omega,rho_x,rho_y,drho_x,drho_y,delta,I,r,u_I,u_r"
-                 "\r\n")
-        fh.write("".join(row % (rec.k, rec.theta, rec.omega, *rec.rho,
-                                *rec.drho, rec.delta, rec.I, rec.r, *rec.u)
-                         for rec in log.records))
-
-
-def _write_trajectory_csv(log: EpisodeLog, path: Path) -> None:
-    row = ",".join([FLOAT_FMT] * 4) + "\r\n"
-    with path.open("w", newline="") as fh:
-        fh.write("t,hx,hy,theta\r\n")
-        for s in log.flights:
-            fh.write((row * len(s)) % tuple(
-                np.column_stack((s.t, s.h, s.theta)).ravel().tolist()))
+        fh.write(header + "\r\n")
+        fh.writelines(row * (len(v) // width) % tuple(v) for v in blocks)
 
 
 def _summary(scenario: Scenario, log: EpisodeLog) -> dict:
@@ -216,8 +207,12 @@ def cmd_simulate(scenario: Scenario, outdir: Path) -> int:
         else scenario.spec
     log = run_episode(scenario.s0, target, scenario.params, scenario.config)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_impulses_csv(log, outdir / "impulses.csv")
-    _write_trajectory_csv(log, outdir / "trajectory.csv")
+    _write_csv(outdir / "impulses.csv",
+               "k,theta,omega,rho_x,rho_y,drho_x,drho_y,delta,I,r,u_I,u_r",
+               ((rec.k, rec.theta, rec.omega, *rec.rho, *rec.drho,
+                 rec.delta, rec.I, rec.r, *rec.u) for rec in log.records))
+    _write_csv(outdir / "trajectory.csv", "t,hx,hy,theta",
+               (rows.ravel().tolist() for rows in log.flights))
     summary = _summary(scenario, log)
     (outdir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -8,7 +8,6 @@ orientations follows algebraically from the post-impulse angular rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,20 +16,6 @@ from .model import FullState, JuggleSpec, State, StickParams, parity_sign
 
 RATE_EPS = 1e-12  # post-impulse angular rate below this is rejected
 MAX_FLIGHT_SAMPLES = 1_000_000  # per episode; bounds sampling time and memory
-
-
-@dataclass(frozen=True, eq=False)
-class FlightSamples:
-    """Pose along one flight: times t (n,) on the episode clock, positions
-    h (n, 2) and orientations theta (n,). Arrays are read-only.
-    """
-
-    t: np.ndarray
-    h: np.ndarray
-    theta: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t)
 
 
 def jump(x: State, impulse: float, offset: float,
@@ -100,11 +85,11 @@ def time_of_flight(omega: float, impulse: float, offset: float, k: int,
 
 def sample_flight(x_plus: State, delta: float, dt: float,
                   params: StickParams, max_samples: int = MAX_FLIGHT_SAMPLES,
-                  t0: float = 0.0) -> FlightSamples:
-    """Sample a flight at t0 + s, s = 0, dt, 2*dt, ..., delta (endpoint exact).
+                  t0: float = 0.0) -> np.ndarray:
+    """Read-only rows (t0 + s, hx, hy, theta), s = 0, dt, 2*dt, ..., delta.
 
-    The row at s equals the pose of flight from x_plus after s bitwise: the
-    columns are evaluated with the same operations in the same order. Raises
+    The last s is delta exactly, and the pose at s equals flight's from
+    x_plus after s bitwise: the same operations in the same order. Raises
     ScenarioError, before allocating, when the flight needs more than
     max_samples samples, and NonFinite when a sampled pose overflows.
     """
@@ -122,21 +107,20 @@ def sample_flight(x_plus: State, delta: float, dt: float,
             f"{max_samples} samples, the sample budget left")
     g = params.g
     hx, hy, vx, vy, theta0, omega = x_plus
-    h = np.empty((n, 2))
+    rows = np.empty((n, 4))
     # an overflow is reported below as NonFinite, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        t = np.arange(n) * dt
-        t[-1] = delta
+        s = np.arange(n) * dt
+        s[-1] = delta
         # + 0.0 is flight's horizontal gravity term: it turns -0.0 into 0.0
-        h[:, 0] = hx + vx * t + 0.0
-        h[:, 1] = hy + vy * t + -0.5 * g * (t * t)
-        theta = theta0 + omega * t
-        t = t0 + t
-    if not (np.isfinite(h).all() and np.isfinite(theta).all()):
+        rows[:, 1] = hx + vx * s + 0.0
+        rows[:, 2] = hy + vy * s + -0.5 * g * (s * s)
+        rows[:, 3] = theta0 + omega * s
+        rows[:, 0] = t0 + s
+    if not np.isfinite(rows[:, 1:]).all():
         raise NonFinite(f"sampled {delta:.6g} s flight is not finite")
-    for arr in (t, h, theta):
-        arr.setflags(write=False)
-    return FlightSamples(t=t, h=h, theta=theta)
+    rows.setflags(write=False)
+    return rows
 
 
 def mechanical_energy(s: FullState, params: StickParams) -> float:

@@ -16,8 +16,8 @@ import numpy as np
 from . import stabilizer as stab
 from .dvhc import check_command, instant, kernel, phi, psi
 from .dvhc import dvhc_control, residuals  # noqa: F401 (perfbench traces them)
-from .dynamics import (MAX_FLIGHT_SAMPLES, FlightSamples, jump, land,
-                       sample_flight, time_of_flight)
+from .dynamics import (MAX_FLIGHT_SAMPLES, jump, land, sample_flight,
+                       time_of_flight)
 from .dynamics import flight, impulsive_update  # noqa: F401 (perfbench traces)
 from .dzd import OrbitSpec
 from .errors import JugglingError, ScenarioError
@@ -90,7 +90,7 @@ class EpisodeLog:
     params: StickParams
     records: list[ImpulseRecord] = field(default_factory=list)
     # flights[i] follows records[i], its times on the episode clock
-    flights: list[FlightSamples] = field(default_factory=list)
+    flights: list[np.ndarray] = field(default_factory=list)
     sim_duration: float = 0.0  # first impulse to last impulse
     wall_time: float = 0.0
     termination: str = "completed"

@@ -58,8 +58,9 @@ class StickParams:
     @cached_property
     def inertia(self) -> float:
         """J as a float; None reads as the rod value (inf if it overflows)."""
-        return float(self.m * (self.ell * self.ell) / 12.0 if self.J is None
-                     else self.J)
+        with np.errstate(over="ignore", invalid="ignore"):  # as floats do
+            return float(self.m * (self.ell * self.ell) / 12.0
+                         if self.J is None else self.J)
 
 
 @dataclass(frozen=True)

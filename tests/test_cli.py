@@ -605,6 +605,19 @@ def test_simulate_round_trip_is_lossless(tmp_path, ic_state, spec, params):
         assert float(row[9]) == rec.r
 
 
+def test_trajectory_csv_is_the_stacked_flight_rows(tmp_path):
+    # each sampled flight is its trajectory.csv rows, in its column order
+    from devilstick import run_episode
+    main(["simulate", "--scenario", str(SIM_ORBIT), "--out", str(tmp_path)])
+    header, rows = read_rows(tmp_path / "sim_orbit" / "trajectory.csv")
+    sc = load_scenario(SIM_ORBIT)
+    log = run_episode(sc.s0, design_orbit(sc.spec, sc.omega_star, sc.params),
+                      sc.params, sc.config)
+    assert header == ["t", "hx", "hy", "theta"] and len(log.flights) == 19
+    written = np.array([[float(v) for v in row] for row in rows])
+    assert written.tobytes() == np.concatenate(log.flights).tobytes()
+
+
 def test_simulate_trajectory_arcs(tmp_path):
     code = main(["simulate", "--scenario", str(SIM_ORBIT),
                  "--out", str(tmp_path)])

@@ -158,11 +158,11 @@ def test_sample_flight_counts_and_endpoint(params):
                   theta=0.5, omega=4.0)
     samples = sample_flight(s.floats(), 0.5, 0.25, params)
     assert len(samples) == 3
-    assert samples.h.shape == (3, 2) and samples.theta.shape == (3,)
-    assert [round(t, 10) for t in samples.t.tolist()] == [0.0, 0.25, 0.5]
+    assert samples.shape == (3, 4) and samples.dtype == np.float64
+    assert [round(t, 10) for t in samples[:, 0].tolist()] == [0.0, 0.25, 0.5]
     end = flight(s, 0.5, params)
-    assert np.array_equal(samples.h[-1], end.h)
-    assert samples.theta[-1] == end.theta
+    assert np.array_equal(samples[-1, 1:3], end.h)
+    assert samples[-1, 3] == end.theta
     with pytest.raises(ValueError):
         sample_flight(s.floats(), 0.5, 0.0, params)
 
@@ -172,7 +172,7 @@ def test_sample_flight_matches_closed_form(params):
     s = FullState(h=np.array([0.0, 3.0]), v=np.array([1.0, 2.0]),
                   theta=0.5, omega=4.0)
     samples = sample_flight(s.floats(), 0.8, 0.13, params)
-    for t, hy in zip(samples.t.tolist(), samples.h[:, 1].tolist()):
+    for t, hy in zip(samples[:, 0].tolist(), samples[:, 2].tolist()):
         assert hy == pytest.approx(3.0 + 2.0 * t - 0.5 * params.g * t * t,
                                    abs=1e-15)
 
@@ -186,12 +186,12 @@ def test_sample_flight_rows_equal_flight(hx, hy, vx, vy, theta, omega,
     s = FullState(h=np.array([hx, hy]), v=np.array([vx, vy]), theta=theta,
                   omega=omega)
     samples = sample_flight(s.floats(), delta, dt, params)
-    assert samples.t[-1] == delta
-    assert np.all(np.diff(samples.t) > 0)
-    for i, t in enumerate(samples.t.tolist()):
+    assert samples[-1, 0] == delta
+    assert np.all(np.diff(samples[:, 0]) > 0)
+    for i, t in enumerate(samples[:, 0].tolist()):
         end = flight(s, t, params)
-        assert samples.h[i].tobytes() == end.h.tobytes()
-        assert samples.theta[i] == end.theta
+        assert samples[i, 1:3].tobytes() == end.h.tobytes()
+        assert samples[i, 3] == end.theta
 
 
 @given(hx=finite, hy=finite, vx=finite, vy=finite, theta=finite,
@@ -206,11 +206,10 @@ def test_sample_flight_shifts_only_its_times_by_t0(hx, hy, vx, vy, theta,
     x = (hx, hy, vx, vy, theta, omega)
     rel = sample_flight(x, delta, dt, params)
     shifted = sample_flight(x, delta, dt, params, t0=t0)
-    assert shifted.t.tobytes() == (t0 + rel.t).tobytes()
-    assert shifted.h.tobytes() == rel.h.tobytes()
-    assert shifted.theta.tobytes() == rel.theta.tobytes()
-    for arr in (shifted.t, shifted.h, shifted.theta):
-        assert not arr.flags.writeable
+    assert shifted[:, 0].tobytes() == (t0 + rel[:, 0]).tobytes()
+    assert shifted[:, 1:3].tobytes() == rel[:, 1:3].tobytes()
+    assert shifted[:, 3].tobytes() == rel[:, 3].tobytes()
+    assert not shifted.flags.writeable
 
 
 def test_sample_flight_from_rest_is_bitwise(params):
@@ -220,8 +219,8 @@ def test_sample_flight_from_rest_is_bitwise(params):
     s = FullState(h=np.array([-0.0, 0.0]), v=np.array([-0.0, 0.0]),
                   theta=0.0, omega=0.0)
     samples = sample_flight(s.floats(), 2.0, 1e-4, params)
-    expected = [flight(s, t, params).h for t in samples.t.tolist()]
-    assert samples.h.tobytes() == np.array(expected).tobytes()
+    expected = [flight(s, t, params).h for t in samples[:, 0].tolist()]
+    assert samples[:, 1:3].tobytes() == np.array(expected).tobytes()
 
 
 def test_sample_flight_budget(params):
@@ -259,7 +258,7 @@ def test_flight_squares_by_one_multiplication(params):
         for d in times:
             hy = land(x, d, 2.6, params)[1]
             assert hy == x[1] + x[3] * d + -0.5 * params.g * (d * d)
-            assert sample_flight(x, d, d, params).h[-1, 1] == hy
+            assert sample_flight(x, d, d, params)[-1, 2] == hy
 
 
 def test_mechanical_energy_of_a_huge_rate_is_inf(params):
