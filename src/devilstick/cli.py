@@ -209,8 +209,9 @@ def cmd_simulate(scenario: Scenario, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "impulses.csv",
                "k,theta,omega,rho_x,rho_y,drho_x,drho_y,delta,I,r,u_I,u_r",
-               ((rec.k, rec.theta, rec.omega, *rec.rho, *rec.drho,
-                 rec.delta, rec.I, rec.r, *rec.u) for rec in log.records))
+               ((rec.k, rec.theta, rec.omega, rec.rho_x, rec.rho_y,
+                 rec.drho_x, rec.drho_y, rec.delta, rec.I, rec.r, *rec.u)
+                for rec in log.records))
     _write_csv(outdir / "trajectory.csv", "t,hx,hy,theta",
                (rows.ravel().tolist() for rows in log.flights))
     summary = _summary(scenario, log)

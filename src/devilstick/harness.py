@@ -24,7 +24,7 @@ from .errors import JugglingError, ScenarioError
 from .model import FullState, JuggleSpec, StickParams, passes, validate
 
 
-MAX_IMPULSES = 1_000_000  # per episode; its records take about 0.5 GB
+MAX_IMPULSES = 1_000_000  # per episode; at ~345 B a record, ~345 MB
 
 # field: (check a value must pass, reason it failed). EpisodeConfig runs
 # every check, the scenario loader that of each key it reads, via passes().
@@ -69,19 +69,31 @@ class EpisodeConfig:
                 raise ValueError(f"{name} {reason}, got {value!r}")
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False, init=False)
 class ImpulseRecord:
-    """Everything logged at one impulse instant (pre-impulse state)."""
+    """Everything logged at one impulse instant (pre-impulse state). The
+    residual fields rho and drho take any 2-vector and are kept as the four
+    floats rho_x, rho_y, drho_x, drho_y; each read builds a new float64
+    2-vector."""
 
+    __slots__ = ("k", "theta", "omega", "rho_x", "rho_y", "drho_x", "drho_y",
+                 "delta", "I", "r", "u")
     k: int
     theta: float
     omega: float
-    rho: np.ndarray
-    drho: np.ndarray
+    rho: np.ndarray = property(lambda s: np.array((s.rho_x, s.rho_y), float))
+    drho: np.ndarray = property(
+        lambda s: np.array((s.drho_x, s.drho_y), float))
     delta: float
     I: float
     r: float
     u: np.ndarray              # stabilizer correction; NO_CORRECTION if none
+
+    def __init__(self, k, theta, omega, rho, drho, delta, I, r, u):
+        self.k, self.theta, self.omega = k, theta, omega
+        self.rho_x, self.rho_y = rho
+        self.drho_x, self.drho_y = drho
+        self.delta, self.I, self.r, self.u = delta, I, r, u
 
 
 @dataclass(eq=False)
@@ -135,7 +147,6 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
     t, budget = 0.0, MAX_FLIGHT_SAMPLES
     k_max, r_policy, flight_dt = cfg.k_max, cfg.r_policy, cfg.flight_dt
     stabilize, records = cfg.stabilize, log.records
-    res = []  # rho_x, rho_y, drho_x, drho_y of each record, flat
     slots = [None, None]  # the Instant of each parity's last orientation
     try:
         failures = validate(spec, params)
@@ -164,9 +175,9 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                                                    spec, params)
                             check_command(k, impulse, offset, delta, params,
                                           r_policy)
-                res += rho_x, rho_y, drho_x, drho_y
-                records.append(ImpulseRecord(k, x[4], x[5], None, None, delta,
-                                             impulse, offset, u))
+                records.append(ImpulseRecord(
+                    k, x[4], x[5], (rho_x, rho_y), (drho_x, drho_y), delta,
+                    impulse, offset, u))
                 if k < k_max:
                     x_plus = jump(x, impulse, offset, inst.normal, params)
                     # delta lands exactly on the schedule; pin the orientation
@@ -181,9 +192,6 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                     t += delta
     except JugglingError as exc:
         log.termination = f"{type(exc).__name__}: {exc}"
-    rows = np.array(res).reshape(-1, 4)  # records hold row views of it
-    for rec, rho, drho in zip(records, rows[:, :2], rows[:, 2:]):
-        rec.rho, rec.drho = rho, drho
     log.sim_duration = t
     log.wall_time = time.perf_counter() - t_start
     return log
@@ -193,7 +201,7 @@ def metrics(log: EpisodeLog) -> EpisodeMetrics:
     """Convergence summary of an episode log."""
     if not log.records:
         raise ValueError("empty episode log")
-    rho = np.array([rec.rho for rec in log.records])
+    rho = np.array([(rec.rho_x, rec.rho_y) for rec in log.records])
     lam = np.array([log.spec.lambda_x, log.spec.lambda_y])
     dev = float(np.max(np.abs(rho[1:] - lam * rho[:-1]), initial=0.0))
     terminal_error = None

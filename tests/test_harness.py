@@ -822,7 +822,57 @@ def test_terminated_episode_records_hold_residual_rows(
             assert value.tobytes() == np.array(floats).tobytes()
         copy = dataclasses.replace(rec, rho=rec.rho + 1e-6)
         assert np.array_equal(copy.rho, rec.rho + 1e-6)
-        assert copy.drho is rec.drho
+        assert copy.drho.tobytes() == rec.drho.tobytes()
+
+
+def test_records_keep_kernel_residual_floats(ic_state, spec, params,
+                                             orbit_sym, monkeypatch):
+    # a record keeps kernel's four residual floats in slots; rho and drho
+    # are new float64 2-vectors built from them at each read, and a record
+    # replaced with any 2-vector reaches metrics through those slots
+    from devilstick import harness
+    from devilstick.dvhc import phi, psi
+    from devilstick.stabilizer import fixed_point
+    seen, kernel = [], harness.kernel
+    monkeypatch.setattr(harness, "kernel",
+                        lambda *a: seen.append(kernel(*a)) or seen[-1])
+    names = harness.ImpulseRecord.__slots__
+    for target, stabilize in ((spec, False), (orbit_sym, True)):
+        seen.clear()
+        cfg = EpisodeConfig(k_max=20, stabilize=stabilize, r_diag=(2.0, 2.0),
+                            fd_scheme="forward", fd_step=2e-3)
+        log = run_episode(ic_state, target, params, cfg)
+        assert log.completed and len(log.records) == len(seen) == 20
+        for rec, out in zip(log.records, seen):
+            assert not hasattr(rec, "__dict__")
+            slots = (rec.rho_x, rec.rho_y, rec.drho_x, rec.drho_y)
+            assert [type(v) for v in slots] == [float] * 4
+            assert [v.hex() for v in slots] == [v.hex() for v in out[:4]]
+            assert [name for name in names if isinstance(
+                getattr(rec, name), np.ndarray)] == ["u"]
+            for value, floats in ((rec.rho, slots[:2]),
+                                  (rec.drho, slots[2:])):
+                assert type(value) is np.ndarray
+                assert value.dtype == np.float64 and value.shape == (2,)
+                assert value.tolist() == list(floats)
+            assert rec.rho is not rec.rho
+        rec = log.records[5]
+        log.records[5] = dataclasses.replace(rec, rho=rec.rho + 1e-3)
+        rho = np.array([r.rho for r in log.records])
+        lam = np.array([spec.lambda_x, spec.lambda_y])
+        assert metrics(log).rho_contraction_dev == float(
+            np.max(np.abs(rho[1:] - lam * rho[:-1])))
+        assert metrics(log).rho_contraction_dev >= 1e-3
+        if stabilize:
+            last = log.records[-2]  # k = 19, the last odd record
+            log.records[-2] = last = dataclasses.replace(
+                last, drho=(last.drho_x + 1e-3, last.drho_y))
+            assert last.k == 19 and type(last.drho_x) is float
+            h = phi(last.theta, spec) + last.rho
+            v = psi(last.theta, last.omega, last.k, spec, params) + last.drho
+            z = np.array([h[0], h[1], v[0], v[1], last.omega])
+            error = float(np.linalg.norm(z - fixed_point(orbit_sym)[0]))
+            assert metrics(log).terminal_error == error > 1e-4
 
 
 def test_k_max_is_bounded():
