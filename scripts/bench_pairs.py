@@ -2,14 +2,16 @@
 """Alternating before/after pairs of the committed benchmark on two checkouts.
 
     python scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT [--workload NAME ...]
-        [--pairs N] [--seconds S] [--record]
+        [--pairs N] [--seconds S] [--seed N] [--record]
 
 PARENT_ROOT and CHANGE_ROOT are full checkouts of the repository, for
 example two `git worktree`s or `git clone`s. For each workload (`all`, the
-default, means every workload of BENCHMARK.json) each pair runs
-`perfbench/run.py --workload W --seed 0 --seconds S` once in each root, each
-run in its own process, and alternates which root goes first. Each run's
-last output line is its JSON result.
+default, means every workload of BENCHMARK.json; repeated `--workload` flags
+add up) each pair runs `perfbench/run.py --workload W --seed N --seconds S`
+once in each root, each run in its own process, and alternates which root
+goes first. Each run's last output line is its JSON result. The seed is 0
+unless `--seed` gives another, for example to check a claim on a seed that
+was not used while the change was written.
 
 For each end-to-end metric of BENCHMARK.json the script prints both medians,
 the parent's interquartile range (inclusive quartiles), the relative change
@@ -39,16 +41,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-SEED = 0
 RUN_TIMEOUT_S = 600
 CACHES = ("src/devilstick/__pycache__", "perfbench/__pycache__")
 
 
-def _run_once(root: Path, workload: str, seconds: float) -> dict:
+def _run_once(root: Path, workload: str, seconds: float, seed: int) -> dict:
     """The JSON result of one benchmark run in root."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(SEED), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds)],
         cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -58,14 +59,15 @@ def _run_once(root: Path, workload: str, seconds: float) -> dict:
 
 
 def run_pairs(roots: tuple[Path, Path], workload: str, pairs: int,
-              seconds: float) -> tuple[list[dict], list[dict]]:
+              seconds: float, seed: int = 0) -> tuple[list[dict], list[dict]]:
     """pairs results of each root, in pair order; the parent goes first in
     even pairs and the change in odd ones."""
     runs: tuple[list[dict], list[dict]] = ([], [])
     for i in range(pairs):
         order = (0, 1) if i % 2 == 0 else (1, 0)
         for side in order:
-            runs[side].append(_run_once(roots[side], workload, seconds))
+            runs[side].append(_run_once(roots[side], workload, seconds,
+                                        seed))
     return runs
 
 
@@ -115,11 +117,11 @@ def _host() -> dict:
 
 
 def record(sha: str, results: dict[str, dict], pairs: int,
-           seconds: float) -> Path:
+           seconds: float, seed: int = 0) -> Path:
     """Write BENCH_<sha>.json into the current directory."""
     path = Path(f"BENCH_{sha}.json")
     path.write_text(json.dumps({
-        "command": f"python3 perfbench/run.py --workload <name> --seed {SEED}"
+        "command": f"python3 perfbench/run.py --workload <name> --seed {seed}"
                    f" --seconds {seconds:g}",
         "commit": sha,
         "host": _host(),
@@ -136,14 +138,16 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", nargs="+", default=["all"])
+    parser.add_argument("--workload", nargs="+", action="extend")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--record", action="store_true")
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     known = [w["name"] for w in bench["workloads"]]
-    names = known if "all" in args.workload else args.workload
+    asked = args.workload or ["all"]
+    names = known if "all" in asked else asked
     unknown = sorted(set(names) - set(known))
     if unknown or args.pairs < 2:
         parser.error(f"unknown workloads {unknown}" if unknown
@@ -159,12 +163,13 @@ def main(argv: list[str]) -> int:
     firsts: tuple[dict, dict] = ({}, {})
     for name in names:
         parent, change = run_pairs((args.parent, args.change), name,
-                                   args.pairs, args.seconds)
+                                   args.pairs, args.seconds, args.seed)
         print("\n".join(report(name, bench["end_to_end"], parent, change)),
               flush=True)
         firsts[0][name], firsts[1][name] = parent[0], change[0]
     for sha, results in zip(shas, firsts):
-        print(f"wrote {record(sha, results, args.pairs, args.seconds)}")
+        path = record(sha, results, args.pairs, args.seconds, args.seed)
+        print(f"wrote {path}")
     return 0
 
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .dvhc import Instant
 from .errors import Degenerate, Infeasible, NonFinite, ScenarioError
 from .model import FullState, JuggleSpec, State, StickParams, parity_sign
 
@@ -39,6 +40,24 @@ def land(x: State, delta: float, theta_next: float,
     x = (hx + vx * delta + 0.0, hy + vy * delta + -0.5 * g * (delta * delta),
          vx + 0.0, vy + -g * delta, theta_next, omega)
     # a finite sum needs finite entries; finite entries may sum to inf
+    if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
+        raise NonFinite(f"landed state {x} is not finite")
+    return x
+
+
+def fly(x: State, impulse: float, offset: float, delta: float,
+        inst: Instant, g: float) -> State:
+    """land(jump(x, impulse, offset, inst.normal, params), delta,
+    inst.theta_next, params), with the same operations in the same order, in
+    one call; inst is the Instant of x's orientation and g is params.g. The
+    landing is pinned to the scheduled orientation, which delta reaches
+    exactly, so float roundoff cannot accumulate across impulses."""
+    hx, hy, vx, vy, _, omega = x
+    scale, (nx, ny) = impulse / inst.m, inst.normal
+    vx, vy, omega = (vx + scale * nx, vy + scale * ny,
+                     omega + impulse * offset / inst.inertia)
+    x = (hx + vx * delta + 0.0, hy + vy * delta + -0.5 * g * (delta * delta),
+         vx + 0.0, vy + -g * delta, inst.theta_next, omega)
     if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
         raise NonFinite(f"landed state {x} is not finite")
     return x

@@ -16,7 +16,7 @@ import numpy as np
 from . import stabilizer as stab
 from .dvhc import check_command, instant, kernel, phi, psi
 from .dvhc import dvhc_control, residuals  # noqa: F401 (perfbench traces them)
-from .dynamics import (MAX_FLIGHT_SAMPLES, jump, land, sample_flight,
+from .dynamics import (MAX_FLIGHT_SAMPLES, fly, jump, sample_flight,
                        time_of_flight)
 from .dynamics import flight, impulsive_update  # noqa: F401 (perfbench traces)
 from .dzd import OrbitSpec
@@ -146,7 +146,8 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
     x = s0.floats()
     t, budget = 0.0, MAX_FLIGHT_SAMPLES
     k_max, r_policy, flight_dt = cfg.k_max, cfg.r_policy, cfg.flight_dt
-    stabilize, records = cfg.stabilize, log.records
+    stabilize, records, g = cfg.stabilize, log.records, params.g
+    new = object.__new__  # a record's slots are set below, without __init__
     slots = [None, None]  # the Instant of each parity's last orientation
     try:
         failures = validate(spec, params)
@@ -175,18 +176,19 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                                                    spec, params)
                             check_command(k, impulse, offset, delta, params,
                                           r_policy)
-                records.append(ImpulseRecord(
-                    k, x[4], x[5], (rho_x, rho_y), (drho_x, drho_y), delta,
-                    impulse, offset, u))
+                rec = new(ImpulseRecord)
+                (rec.k, rec.theta, rec.omega, rec.rho_x, rec.rho_y, rec.drho_x,
+                 rec.drho_y, rec.delta, rec.I, rec.r, rec.u) = (
+                    k, x[4], x[5], rho_x, rho_y, drho_x, drho_y, delta,
+                    impulse, offset, u)
+                records.append(rec)
                 if k < k_max:
-                    x_plus = jump(x, impulse, offset, inst.normal, params)
-                    # delta lands exactly on the schedule; pin the orientation
-                    # so float roundoff cannot accumulate across k. land
-                    # raises NonFinite first, so x_plus is finite below.
-                    x = land(x_plus, delta, inst.theta_next, params)
+                    # fly raises NonFinite first: a sampled flight is finite
+                    x_pre, x = x, fly(x, impulse, offset, delta, inst, g)
                     if flight_dt is not None:
                         samples = sample_flight(  # a Fraction dt as well
-                            x_plus, delta, float(flight_dt), params, budget, t)
+                            jump(x_pre, impulse, offset, inst.normal, params),
+                            delta, float(flight_dt), params, budget, t)
                         budget -= len(samples)
                         log.flights.append(samples)
                     t += delta

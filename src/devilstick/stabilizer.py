@@ -21,7 +21,7 @@ from numpy.linalg._umath_linalg import (cholesky_lo as lapack_cholesky,
 
 from .dvhc import kernel, phi, psi
 from .dvhc import dvhc_control  # noqa: F401 (perfbench traces it)
-from .dynamics import jump, land, time_of_flight
+from .dynamics import fly, time_of_flight
 from .dzd import OrbitSpec
 from .errors import (FDInconsistent, NonFinite, NotOnSection, NotStabilizing,
                      RiccatiDiverged)
@@ -48,6 +48,12 @@ class LinearizedMap:
     scheme: str
     step: float
 
+    def __post_init__(self) -> None:
+        z_star = np.array(self.z_star, dtype=float)
+        z_star.setflags(write=False)  # so z_floats, feedback's z*, stays z*
+        object.__setattr__(self, "z_star", z_star)
+        object.__setattr__(self, "z_floats", tuple(z_star.tolist()))
+
 
 @dataclass(frozen=True, eq=False)
 class FeedbackGain:
@@ -73,13 +79,9 @@ def poincare_map(z: np.ndarray, impulse: float, offset: float,
     odd, even = orbit.instants
     x = _on_section(z, spec)
     delta = time_of_flight(x[5], impulse, offset, 1, spec, params)
-    # each flight lands on the scheduled orientation by construction; pin
-    # it to remove float roundoff before re-measuring residuals
-    x = land(jump(x, impulse, offset, odd.normal, params), delta,
-             spec.theta_even, params)
+    x = fly(x, impulse, offset, delta, odd, params.g)
     *_, impulse, offset, delta = kernel(x, 2, even, params)
-    x = land(jump(x, impulse, offset, even.normal, params), delta,
-             spec.theta_odd, params)
+    x = fly(x, impulse, offset, delta, even, params.g)
     hx, hy, vx, vy, _, omega = x
     if omega >= 0:
         raise NotOnSection(f"omega={omega} must be negative on the section")
@@ -278,7 +280,7 @@ def riccati_solution(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
 
 def feedback(z: np.ndarray, lin: LinearizedMap, gain: FeedbackGain) -> np.ndarray:
     """Correction u = K (z - z_star), or NO_CORRECTION inside the deadband."""
-    zx, zy, zvx, zvy, zw = lin.z_star.tolist()
+    zx, zy, zvx, zvy, zw = lin.z_floats
     hx, hy, vx, vy, w = z
     # hypot neither overflows nor underflows: any deadband meets the true |e|
     norm = math.hypot(hx - zx, hy - zy, vx - zvx, vy - zvy, w - zw)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -25,11 +26,11 @@ def _result(work_per_s, failed=0, **others):
 
 def _stub(monkeypatch, work):
     """Stub the runner: root name -> successive work_per_s values; returns
-    the list of (root name, workload) calls in order."""
+    the list of (root name, workload, seed) calls in order."""
     calls, left = [], {side: list(values) for side, values in work.items()}
 
-    def run_once(root, workload, seconds):
-        calls.append((root.name, workload))
+    def run_once(root, workload, seconds, seed):
+        calls.append((root.name, workload, seed))
         return _result(left[root.name].pop(0),
                        failed=int(root.name == "change" and workload == "b"))
     monkeypatch.setattr(bench_pairs, "_run_once", run_once)
@@ -126,3 +127,57 @@ def test_roots_with_different_bytecode_caches_are_refused(
     (tmp_path / "parent" / cache).mkdir(parents=True)
     assert bench_pairs.main(argv) == 0
     assert len(calls) == 4
+
+
+def _two_roots(tmp_path, workloads):
+    for name in ("parent", "change"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": name} for name in workloads],
+        "end_to_end": []}))
+    return [str(tmp_path / "parent"), str(tmp_path / "change")]
+
+
+def test_repeated_workload_flags_add_up(tmp_path, monkeypatch, capsys):
+    roots = _two_roots(tmp_path, "abc")
+    calls = _stub(monkeypatch, {"parent": [1] * 18, "change": [2] * 18})
+    assert bench_pairs.main(roots + ["--pairs", "2", "--workload", "c",
+                                     "--workload", "a", "b"]) == 0
+    assert [c[1] for c in calls] == ["c"] * 4 + ["a"] * 4 + ["b"] * 4
+    # no flag, or "all" among the flags, runs every workload
+    calls.clear()
+    assert bench_pairs.main(roots + ["--pairs", "2"]) == 0
+    assert [c[1] for c in calls] == ["a"] * 4 + ["b"] * 4 + ["c"] * 4
+    calls.clear()
+    assert bench_pairs.main(roots + ["--pairs", "2", "--workload", "b",
+                                     "--workload", "all"]) == 0
+    assert [c[1] for c in calls] == ["a"] * 4 + ["b"] * 4 + ["c"] * 4
+
+
+@pytest.mark.parametrize("argv, seed", [([], 0), (["--seed", "1"], 1)])
+def test_seed_reaches_every_run_and_the_recorded_command(
+        argv, seed, tmp_path, monkeypatch, capsys):
+    roots = _two_roots(tmp_path, "a")
+    calls = _stub(monkeypatch, {"parent": [1, 2], "change": [3, 4]})
+    monkeypatch.setattr(bench_pairs, "_short_sha",
+                        lambda root: f"sha{root.name}")
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(roots + ["--pairs", "2", "--seconds", "3",
+                                     "--record", *argv]) == 0
+    assert [c[2] for c in calls] == [seed] * 4
+    for name in ("parent", "change"):
+        saved = json.loads((tmp_path / f"BENCH_sha{name}.json").read_text())
+        assert saved["command"] == ("python3 perfbench/run.py --workload "
+                                    f"<name> --seed {seed} --seconds 3")
+
+
+def test_a_run_passes_its_seed_to_the_benchmark(monkeypatch):
+    argvs = []
+
+    def run(argv, **kwargs):
+        argvs.append(argv)
+        return subprocess.CompletedProcess(argv, 0, stdout='x\n{"a": 1}\n')
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs._run_once(Path("root"), "w", 2.0, 7) == {"a": 1}
+    assert argvs[0][1:] == ["perfbench/run.py", "--workload", "w",
+                            "--seed", "7", "--seconds", "2.0"]

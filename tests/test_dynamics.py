@@ -1,15 +1,18 @@
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from devilstick import (FullState, Infeasible, Degenerate, NonFinite,
-                        ScenarioError, StickParams, flight, impulsive_update,
-                        mechanical_energy, sample_flight, time_of_flight)
-from devilstick.dynamics import MAX_FLIGHT_SAMPLES, land
+from devilstick import (FullState, Infeasible, Degenerate, JuggleSpec,
+                        NonFinite, ScenarioError, StickParams, flight,
+                        impulsive_update, mechanical_energy, sample_flight,
+                        time_of_flight)
+from devilstick.dvhc import instant
+from devilstick.dynamics import MAX_FLIGHT_SAMPLES, fly, jump, land
 
 from refvals import DELTA_EVEN, DELTA_ODD
 
@@ -287,3 +290,44 @@ def test_land_rejects_any_non_finite_entry(params, i, value):
     with pytest.raises(NonFinite, match=r"^landed state \(.*\) is not "
                                         r"finite$"):
         land(tuple(x), 0.5, theta_next, params)
+
+
+# any float, with +-0.0, subnormals and entries near the float range drawn
+# often: the sums and products of a flight then round, cancel and overflow
+_entry = st.one_of(st.floats(), st.floats(-10.0, 10.0), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]))
+
+
+def _outcome(call):
+    """A call's state as the bits of each entry, or its error and message."""
+    try:
+        return [struct.pack("<d", v) for v in call()]
+    except NonFinite as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.tuples(*[_entry] * 6), impulse=_entry, offset=_entry,
+       delta=_entry, k=st.sampled_from([1, 2]),
+       theta_odd=st.floats(0.05, math.pi / 2 - 0.05),
+       lam=st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 0.99)),
+       m=st.floats(1e-3, 10.0), ell=st.floats(1e-2, 5.0))
+@example(x=(-0.0, -0.0, -0.0, -0.0, 0.5, -0.0), impulse=0.0, offset=-0.0,
+         delta=0.0, k=1, theta_odd=0.5, lam=(0.5, 0.5), m=0.1, ell=0.5)
+@example(x=(-0.0, -0.0, -0.0, -0.0, 0.5, -0.0), impulse=-0.0, offset=0.0,
+         delta=-0.0, k=2, theta_odd=0.5, lam=(0.5, 0.5), m=0.1, ell=0.5)
+@example(x=(0.0, 0.0, 1e308, 0.0, 0.5, -1.0), impulse=1e308, offset=1e308,
+         delta=1e308, k=2, theta_odd=0.5, lam=(0.5, 0.5), m=0.1, ell=0.5)
+def test_fly_is_land_after_jump_bitwise(x, impulse, offset, delta, k,
+                                        theta_odd, lam, m, ell):
+    # fly does land(jump(...)) in one call with the same operations in the
+    # same order: every entry has the same bits, and where land raises,
+    # fly raises NonFinite with the same message
+    spec = JuggleSpec(theta_odd=theta_odd, theta_even=math.pi - theta_odd,
+                      alpha=0.6, beta=3.0, lambda_x=lam[0], lambda_y=lam[1])
+    params = StickParams(m=m, ell=ell)
+    inst = instant(spec.theta_at(k), k, spec, params)
+    assert (_outcome(lambda: fly(x, impulse, offset, delta, inst, params.g))
+            == _outcome(lambda: land(jump(x, impulse, offset, inst.normal,
+                                          params), delta, inst.theta_next,
+                                     params)))

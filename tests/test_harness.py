@@ -875,6 +875,53 @@ def test_records_keep_kernel_residual_floats(ic_state, spec, params,
             assert metrics(log).terminal_error == error > 1e-4
 
 
+@pytest.mark.parametrize("case", ["sampled", "stabilized", "terminated"])
+def test_loop_records_equal_records_built_by_init(case, ic_state, spec,
+                                                  params, orbit_sym,
+                                                  monkeypatch):
+    # run_episode sets a record's slots without __init__; each record equals,
+    # slot by slot and bit by bit, the one __init__ builds from the state and
+    # the kernel output of its impulse (the corrected command where u acts)
+    from devilstick import harness
+    from devilstick.stabilizer import NO_CORRECTION
+    seen, kernel = [], harness.kernel
+    monkeypatch.setattr(harness, "kernel",
+                        lambda x, *a: seen.append((x, kernel(x, *a)))
+                        or seen[-1][1])
+    s0, target = ic_state, orbit_sym
+    cfg = EpisodeConfig(k_max=20, stabilize=True, r_diag=(2.0, 2.0))
+    if case == "sampled":
+        target, cfg = spec, EpisodeConfig(k_max=12, flight_dt=0.05)
+    elif case == "terminated":
+        s0 = FullState(h=np.array([-3.0, 2.5]), v=np.array([0.9, 5.0]),
+                       theta=spec.theta_odd, omega=-3.0)
+    log = run_episode(s0, target, params, cfg)
+    assert log.termination.startswith(
+        "completed" if case != "terminated" else "Infeasible: impulse at k=5")
+    assert bool(log.flights) is (case == "sampled")
+    assert any(rec.u is not NO_CORRECTION for rec in log.records) is (
+        case != "sampled")
+    assert len(log.records) == len(seen) - (case == "terminated")
+    for k, (rec, (x, out)) in enumerate(zip(log.records, seen), 1):
+        rho_x, rho_y, drho_x, drho_y, impulse, offset, delta = out
+        if rec.u is not NO_CORRECTION:
+            delta, impulse, offset = rec.delta, rec.I, rec.r
+        built = harness.ImpulseRecord(k, x[4], x[5], (rho_x, rho_y),
+                                      (drho_x, drho_y), delta, impulse,
+                                      offset, rec.u)
+        assert not hasattr(rec, "__dict__")
+        assert repr(rec) == repr(built)
+        for name in harness.ImpulseRecord.__slots__:
+            got, want = getattr(rec, name), getattr(built, name)
+            assert type(got) is type(want), name
+            if name == "u":
+                assert got is want
+            elif name != "k":
+                assert got.hex() == want.hex(), name
+            else:
+                assert got == want
+
+
 def test_k_max_is_bounded():
     from devilstick.harness import MAX_IMPULSES
     assert EpisodeConfig(k_max=MAX_IMPULSES).k_max == MAX_IMPULSES

@@ -2,13 +2,14 @@ import dataclasses
 import fractions
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devilstick import FullState, JuggleSpec, StickParams, validate
+from devilstick import FullState, JuggleSpec, StickParams, model, validate
 from devilstick.model import SCHEDULE_TOL, passes
 
 
@@ -113,6 +114,42 @@ def test_a_complex_value_fails_without_a_warning(spec, value):
         assert not passes(lambda _: True, (0.5, value))
         assert validate(spec, StickParams(m=value, ell=0.5, J=0.01)) == ["m"]
         assert validate(spec, StickParams(m=value, ell=0.5)) == ["m", "J"]
+
+
+def _numpy_passes(check, value):
+    """passes with its numpy guards on every value: the reference for its
+    exact-float shortcut."""
+    items = value if isinstance(value, (tuple, list)) else (value,)
+    numbers = [x for x in items if not isinstance(x, str)]
+    try:
+        return (not any(map(np.iscomplexobj, numbers))
+                and all(f.ndim == 0 and (f != 0 or x == 0)
+                        for x, f in zip(numbers, map(np.float64, numbers)))
+                and bool(check(value)))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+_CHECKS = [lambda x: x > 0, lambda x: 0 <= x < np.inf,
+           lambda x: x is None or 0 < x < np.inf,
+           lambda t: all(map(math.isfinite, t)),
+           lambda t: len(t) == 2 and t[1] - t[0] > 0,
+           lambda s: s in ("strict", "warn"), lambda _: True]
+_float = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+     2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]))
+_scalar = st.one_of(_float, st.sampled_from(["x", "0.5", "strict", ""]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(check=st.sampled_from(_CHECKS), value=st.one_of(
+    _scalar, st.tuples(_scalar, _scalar), st.lists(_scalar, max_size=5)))
+def test_exact_floats_pass_as_on_the_numpy_path_without_numpy(check, value):
+    # where every number is an exact float, passes skips the numpy guards,
+    # which such a value always passes: the same result, without numpy
+    assert passes(check, value) is _numpy_passes(check, value)
+    with mock.patch.object(model, "np", None):  # numpy would raise here
+        assert passes(check, value) is _numpy_passes(check, value)
 
 
 def test_inertia_default_is_exact_rod_value():

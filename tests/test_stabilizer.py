@@ -416,6 +416,30 @@ def test_feedback_deadband_and_linearity(orbit_sym):
     assert u2 == pytest.approx(2 * u1, rel=1e-12)
 
 
+def test_linearized_map_keeps_a_read_only_z_star_that_feedback_reads(
+        orbit_sym):
+    # LinearizedMap copies z_star into a read-only float64 array, and
+    # feedback's floats of z* follow it, also through dataclasses.replace
+    import dataclasses
+    lin = linearize(orbit_sym)
+    z_star = [0.5, 3.0, -1.0, 2.0, -3]  # an int entry becomes a float
+    moved = dataclasses.replace(lin, z_star=z_star)
+    for m, z in ((lin, fixed_point(orbit_sym)[0]), (moved, z_star)):
+        assert m.z_star.dtype == np.float64 and not m.z_star.flags.writeable
+        assert m.z_star.tolist() == list(map(float, z))
+        with pytest.raises(ValueError):
+            m.z_star[0] = 1.0
+    z_star[0] = 9.0  # the caller's list is not the map's z*
+    assert moved.z_star[0] == 0.5
+    gain = FeedbackGain(K=np.ones((2, 5)), deadband=1e-3)
+    assert feedback([0.5, 3.0, -1.0, 2.0, -3.0], moved, gain) is (
+        stabilizer.NO_CORRECTION)
+    assert feedback(lin.z_star.tolist(), moved, gain).tolist() == (
+        [(lin.z_star - moved.z_star).sum()] * 2)
+    assert feedback(lin.z_star.tolist(), lin, gain) is (
+        stabilizer.NO_CORRECTION)
+
+
 def test_closed_loop_contracts_nonlinearly(orbit_sym, rng):
     # full nonlinear loop: nominal inputs plus the correction. The closed
     # loop is far from normal, so one return is only guaranteed to contract
