@@ -117,7 +117,7 @@ def _host() -> dict:
 
 
 def record(sha: str, results: dict[str, dict], pairs: int,
-           seconds: float, seed: int = 0) -> Path:
+           seconds: float, seed: int) -> Path:
     """Write BENCH_<sha>.json into the current directory."""
     path = Path(f"BENCH_{sha}.json")
     path.write_text(json.dumps({
