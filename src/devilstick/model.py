@@ -115,10 +115,10 @@ class FullState:
         if not passes(lambda x: all(map(math.isfinite, x)),
                       [*self.h, *self.v, self.theta, self.omega]):
             raise ValueError("state entries must be finite")
-        for name in ("h", "v"):
+        for name in ("h", "v"):  # views of a read-only owner stay read-only
             vector = np.array(getattr(self, name), dtype=float)
             vector.setflags(write=False)
-            object.__setattr__(self, name, vector)
+            object.__setattr__(self, name, vector.view())
 
     @classmethod
     def from_floats(cls, x: State) -> FullState:

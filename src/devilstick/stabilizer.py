@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg._umath_linalg import (cholesky_lo as lapack_cholesky,
-                                        eigvals as lapack_eigvals,
-                                        solve as lapack_solve)
+from numpy.linalg._umath_linalg import (
+    cholesky_lo as lapack_cholesky, eigvals as lapack_eigvals,
+    solve as lapack_solve, svd as lapack_svd)
 
 from .dvhc import kernel, phi, psi
 from .dvhc import dvhc_control  # noqa: F401 (perfbench traces it)
@@ -33,8 +33,7 @@ SPECTRAL_MARGIN = 1e-9
 FD_STEP = {"central": 1e-6, "forward": 2e-3}  # default step_scale per scheme
 EPS = np.finfo(float).eps  # numpy float64: float32 thresholds stay float64
 BOUND_GROWTH = float(1 + 4 * EPS)  # outgrows the roundoff of a bound update
-NO_CORRECTION = np.zeros(2)  # shared, read-only: the correction u when idle
-NO_CORRECTION.setflags(write=False)
+NO_CORRECTION = np.frombuffer(bytes(16))  # the idle u; bytes stay read-only
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +50,7 @@ class LinearizedMap:
     def __post_init__(self) -> None:
         z_star = np.array(self.z_star, dtype=float)
         z_star.setflags(write=False)  # so z_floats, feedback's z*, stays z*
-        object.__setattr__(self, "z_star", z_star)
+        object.__setattr__(self, "z_star", z_star.view())
         object.__setattr__(self, "z_floats", tuple(z_star.tolist()))
 
 
@@ -80,7 +79,7 @@ def poincare_map(z: np.ndarray, impulse: float, offset: float,
     x = _on_section(z, spec)
     delta = time_of_flight(x[5], impulse, offset, 1, spec, params)
     x = fly(x, impulse, offset, delta, odd, params.g)
-    *_, impulse, offset, delta = kernel(x, 2, even, params)
+    _, _, _, _, impulse, offset, delta = kernel(x, 2, even, params)
     x = fly(x, impulse, offset, delta, even, params.g)
     hx, hy, vx, vy, _, omega = x
     if omega >= 0:
@@ -104,8 +103,9 @@ def _closed_loop_return(w: list[float], orbit: OrbitSpec) -> np.ndarray:
     the loop and the correction (w[5], w[6]) added to its odd-instant inputs:
     the one function of w = (z, u) that the linearization differentiates."""
     hx, hy, vx, vy, omega, du, dr = w
-    *_, impulse, offset, _ = kernel((hx, hy, vx, vy, orbit.spec.theta_odd,
-                                     omega), 1, orbit.instants[0], orbit.params)
+    _, _, _, _, impulse, offset, _ = kernel(
+        (hx, hy, vx, vy, orbit.spec.theta_odd, omega), 1, orbit.instants[0],
+        orbit.params)
     return poincare_map(w[:5], impulse + du, offset + dr, orbit)
 
 
@@ -181,9 +181,15 @@ def controllability(A: np.ndarray, B: np.ndarray) -> tuple[int, bool]:
     for _ in range(n - 1):
         blocks.append(A.dot(blocks[-1]))
     ctrb = np.hstack(blocks)
-    sv = np.linalg.svd(ctrb, compute_uv=False)
+    # the gufunc np.linalg.svd calls, without its checks, where none applies
+    finite = (type(ctrb) is np.ndarray and ctrb.dtype == float
+              and ctrb.ndim == 2 and np.isfinite(ctrb).all())
+    with np.errstate(invalid="ignore"):  # a failed SVD is all NaN
+        sv = lapack_svd(ctrb, signature="d->d") if finite else None
+    if sv is None or math.isnan(sv[0]):  # the wrapper converts, or raises
+        sv = np.linalg.svd(ctrb, compute_uv=False)
     thresh = sv[0] * n * EPS * 1e3 if sv[0] > 0 else np.inf
-    rank = int(np.sum(sv > thresh))
+    rank = int(np.count_nonzero(sv > thresh))
     return rank, rank == n
 
 

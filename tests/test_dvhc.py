@@ -466,6 +466,25 @@ def test_underflowing_g_delta_theta_is_degenerate():
     assert log.records == []
 
 
+def test_zero_g_delta_theta_divides_with_one_positive_root():
+    # with g*delta_theta = 0 the quadratic is linear: one positive root, so
+    # no tie-break needs the nominal flight time, but kernel still divides
+    # by 0 as it did when it always computed it: a float 0 raises
+    # Degenerate, a numpy 0 warns and the command stands
+    spec = JuggleSpec(theta_odd=1.4, theta_even=1.7415926535897931,
+                      alpha=0.6131, beta=3.0)
+    x = (0.7, 2.5, 0.9, -2.0, 1.4, -5.7)
+    params = StickParams(m=0.1, ell=0.5, g=5e-324)
+    inst = instant(1.4, 1, spec, params)
+    assert inst.g_dth == 0 and inst.a == 0
+    with pytest.raises(Degenerate, match="underflows to 0$"):
+        kernel(x, 1, inst, params)
+    params = StickParams(m=0.1, ell=0.5, g=np.float64(5e-324))
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        command = kernel(x, 1, instant(1.4, 1, spec, params), params)
+    assert command[-1] > 0 and all(map(math.isfinite, command))
+
+
 @pytest.mark.parametrize("omega, k", [(0.0, 2), (-0.0, 1), (1e-300, 2),
                                       (-1e-10, 1)])
 def test_steady_inputs_rejects_a_degenerate_rate(spec, params, omega, k):

@@ -221,3 +221,25 @@ def test_full_state_is_immutable():
     s2 = FullState(h=src, v=np.zeros(2), theta=0.5, omega=-1.0)
     src[0] = -5.0
     assert s2.h[0] == 1.0
+
+
+def test_read_only_arrays_cannot_be_made_writable_again(params):
+    # views of a read-only owner, and zeros on immutable bytes, which numpy
+    # refuses to make writable: no caller can move a map's z*, a state, a
+    # sampled flight or the correction every idle record shares
+    from devilstick import (FeedbackGain, LinearizedMap, feedback,
+                            sample_flight, stabilizer)
+    s = FullState(h=np.array([0.1, 0.2]), v=np.zeros(2), theta=0.5,
+                  omega=-1.0)
+    lin = LinearizedMap(A=np.eye(5), B=np.ones((5, 2)), z_star=np.zeros(5),
+                        u_star=np.zeros(2), scheme="central", step=1e-6)
+    rows = sample_flight(s.floats(), 0.05, 0.01, params)
+    for array in (stabilizer.NO_CORRECTION, lin.z_star, s.h, s.v, rows):
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            array.setflags(write=True)
+        assert not array.flags.writeable
+    # so feedback's deadband test and its correction read the same z*
+    gain = FeedbackGain(K=np.ones((2, 5)), deadband=1e-3)
+    assert feedback([1.0, 0.0, 0.0, 0.0, 0.0], lin, gain).tolist() == [
+        1.0, 1.0]
+    assert feedback(np.zeros(5), lin, gain) is stabilizer.NO_CORRECTION

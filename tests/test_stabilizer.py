@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devilstick import (EpisodeConfig, FDInconsistent, FeedbackGain,
-                        Infeasible, JuggleSpec, JugglingError, LinearizedMap, NotOnSection,
-                        NotStabilizing, RiccatiDiverged, StickParams,
+                        Infeasible, JuggleSpec, JugglingError, LinearizedMap,
+                        NotOnSection, NotStabilizing, RiccatiDiverged,
+                        SingularOrientation, StickParams,
                         controllability, dare_residual, design_orbit, dlqr,
                         feedback, fixed_point, harness, linearize,
-                        on_constraint_state, poincare_map, riccati_solution,
-                        stabilizer)
+                        on_constraint_state, phi, poincare_map, psi,
+                        riccati_solution, stabilizer)
 from devilstick.stabilizer import (_closed_loop_return, _on_section,
                                    lapack_cholesky, lapack_eigvals,
                                    lapack_solve)
@@ -681,6 +682,72 @@ def test_controllability_of_non_finite_entries_matches_frozen_reference(
     assert outcome == ((np.linalg.LinAlgError, "SVD did not converge")
                        if math.isnan(value) else ("ok", (0, False)))
     assert _outcome(controllability, A, B) == outcome
+
+
+def _ctrb_edge_inputs():
+    half, B = 0.5 * np.eye(5), np.arange(10.0).reshape(5, 2)
+    nan_A, inf_B = half.copy(), B.copy()
+    nan_A[0, 1], inf_B[0, 0] = math.nan, math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PendingDeprecationWarning)
+        matrices = np.matrix(half), np.matrix(B)
+    return {
+        "nan": (nan_A, B), "inf": (half, inf_B),
+        "1e308": (np.full((5, 5), 1e308), B),  # the products overflow
+        "zero B": (half, np.zeros((5, 2))), "1-D B": (half, np.ones(5)),
+        "empty": (np.zeros((0, 0)), np.zeros((0, 2))),
+        "list": (half, B.tolist()),
+        "int": (np.eye(5, dtype=int), np.ones((5, 2), dtype=int)),
+        "complex": (half + 0j, B),
+        "float32": (half.astype(np.float32), B.astype(np.float32)),
+        "matrix": matrices,
+    }
+
+
+def _ctrb_outcome(fn, A, B):
+    """fn's rank and flag with their types, or its error's type and
+    message; then each warning's category and message, where the
+    reference's products say matmul and the package's say dot."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = "ok", [(type(v), v) for v in fn(A, B)]
+        except Exception as exc:  # untyped errors too
+            outcome = type(exc), str(exc)
+    return outcome, [(w.category, str(w.message).replace(" in matmul",
+                                                         " in dot"))
+                     for w in caught]
+
+
+def test_controllability_edge_inputs_match_frozen_reference(capfd):
+    # the SVD gufunc runs only on a finite float64 2-D ndarray; every other
+    # input, and a failed SVD, goes to np.linalg.svd, so each keeps its
+    # rank or error, its warnings and the LAPACK messages it prints
+    for name, (A, B) in _ctrb_edge_inputs().items():
+        expected = _ctrb_outcome(stabilizer_reference.controllability, A, B)
+        printed = capfd.readouterr()
+        assert _ctrb_outcome(controllability, A, B) == expected, name
+        assert capfd.readouterr() == printed, name
+
+
+def test_fixed_point_next_to_a_pole_reads_only_the_odd_orientation():
+    # theta_odd is 1.0005e-9 from the pole of tan, theta_even 0.9996e-9:
+    # the even Instant is singular, but z* depends on the odd one alone, so
+    # fixed_point gives phi and psi there, bit for bit
+    theta_odd = math.pi / 2 - 1.0005e-9
+    spec = JuggleSpec(theta_odd=theta_odd,
+                      theta_even=(math.pi - theta_odd) - 0.9e-12,
+                      alpha=0.6131, beta=3.0)
+    params = StickParams(m=0.1, ell=0.5)
+    orbit = design_orbit(spec, -5.0, params)
+    z_star, I_star, r_star = fixed_point(orbit)
+    expected = [*phi(theta_odd, spec).tolist(),
+                *psi(theta_odd, -5.0, 1, spec, params).tolist(), -5.0]
+    assert z_star.dtype == np.float64
+    assert [v.hex() for v in z_star.tolist()] == [v.hex() for v in expected]
+    assert (I_star, r_star) == (orbit.I_mag, orbit.r_star)
+    with pytest.raises(SingularOrientation):
+        orbit.instants
 
 
 @pytest.mark.parametrize("scheme", ["central", "forward"])
