@@ -139,7 +139,7 @@ def sample_flight(x_plus: State, delta: float, dt: float,
     if not np.isfinite(rows[:, 1:]).all():
         raise NonFinite(f"sampled {delta:.6g} s flight is not finite")
     rows.setflags(write=False)
-    return rows.view()  # which numpy will not make writable
+    return rows.view()  # a view numpy will not make writable
 
 
 def mechanical_energy(s: FullState, params: StickParams) -> float:
