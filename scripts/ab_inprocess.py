@@ -2,7 +2,7 @@
 """Paired in-process rounds of two source trees of the package.
 
     python scripts/ab_inprocess.py OLD_SRC NEW_SRC
-        --workload synthesis|long_horizon [--rounds N]
+        --workload synthesis|long_horizon|writer [--rounds N]
 
 OLD_SRC and NEW_SRC are directories that contain the `devilstick` package
 (a checkout's `src/`; both may be the same). Both trees are imported into
@@ -15,10 +15,15 @@ A `synthesis` round designs one omega* of the sweep with the central and
 then the forward scheme (`design_orbit`, `linearize`, `controllability`,
 `dlqr`, as `perfbench/workloads.py` does). A `long_horizon` round runs one
 initial state's 1000-impulse episodes without and then with the
-stabilizer. Round i takes input i modulo the input count, times it in both
-trees, and alternates which tree goes first. After one untimed warm-up
-round per tree, the script prints each tree's median round time and the
-median of the per-round ratios NEW/OLD.
+stabilizer. A `writer` round runs `cli.cmd_simulate` on one of the 40
+seed-0 batch scenarios (its episode and its three output files, as
+`batch_sampled` does), each tree into a directory of its own; after the
+rounds the script checks that both trees wrote the same bytes to every CSV
+file and exits 1, naming the files, where they differ. Round i takes input
+i modulo the input count, times it in both trees, and alternates which
+tree goes first. After one untimed warm-up round per tree, the script
+prints each tree's median round time and the median of the per-round
+ratios NEW/OLD.
 
 Two trees in one process see the same machine state in each round, so the
 paired ratio resolves a change of a few percent where separate benchmark
@@ -29,9 +34,13 @@ the benchmark comes from `scripts/bench_pairs.py`.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import importlib.util
+import io
 import statistics
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 from types import ModuleType
@@ -53,7 +62,7 @@ def load_module(name: str, path: Path, package: bool = False) -> ModuleType:
     return module
 
 
-def synthesis_round(pkg: ModuleType, gen: ModuleType):
+def synthesis_round(pkg: ModuleType, gen: ModuleType, out: Path):
     """The round function of the synthesis sweep in package pkg."""
     import numpy as np
 
@@ -73,7 +82,7 @@ def synthesis_round(pkg: ModuleType, gen: ModuleType):
     return run
 
 
-def long_horizon_round(pkg: ModuleType, gen: ModuleType):
+def long_horizon_round(pkg: ModuleType, gen: ModuleType, out: Path):
     """The round function of the long-horizon episodes in package pkg."""
     import numpy as np
 
@@ -101,7 +110,33 @@ def long_horizon_round(pkg: ModuleType, gen: ModuleType):
     return run
 
 
-WORKLOADS = {"synthesis": synthesis_round, "long_horizon": long_horizon_round}
+def writer_round(pkg: ModuleType, gen: ModuleType, out: Path):
+    """The round function of the batch scenarios' simulate runs in package
+    pkg, writing under out."""
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
+    paths = gen.write_scenarios(gen.batch_scenarios(SEED), out / "scenarios")
+    scenarios = [cli.load_scenario(path) for path in paths]
+
+    def run(i: int) -> None:
+        scenario = scenarios[i % len(scenarios)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.cmd_simulate(scenario, out / "sim" / scenario.name)
+    return run
+
+
+def csv_mismatches(old: Path, new: Path) -> tuple[int, list[str]]:
+    """The count of CSV files under either directory, and the relative
+    paths of those that the other lacks or holds with other bytes."""
+    files = sorted({path.relative_to(root) for root in (old, new)
+                    for path in root.rglob("*.csv")})
+    return len(files), [str(rel) for rel in files
+                        if not ((old / rel).is_file() and (new / rel).is_file()
+                                and (old / rel).read_bytes()
+                                == (new / rel).read_bytes())]
+
+
+WORKLOADS = {"synthesis": synthesis_round, "long_horizon": long_horizon_round,
+             "writer": writer_round}
 
 
 def paired_rounds(runs: tuple, rounds: int) -> tuple[list[float], list[float]]:
@@ -128,19 +163,28 @@ def main(argv: list[str]) -> int:
         parser.error("--rounds must be at least 1")
     gen = load_module("ab_inprocess_gen", GEN)
     runs = []
-    for label, src in (("old", args.old_src), ("new", args.new_src)):
-        pkg = load_module(f"devilstick_{label}",
-                          src / "devilstick" / "__init__.py", package=True)
-        run = WORKLOADS[args.workload](pkg, gen)
-        run(0)  # warm-up, untimed
-        runs.append(run)
-    old, new = paired_rounds(tuple(runs), args.rounds)
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = (Path(tmp) / "old", Path(tmp) / "new")
+        for label, src, out in zip(("old", "new"),
+                                   (args.old_src, args.new_src), outs):
+            pkg = load_module(f"devilstick_{label}",
+                              src / "devilstick" / "__init__.py", package=True)
+            run = WORKLOADS[args.workload](pkg, gen, out)
+            run(0)  # warm-up, untimed
+            runs.append(run)
+        old, new = paired_rounds(tuple(runs), args.rounds)
+        n_csv, mismatched = csv_mismatches(*(out / "sim" for out in outs))
     ratio = statistics.median(n / o for o, n in zip(old, new))
     print(f"{args.workload}: {args.rounds} paired rounds, ms per round")
     for label, src, times in (("OLD", args.old_src, old),
                               ("NEW", args.new_src, new)):
         print(f"  {label} median {1e3 * statistics.median(times):.4f}  {src}")
     print(f"  NEW/OLD median paired ratio {ratio:.4f} ({ratio - 1:+.2%})")
+    if args.workload == "writer":
+        if mismatched:
+            print(f"  CSV files that differ: {', '.join(mismatched)}")
+            return 1
+        print(f"  {n_csv} CSV files byte-equal")
     return 0
 
 

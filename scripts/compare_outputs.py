@@ -8,6 +8,10 @@ OLD_SRC and NEW_SRC are directories that contain the `devilstick` package
 directory on PYTHONPATH, over:
 
 - the two shipped scenarios (`simulate`, and `linearize` for sim_orbit),
+- sim_orbit with `k_max = 5000` (`simulate`): ~250k sampled flight rows,
+  so the CSV writer crosses many chunk boundaries and prints times of
+  decimal exponent 2 and 3, which the 40 batch scenarios (t < 10) never
+  reach,
 - the 40 seed-0 batch scenarios of `perfbench/gen.py`,
 - the seed-0 long_horizon episodes and synthesis designs, with the inputs
   built by `perfbench/workloads.py` and not modified,
@@ -107,6 +111,7 @@ PERFBENCH = ROOT / "perfbench"
 SHIPPED = ("sim_vhc", "sim_orbit")
 SEED = 0
 N_LOADER = 4000
+LONG_K_MAX = 5000  # impulses of the long sim_orbit episode
 MAX_SHOWN = 20  # differing lines printed per file
 
 # the keys a scenario must set, as in scenarios/sim_vhc.cfg
@@ -738,6 +743,10 @@ def dump(out: Path) -> None:
     main(argv)
     main(["linearize", "--scenario", scenarios[1],
           "--out", str(out / "shipped" / "sim_orbit")])
+    text = Path(scenarios[1]).read_text().replace("k_max = 20\n",
+                                                  f"k_max = {LONG_K_MAX}\n")
+    paths = gen.write_scenarios({"sim_orbit_long": text}, out / "scenarios")
+    main(["simulate", "--scenario", str(paths[0]), "--out", str(out / "long")])
 
     paths = gen.write_scenarios(gen.batch_scenarios(SEED), out / "scenarios")
     argv = ["simulate", "--out", str(out / "batch")]

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,32 @@ from .harness import (SETTING_RULES, EpisodeConfig, EpisodeLog,
 from .model import FullState, JuggleSpec, StickParams, passes, validate
 
 FLOAT_FMT = "%.17g"
+CSV_CHUNK_ROWS = 512  # rows _write_csv formats at a time
+# _csv_bytes's tables; its fast path needs a 64-bit long double mantissa
+_EXACT_LD = np.finfo(np.longdouble).nmant >= 63
+_POW10 = np.cumprod(np.full(21, 10.0), dtype=np.longdouble) / 10  # 10**0..20
+_TZ = np.zeros(10000, np.intp)  # the trailing zeros of 0..9999, 0 as 4
+_TZ[::10], _TZ[::100], _TZ[::1000], _TZ[0] = 1, 2, 3, 4
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
+_QUADS = np.stack((_DIGITS, np.full_like(_DIGITS, ord("."))), -1).reshape(
+    -1, 8).view("<u8").ravel()  # "d.d.d.d." of 0..9999
+# word 0 of a value: its sign (or NUL), "0.000", its first digit and "."
+_LEAD = (np.frombuffer(b"\x000.0000.-0.0000.", "<u8")[:, None]
+         + (np.arange(10, dtype=np.uint64) << np.uint64(48))).ravel()
+_SEP = np.frombuffer(b",".ljust(8, b"\0") + b"\r\n".ljust(8, b"\0"), "<u8")
+
+
+def _keep_masks() -> np.ndarray:
+    """A value's six word masks by (e + 4) * 17 + its last nonzero digit."""
+    e, last, p = np.ogrid[-4:17, :17, :48]
+    j = (p - 6) // 2  # the digit at byte p, or the one before its point
+    keep = ((p == 0) | (p >= 40) | (p < 6) & (-e >= np.maximum(p - 1, 1))
+            | (p >= 6) & np.where(p % 2 == 0, j <= np.maximum(last, e),
+                                  (j == e) & (e < last)))
+    return (keep * np.uint8(255)).reshape(-1, 48).view("<u8")
+
+
+_KEEP = _keep_masks()
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -160,15 +187,66 @@ def _scenario_orbit(scenario: Scenario) -> OrbitSpec:
     return design_orbit(scenario.spec, scenario.omega_star, scenario.params)
 
 
+def _csv_bytes(rows: np.ndarray) -> bytes:
+    """The float64 (n, width) rows as FLOAT_FMT values, comma-separated and
+    CRLF-ended: the bytes of `row * n % tuple(rows.ravel().tolist())`.
+
+    Where _EXACT_LD holds, x with 1e-4 <= |x| < 1e17 is laid out from the
+    17 digits of round(|x| * 10**(16 - e)) in long double, and near-ties
+    and all other values take FLOAT_FMT % (README, "Outputs")."""
+    n, width = rows.shape
+    x = rows.ravel()
+    if not _EXACT_LD:
+        return ((",".join([FLOAT_FMT] * width) + "\r\n") * n
+                % tuple(x.tolist())).encode()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e17)
+    safe = np.where(fast, a, 1.0)
+    e = np.clip(np.floor(np.log10(safe)), -4, 16).astype(np.intp)
+    m = safe.astype(np.longdouble) * _POW10[16 - e]
+    q = (m + 0.5).astype(np.int64)
+    ok = (fast & (abs((m - q).astype(float)) < 0.49609375)
+          & (q > 10**16) & (q < 10**17))
+    q[~ok] = 0  # a zero (e = 0 from its stand-in 1.0) prints as 0
+    hi, lo = np.divmod(q, 10**8)
+    g1, g2 = np.divmod(hi % 10**8, 10**4)
+    g3, g4 = np.divmod(lo, 10**4)
+    tz = _TZ[g4] + (g4 == 0) * (
+        _TZ[g3] + (g3 == 0) * (_TZ[g2] + (g2 == 0) * _TZ[g1]))
+    out = np.empty((n, width, 6), "<u8")
+    out[..., 0] = _LEAD.take(np.signbit(x) * 10 + hi // 10**8).reshape(n, width)
+    for word, group in enumerate((g1, g2, g3, g4), 1):
+        out[..., word] = _QUADS.take(group).reshape(n, width)
+    out[..., 5] = _SEP[(np.arange(width) + 1) // width]
+    out = out.reshape(-1, 6)
+    out &= _KEEP[(e + 4) * 17 + 16 - tz]
+    bad = np.flatnonzero(~ok & (a != 0))
+    if bad.size:
+        out[bad, :5] = np.array([FLOAT_FMT % v for v in x[bad].tolist()],
+                                "S40").view("<u8").reshape(-1, 5)
+    return out.tobytes().translate(None, b"\0")
+
+
 def _write_csv(path: Path, header: str, blocks) -> None:
-    """header, then each block's flat values as FLOAT_FMT rows, one block at
-    a time, unquoted and CRLF-ended as csv.writer's; an int k <=
-    MAX_IMPULSES prints as with %d."""
+    """header, then the rows of blocks (arrays or lists of rows) as FLOAT_FMT
+    values, unquoted and CRLF-ended as csv.writer's; an integer k <=
+    MAX_IMPULSES prints as with %d. The rows are copied and formatted
+    CSV_CHUNK_ROWS at a time, so memory does not grow with the log."""
     width = header.count(",") + 1
-    row = ",".join([FLOAT_FMT] * width) + "\r\n"
-    with path.open("w", newline="") as fh:
-        fh.write(header + "\r\n")
-        fh.writelines(row * (len(v) // width) % tuple(v) for v in blocks)
+    rows, n = np.empty((CSV_CHUNK_ROWS, width)), 0
+    with path.open("wb") as fh:
+        fh.write(header.encode() + b"\r\n")
+        for block in blocks:
+            block = np.asarray(block, dtype=float).reshape(-1, width)
+            while len(block):
+                take = min(len(block), CSV_CHUNK_ROWS - n)
+                rows[n:n + take], block = block[:take], block[take:]
+                n += take
+                if n == CSV_CHUNK_ROWS:
+                    fh.write(_csv_bytes(rows))
+                    n = 0
+        if n:
+            fh.write(_csv_bytes(rows[:n]))
 
 
 def _summary(scenario: Scenario, log: EpisodeLog) -> dict:
@@ -207,13 +285,13 @@ def cmd_simulate(scenario: Scenario, outdir: Path) -> int:
         else scenario.spec
     log = run_episode(scenario.s0, target, scenario.params, scenario.config)
     outdir.mkdir(parents=True, exist_ok=True)
+    rows = ((rec.k, rec.theta, rec.omega, rec.rho_x, rec.rho_y, rec.drho_x,
+             rec.drho_y, rec.delta, rec.I, rec.r, *rec.u)
+            for rec in log.records)
     _write_csv(outdir / "impulses.csv",
                "k,theta,omega,rho_x,rho_y,drho_x,drho_y,delta,I,r,u_I,u_r",
-               ((rec.k, rec.theta, rec.omega, rec.rho_x, rec.rho_y,
-                 rec.drho_x, rec.drho_y, rec.delta, rec.I, rec.r, *rec.u)
-                for rec in log.records))
-    _write_csv(outdir / "trajectory.csv", "t,hx,hy,theta",
-               (rows.ravel().tolist() for rows in log.flights))
+               iter(lambda: list(islice(rows, CSV_CHUNK_ROWS)), []))
+    _write_csv(outdir / "trajectory.csv", "t,hx,hy,theta", log.flights)
     summary = _summary(scenario, log)
     (outdir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")

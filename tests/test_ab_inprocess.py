@@ -42,3 +42,25 @@ def test_one_tree_twice_gives_both_medians_and_a_ratio(workload, rounds):
                          lines[3])
     assert match and float(match[1]) > 0
     assert len(lines) == 4 and proc.stderr == ""
+
+
+def test_writer_rounds_compare_every_csv_byte(tmp_path):
+    src = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), src, src, "--workload", "writer",
+         "--rounds", "2"],
+        capture_output=True, text=True, timeout=120, check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "writer: 2 paired rounds, ms per round"
+    assert re.fullmatch(r"  NEW/OLD median paired ratio (\S+) \((\S+)%\)",
+                        lines[3])
+    # the warm-up and the two rounds ran batch scenarios 0 and 1
+    assert lines[4:] == ["  4 CSV files byte-equal"] and proc.stderr == ""
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, text in ((old, "1,2\r\n"), (new, "1,3\r\n")):
+        (root / "b00").mkdir(parents=True)
+        (root / "b00" / "impulses.csv").write_text(text)
+        (root / "b00" / "trajectory.csv").write_text("t\r\n")
+    (new / "b00" / "extra.csv").write_text("")
+    assert ab_inprocess.csv_mismatches(old, new) == (
+        3, ["b00/extra.csv", "b00/impulses.csv"])

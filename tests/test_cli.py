@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devilstick import ScenarioError, design_orbit, symmetric_omega_star
+from devilstick import cli
 from devilstick.cli import cmd_analyze, load_scenario, main
 from devilstick.harness import design_stabilizer
 
@@ -962,3 +964,151 @@ def test_non_finite_command_exits_3_with_summary(tmp_path):
     summary = json.loads((out / "blowup" / "summary.json").read_text())
     assert summary["termination"].startswith("NonFinite")
     assert summary["n_impulses"] == 0
+
+
+# --- the CSV writer: exact %.17g by tables, in bounded chunks --------------
+
+# the fast path where this platform has it, and % for every value
+WRITER_PATHS = [pytest.param(True, id="tables"),
+                pytest.param(False, id="percent")]
+
+
+def percent_rows(values, width):
+    """The bytes the writer must produce: FLOAT_FMT % v rows, CRLF-ended."""
+    values = [float(v) for v in np.ravel(values)]
+    row = ",".join([cli.FLOAT_FMT] * width) + "\r\n"
+    return (row * (len(values) // width) % tuple(values)).encode()
+
+
+def formatted(values, width, fast):
+    """_csv_bytes of the values as rows of width, on the chosen path."""
+    if fast and not cli._EXACT_LD:
+        pytest.skip("no 64-bit long double mantissa on this platform")
+    rows = np.asarray(values, dtype=float).reshape(-1, width)
+    with mock.patch.object(cli, "_EXACT_LD", fast):
+        return cli._csv_bytes(rows)
+
+
+@pytest.mark.parametrize("fast", WRITER_PATHS)
+@settings(max_examples=300, deadline=None)
+@given(bits=st.lists(st.one_of(
+           st.integers(0, 2**64 - 1),
+           st.sampled_from([0, 1 << 63, 1, (1 << 63) | 1, 0x000FFFFFFFFFFFFF,
+                            0x7FF0000000000000, 0xFFF0000000000000,
+                            0x7FF8000000000000, 0xFFF8000000000001])),
+           min_size=1, max_size=48),
+       width=st.sampled_from([1, 4, 12]))
+def test_writer_bytes_of_any_bit_pattern_are_percent_rows(fast, bits, width):
+    # +-0.0, subnormals, +-inf, NaN and every other float64
+    values = np.array(bits * width, dtype=np.uint64).view(np.float64)
+    assert formatted(values, width, fast) == percent_rows(values, width)
+
+
+@pytest.mark.parametrize("fast", WRITER_PATHS)
+def test_writer_bytes_next_to_powers_of_ten(fast):
+    # the exponent groups' edges, 1e-6 .. 1e18, both signs, 3 ulps each way
+    powers = 10.0 ** np.arange(-6, 19)
+    values = [powers]
+    for _ in range(3):
+        values = [np.nextafter(values[0], 0), *values,
+                  np.nextafter(values[-1], np.inf)]
+    values = np.concatenate(values)
+    values = np.concatenate([values, -values])
+    assert formatted(values, 2, fast) == percent_rows(values, 2)
+
+
+def halfway_values():
+    """Exact ties, odd / 2**(17 - e) in [10**e, 10**(e+1)), whose exact
+    expansion ends in a 5 right after its 17th significant digit (8 for
+    each exponent e in [-4, 15]); and the floats nearest a random 17-digit
+    mantissa plus one half, with their neighbours (8 for each e in
+    [-4, 16])."""
+    rng = np.random.default_rng(17)
+    ties, near = [], []
+    for e in range(-4, 17):
+        lo, hi = Fraction(10) ** e, Fraction(10) ** (e + 1)
+        scale = 2 ** (17 - e)
+        top = min(int(hi * scale) // 2, 2**52)  # odd < 2**53: exact floats
+        if int(lo * scale) // 2 < top:  # none for e = 16
+            ties += [float(Fraction(2 * n + 1, scale)) for n in rng.integers(
+                int(lo * scale) // 2, top, size=8).tolist()]
+        for q in rng.integers(10**16, 10**17, size=8).tolist():
+            x = float(Fraction(2 * q + 1, 2) * Fraction(10) ** (e - 16))
+            near += [np.nextafter(x, 0), x, np.nextafter(x, np.inf)]
+    return ties, near
+
+
+@pytest.mark.parametrize("fast", WRITER_PATHS)
+def test_writer_bytes_at_and_near_17_digit_ties(fast):
+    ties, near = halfway_values()
+    for x in ties:  # the 17-digit mantissa of each is an integer plus 1/2
+        e = math.floor(math.log10(x))
+        assert (Fraction(x) * Fraction(10) ** (16 - e)).denominator == 2
+    values = np.array(ties + near)
+    values = np.concatenate([values, -values])
+    assert formatted(values, 2, fast) == percent_rows(values, 2)
+
+
+@pytest.mark.parametrize("fast", WRITER_PATHS)
+def test_writer_prints_impulse_indices_as_with_percent_d(fast):
+    from devilstick.harness import MAX_IMPULSES
+    ks = np.unique(np.concatenate([
+        np.arange(1, 2001), 10 ** np.arange(7), 10 ** np.arange(1, 7) - 1,
+        np.random.default_rng(5).integers(1, MAX_IMPULSES, 2000),
+        [MAX_IMPULSES - 1, MAX_IMPULSES]]))
+    assert ks.max() == MAX_IMPULSES
+    expected = "".join(f"{k:d}\r\n" for k in ks.tolist()).encode()
+    assert formatted(ks, 1, fast) == expected
+
+
+@pytest.mark.parametrize("fast", WRITER_PATHS)
+def test_writer_rows_straddle_chunk_boundaries(tmp_path, fast):
+    # flights of uneven lengths, an empty one, one longer than a chunk, and
+    # record-like lists of rows: the file is the rows in order, whatever
+    # the chunks
+    if fast and not cli._EXACT_LD:
+        pytest.skip("no 64-bit long double mantissa on this platform")
+    rng = np.random.default_rng(3)
+    n = cli.CSV_CHUNK_ROWS
+    sizes = [n - 1, 2, 0, 3 * n + 5, 1, n, n // 2, n // 2 + 1]
+    blocks = [rng.standard_normal((size, 4)) * 10.0 ** rng.integers(
+        -5, 5, (size, 4)) for size in sizes]
+    blocks[1] = [tuple(row) for row in blocks[1].tolist()]
+    path, chunks = tmp_path / "t.csv", []
+
+    def counted(rows):
+        chunks.append(len(rows))
+        return csv_bytes(rows)
+
+    csv_bytes = cli._csv_bytes
+    with mock.patch.object(cli, "_EXACT_LD", fast), \
+            mock.patch.object(cli, "_csv_bytes", counted):
+        cli._write_csv(path, "a,b,c,d", blocks)
+    rows = np.concatenate([np.reshape(b, (-1, 4)) for b in blocks])
+    assert path.read_bytes() == b"a,b,c,d\r\n" + percent_rows(rows, 4)
+    assert chunks == [n] * (sum(sizes) // n) + [sum(sizes) % n]
+
+
+@pytest.mark.parametrize("fast", WRITER_PATHS)
+def test_writer_memory_does_not_grow_with_the_log(fast):
+    # streaming: 20k flights peak within 10% of 2k flights
+    import tracemalloc
+    if fast and not cli._EXACT_LD:
+        pytest.skip("no 64-bit long double mantissa on this platform")
+    flight = np.random.default_rng(4).standard_normal((25, 4))
+
+    def peak(n_flights):
+        flights = [flight] * n_flights
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        cli._write_csv(Path(os.devnull), "t,hx,hy,theta", flights)
+        return tracemalloc.get_traced_memory()[1] - base
+
+    with mock.patch.object(cli, "_EXACT_LD", fast):
+        tracemalloc.start()
+        try:
+            peak(100)  # first-call allocations
+            small, large = peak(2_000), peak(20_000)
+        finally:
+            tracemalloc.stop()
+    assert large <= 1.1 * small
