@@ -1091,11 +1091,12 @@ def test_writer_rows_straddle_chunk_boundaries(tmp_path, fast):
 
 @pytest.mark.parametrize("fast", WRITER_PATHS)
 def test_writer_memory_does_not_grow_with_the_log(fast):
-    # streaming: 20k flights peak within 10% of 2k flights
+    # streaming: 20k flights peak within 10% of 2k flights (5 rows each, so
+    # both logs span many chunks and tracemalloc stays quick on the % path)
     import tracemalloc
     if fast and not cli._EXACT_LD:
         pytest.skip("no 64-bit long double mantissa on this platform")
-    flight = np.random.default_rng(4).standard_normal((25, 4))
+    flight = np.random.default_rng(4).standard_normal((5, 4))
 
     def peak(n_flights):
         flights = [flight] * n_flights
