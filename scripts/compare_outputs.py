@@ -2,6 +2,7 @@
 """Compare the outputs of two source trees of the package, bit for bit.
 
     python scripts/compare_outputs.py OLD_SRC NEW_SRC
+    python scripts/compare_outputs.py --numeric OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that contain the `devilstick` package
 (a checkout's `src/`). Each tree runs in its own subprocess, with only that
@@ -63,7 +64,8 @@ directory on PYTHONPATH, over:
   as an untyped error (ints past the float range, arrays where a scalar
   belongs, Fractions whose float is 0 or that sampling could not take,
   text) or a numpy warning (numpy floats that overflow or divide by 0), or
-  ran as complex numbers or in single precision, one row each with the
+  ran as complex numbers or in single precision, and float32 values of a
+  stick, a schedule, a start and a setting field, one row each with the
   episode or the error raised, and the warnings printed,
 - inputs rebuilt from a default by `dataclasses.replace`: sim_vhc's stick
   with a longer `ell`, with its inertia and its episode, and the default
@@ -89,6 +91,15 @@ alone (as `file:-/n`, or `file:n/-`) and the lines after it are compared
 with their counterparts; a line that moved is shown as `file:old/new`. The
 exit status is 0 when identical and 1 otherwise. `wall_time_s` in
 summaries is ignored.
+
+`--numeric` sizes a declared numerical change instead. For each file that
+differs it prints how many aligned lines differ only in their numbers
+(hexadecimal floats, decimals, inf and nan, each read as a float), the
+largest relative difference and the largest distance in ulps among those
+numbers, each with the old and new line that holds it, and then in full
+every line that differs in anything else: a termination kind, a message,
+a warning, or a line only one tree writes. Files only one tree has, and
+the exit status, are as above.
 """
 
 from __future__ import annotations
@@ -100,6 +111,8 @@ import json
 import logging
 import math
 import os
+import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -113,6 +126,11 @@ SEED = 0
 N_LOADER = 4000
 LONG_K_MAX = 5000  # impulses of the long sim_orbit episode
 MAX_SHOWN = 20  # differing lines printed per file
+# a number of a dump line: a hexadecimal float, a decimal, inf or nan, not
+# part of a name such as b00 or float64
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:0x[0-9a-f]+(?:\.[0-9a-f]*)?p[-+]?\d+"
+                    r"|(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)"
+                    r"(?!\w|\.\w)", re.IGNORECASE)
 
 # the keys a scenario must set, as in scenarios/sim_vhc.cfg
 REQUIRED = {
@@ -530,11 +548,12 @@ def _off_schedule_lines(devilstick, handler: _Messages) -> list[str]:
 def _escape_lines(devilstick) -> list[str]:
     """Values that escaped StickParams, EpisodeConfig, FullState,
     design_orbit or run_episode as an untyped error or a numpy warning, or
-    ran complex or in single precision, one row each: sim_vhc with the named
-    fields replaced, 20 impulses, and the forward-scheme stabilizer where a
-    row says so, on the orbit designed from the row's stick and schedule at
-    sim_vhc's rate-symmetric omega*. A row prints the episode, or the name
-    and message of the error raised while building or running it, then the
+    ran complex or in single precision, and float32 values of each kind of
+    field, one row each: sim_vhc with the named fields replaced, 20
+    impulses, and the forward-scheme stabilizer where a row says so, on the
+    orbit designed from the row's stick and schedule at sim_vhc's
+    rate-symmetric omega*. A row prints the episode, or the name and
+    message of the error raised while building or running it, then the
     warnings it printed.
     """
     import fractions
@@ -588,8 +607,13 @@ def _escape_lines(devilstick) -> list[str]:
         ({"alpha": np.float64(1e308)}, True),
         ({"g": np.float64(5e-324)}, True),
         ({"alpha": np.float64(5e-324)}, True),
-        # a single-precision stick runs the impulse path in float32
+        # a single-precision stick ran the impulse path in float32; a
+        # schedule (the start on it), a start and a setting in float32
         ({"m": np.float32(0.1)}, False),
+        ({"theta_odd": np.float32(0.5235987755982988),
+          "theta": np.float32(0.5235987755982988)}, False),
+        ({"omega": np.float32(-5.7)}, True),
+        ({"deadband": np.float32(0.05)}, True),
     ]
     types = (devilstick.StickParams, devilstick.JuggleSpec,
              devilstick.FullState, devilstick.EpisodeConfig)
@@ -850,8 +874,68 @@ def _lines(path: Path) -> list[str]:
     return path.read_text().splitlines()
 
 
-def differences(old: Path, new: Path) -> list[str]:
-    """Report lines for every way two dumps differ; empty when identical."""
+def _differing(a: list[str], b: list[str]) -> list[tuple]:
+    """(old line number, new line number) of each differing line of a and
+    b, aligned by difflib; None where only one tree wrote the line."""
+    differing = []
+    opcodes = difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+    for tag, i1, i2, j1, j2 in opcodes:
+        if tag != "equal":
+            differing += itertools.zip_longest(range(i1 + 1, i2 + 1),
+                                               range(j1 + 1, j2 + 1))
+    return differing
+
+
+def _shown(rel: Path, a: list[str], b: list[str], i, j) -> list[str]:
+    return ([f"{rel}:{i}" if i == j else f"{rel}:{i or '-'}/{j or '-'}"]
+            + ([f"  old: {a[i - 1]}"] if i else [])
+            + ([f"  new: {b[j - 1]}"] if j else []))
+
+
+def _distance(x: str, y: str) -> tuple[float, float]:
+    """The relative difference and the distance in ulps of two numbers as
+    NUMBER matches them; -0.0 is one ulp below 0.0, and a change to or
+    from inf or nan is infinitely far."""
+    p, q = (float.fromhex(t) if "x" in t.lower() else float(t) for t in (x, y))
+    if math.isnan(p) and math.isnan(q):
+        return 0.0, 0
+    if not (math.isfinite(p) and math.isfinite(q)):
+        return (0.0, 0) if p == q else (math.inf, math.inf)
+    i, j = struct.unpack("<2q", struct.pack("<2d", p, q))
+    i, j = (n if n >= 0 else -1 - (n & (2**63 - 1)) for n in (i, j))
+    return abs(p - q) / (max(abs(p), abs(q)) or 1.0), abs(i - j)
+
+
+def _numeric_report(rel: Path, a: list[str], b: list[str],
+                    differing: list[tuple]) -> list[str]:
+    """--numeric's lines for one file: its lines that differ only in
+    numbers, counted and sized, then every other differing line."""
+    sized, other = [], []
+    for i, j in differing:
+        if i and j and NUMBER.sub("#", a[i - 1]) == NUMBER.sub("#", b[j - 1]):
+            pairs = [_distance(x, y) for x, y in zip(
+                NUMBER.findall(a[i - 1]), NUMBER.findall(b[j - 1]))]
+            sized.append((max(p[0] for p in pairs), max(p[1] for p in pairs),
+                          i, j))
+        else:
+            other.append((i, j))
+    report = [f"  {len(sized)} lines differ only in numbers"]
+    if sized:
+        rel_max, _, i, j = max(sized, key=lambda n: n[0])
+        report.append(f"  largest relative difference {rel_max:.3g}:")
+        report += ["  " + line for line in _shown(rel, a, b, i, j)]
+        _, ulp_max, i, j = max(sized, key=lambda n: n[1])
+        report.append(f"  largest ulp distance {ulp_max}:")
+        report += ["  " + line for line in _shown(rel, a, b, i, j)]
+    report.append(f"  {len(other)} lines differ otherwise")
+    for i, j in other:
+        report += _shown(rel, a, b, i, j)
+    return report
+
+
+def differences(old: Path, new: Path, numeric: bool = False) -> list[str]:
+    """Report lines for every way two dumps differ; empty when identical.
+    numeric reports each differing file as --numeric does."""
     old_files, new_files = set(_compared_files(old)), set(_compared_files(new))
     report = [f"{rel}: only in {'old' if rel in old_files else 'new'}"
               for rel in sorted(old_files ^ new_files)]
@@ -859,23 +943,15 @@ def differences(old: Path, new: Path) -> list[str]:
         a, b = _lines(old / rel), _lines(new / rel)
         if a == b:
             continue
-        # (old line number, new line number) of each differing line, None
-        # where only one tree wrote it
-        differing = []
-        opcodes = difflib.SequenceMatcher(None, a, b,
-                                          autojunk=False).get_opcodes()
-        for tag, i1, i2, j1, j2 in opcodes:
-            if tag != "equal":
-                differing += itertools.zip_longest(range(i1 + 1, i2 + 1),
-                                                   range(j1 + 1, j2 + 1))
+        differing = _differing(a, b)
         report.append(f"{rel}: {len(differing)} differing lines"
                       + (f", {len(a)} lines vs {len(b)}"
                          if len(a) != len(b) else ""))
+        if numeric:
+            report += _numeric_report(rel, a, b, differing)
+            continue
         for i, j in differing[:MAX_SHOWN]:
-            report.append(f"{rel}:{i}" if i == j
-                          else f"{rel}:{i or '-'}/{j or '-'}")
-            report += [f"  old: {a[i - 1]}"] if i else []
-            report += [f"  new: {b[j - 1]}"] if j else []
+            report += _shown(rel, a, b, i, j)
         if len(differing) > MAX_SHOWN:
             report.append(f"  ... {len(differing) - MAX_SHOWN} more")
     return report
@@ -894,14 +970,17 @@ def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--dump":
         dump(Path(argv[1]))
         return 0
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+    numeric = argv[:1] == ["--numeric"]
+    trees = argv[numeric:]
+    if len(trees) != 2:
+        usage = __doc__.strip().splitlines()[2:4]
+        print("\n".join(line.strip() for line in usage), file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         outs = [Path(tmp) / "old", Path(tmp) / "new"]
-        for src, out in zip(argv, outs):
+        for src, out in zip(trees, outs):
             _run_tree(Path(src), out)
-        report = differences(*outs)
+        report = differences(*outs, numeric=numeric)
     print("\n".join(report) or "identical")
     return 1 if report else 0
 

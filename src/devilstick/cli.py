@@ -12,7 +12,8 @@ import gc
 import json
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields
+from collections import namedtuple
+from dataclasses import MISSING, fields
 from itertools import islice
 from pathlib import Path
 
@@ -21,9 +22,9 @@ import numpy as np
 from . import stabilizer as stab
 from .dzd import OrbitSpec, design_orbit, growth_factor, symmetric_omega_star
 from .errors import JugglingError, ScenarioError
-from .harness import (SETTING_RULES, EpisodeConfig, EpisodeLog,
-                      design_stabilizer, metrics, run_episode)
-from .model import FullState, JuggleSpec, StickParams, passes, validate
+from .harness import (EpisodeConfig, EpisodeLog, design_stabilizer, metrics,
+                      run_episode)
+from .model import RULES, FullState, JuggleSpec, StickParams, passes, validate
 
 FLOAT_FMT = "%.17g"
 CSV_CHUNK_ROWS = 512  # rows _write_csv formats at a time
@@ -54,57 +55,15 @@ def _keep_masks() -> np.ndarray:
 _KEEP = _keep_masks()
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
-
-
-def _rate(text: str) -> float | str:
-    return "symmetric" if text.lower() == "symmetric" else float(text)
-
-
-def _on_off(text: str) -> bool:
-    if text.lower() not in ("on", "off"):
-        raise ValueError("must be 'on' or 'off'")
-    return text.lower() == "on"
-
-
-# key: (parser, field), checked in this order. The loader passes only the
-# fields a file sets, so StickParams, JuggleSpec and EpisodeConfig own the
-# defaults and _RULES the checks. Fields without a default are required,
-# except theta (theta0_rad, default theta_odd) and omega_star (default None).
-_KEYS = {
-    "m_kg": (float, "m"), "ell_m": (float, "ell"),
-    "alpha_m": (float, "alpha"), "beta_m": (float, "beta"),
-    "theta_odd_rad": (float, "theta_odd"),
-    "theta_even_rad": (float, "theta_even"),
-    "h_x0_m": (float, "hx"), "h_y0_m": (float, "hy"),
-    "v_x0_mps": (float, "vx"), "v_y0_mps": (float, "vy"),
-    "omega0_radps": (float, "omega"), "J_kgm2": (float, "J"),
-    "g_mps2": (float, "g"), "lambda_x": (float, "lambda_x"),
-    "lambda_y": (float, "lambda_y"), "theta0_rad": (float, "theta"),
-    "k_max": (lambda s: int(float(s)), "k_max"),
-    "stabilizer": (_on_off, "stabilize"),
-    "omega_star_radps": (_rate, "omega_star"),
-    "deadband": (float, "deadband"), "r_policy": (str, "r_policy"),
-    "flight_sample_dt_s": (float, "flight_dt"),
-    "q_diag": (_floats, "q_diag"), "r_diag": (_floats, "r_diag"),
-    "fd_scheme": (str, "fd_scheme"), "fd_step": (float, "fd_step"),
-}
-_RULES = {**SETTING_RULES, "omega_star": (
-    lambda x: x == "symmetric" or x < 0, "must be < 0 or 'symmetric'")}
+# StickParams, JuggleSpec and EpisodeConfig own the defaults: a key is
+# required when its field has none; the loader's theta and omega_star are not.
 _OPTIONAL = {"theta", "omega_star"} | {
     f.name for cls in (StickParams, JuggleSpec, EpisodeConfig)
     for f in fields(cls) if f.default is not MISSING}
+_KEYS = {rule.key for rule in RULES.values() if rule.key}
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    params: StickParams
-    spec: JuggleSpec
-    s0: FullState
-    config: EpisodeConfig
-    omega_star: float | None
+Scenario = namedtuple("Scenario", "name params spec s0 config omega_star")
 
 
 def _parse_kv(path: Path) -> dict[str, str]:
@@ -134,18 +93,18 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and fully validate a scenario file."""
     path = Path(path)
     pairs = _parse_kv(path)
-    missing = [key for key, (_, name) in _KEYS.items()
-               if name not in _OPTIONAL and key not in pairs]
+    missing = [rule.key for name, rule in RULES.items()
+               if rule.key and name not in _OPTIONAL and rule.key not in pairs]
     if missing:
         raise ScenarioError(f"{path}: missing required keys: {', '.join(missing)}")
     val = {}
-    for key, (parse, name) in _KEYS.items():
+    for name, (key, check, reason, _, parse) in RULES.items():
         if key not in pairs:
             continue
         try:
             val[name] = parse(pairs[key])
-            if name in _RULES and not passes(_RULES[name][0], val[name]):
-                raise ValueError(_RULES[name][1])
+            if reason and not passes(check, val[name]):
+                raise ValueError(reason)
         except (ValueError, OverflowError) as exc:
             raise ScenarioError(f"{path}: key {key!r}: {exc}") from exc
 
@@ -157,10 +116,9 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{path}: invalid parameters: {', '.join(failures)}")
 
     try:
-        s0 = FullState(h=np.array([val["hx"], val["hy"]]),
-                       v=np.array([val["vx"], val["vy"]]),
-                       theta=val.get("theta", spec.theta_odd),
-                       omega=val["omega"])
+        s0 = FullState.from_floats((val["hx"], val["hy"], val["vx"], val["vy"],
+                                    val.get("theta", spec.theta_odd),
+                                    val["omega"]))
     except ValueError as exc:
         raise ScenarioError(f"{path}: bad initial state: {exc}") from exc
 

@@ -167,14 +167,11 @@ def kernel(x: State, k: int, inst: Instant, params: StickParams,
     if not r1 > 0:
         raise NoPositiveRoot(
             f"no positive time-of-flight root at k={k} (a={a}, b={b}, c={c})")
+    if g_dth == 0:  # the zero-residual flight time divides by it
+        raise Degenerate(f"g*delta_theta = {params.g}*{dth} underflows to 0")
     # of two positive roots, the one nearer the zero-residual flight time;
     # the smaller on a tie, and when that time is not finite
-    if r2 > r1 or g_dth == 0:  # a float 0 raises with one root as well
-        try:
-            d_nom = sign * 2.0 * omega * alpha / g_dth * tan_ratio
-        except ZeroDivisionError:
-            raise Degenerate(f"g*delta_theta = {params.g}*{dth} underflows "
-                             "to 0") from None
+    d_nom = sign * 2.0 * omega * alpha / g_dth * tan_ratio if r2 > r1 else 0.0
     delta = r2 if r2 > r1 and abs(r2 - d_nom) < abs(r1 - d_nom) else r1
     impulse = -m * (lx_1 * rho_x + eta_x - vx * delta) / (delta * sin)
     if abs(impulse) < IMPULSE_EPS:

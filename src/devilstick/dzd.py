@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .dvhc import TAN_FACTOR_EPS, Instant, check_rate, instant
 from .errors import AsymmetricSpec, Degenerate, WrongSign
-from .model import JuggleSpec, StickParams, parity_sign
+from .model import RULES, JuggleSpec, StickParams, parity_sign, passes
 
 
 @dataclass(frozen=True)
@@ -82,20 +80,20 @@ def design_orbit(spec: JuggleSpec, omega_star: float,
     if not spec.symmetric:
         raise AsymmetricSpec(
             "no 2-periodic orbit exists for asymmetric orientation schedules")
-    if not omega_star < 0:  # NaN included
+    if not passes(RULES["omega_star"].check, omega_star):  # NaN fails
         raise WrongSign(f"odd-instant rate must be < 0, got {omega_star}")
+    omega_star = float(omega_star)  # ValueError for the loader's "symmetric"
     g, dth, alpha = params.g, spec.delta_theta, spec.alpha
-    try:  # a denominator may underflow to 0; numpy scalars act as floats
-        with np.errstate(over="ignore", invalid="ignore", divide="raise"):
-            omega_even = -g * (dth * dth) / (4.0 * omega_star * alpha)
-            delta_odd = -4.0 * omega_star * alpha / (g * dth)
-            delta_even = -dth / omega_star
-            I_mag = abs(
-                (2.0 * params.m * alpha / (dth * math.cos(spec.theta_odd)))
-                * (omega_star + g * (dth * dth) / (4.0 * omega_star * alpha)))
-            r_star = (params.inertia * dth * math.cos(spec.theta_odd)
-                      / (2.0 * params.m * spec.alpha))
-    except (ZeroDivisionError, FloatingPointError) as exc:
+    try:  # a denominator may underflow to 0
+        omega_even = -g * (dth * dth) / (4.0 * omega_star * alpha)
+        delta_odd = -4.0 * omega_star * alpha / (g * dth)
+        delta_even = -dth / omega_star
+        I_mag = abs(
+            (2.0 * params.m * alpha / (dth * math.cos(spec.theta_odd)))
+            * (omega_star + g * (dth * dth) / (4.0 * omega_star * alpha)))
+        r_star = (params.inertia * dth * math.cos(spec.theta_odd)
+                  / (2.0 * params.m * spec.alpha))
+    except ZeroDivisionError as exc:
         raise Degenerate("an orbit denominator underflows to 0") from exc
     return OrbitSpec(spec=spec, params=params, omega_star=omega_star,
                      omega_even=omega_even, delta_odd=delta_odd,

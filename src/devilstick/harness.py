@@ -21,36 +21,13 @@ from .dynamics import (MAX_FLIGHT_SAMPLES, fly, jump, sample_flight,
 from .dynamics import flight, impulsive_update  # noqa: F401 (perfbench traces)
 from .dzd import OrbitSpec
 from .errors import JugglingError, ScenarioError
-from .model import FullState, JuggleSpec, StickParams, passes, validate
-
-
-MAX_IMPULSES = 1_000_000  # per episode; at ~345 B a record, ~345 MB
-
-# field: (check a value must pass, reason it failed). EpisodeConfig runs
-# every check, the scenario loader that of each key it reads, via passes().
-SETTING_RULES = {
-    "k_max": (lambda n: isinstance(n, int) and 1 <= n <= MAX_IMPULSES,
-              f"must be an integer from 1 to {MAX_IMPULSES}"),
-    "stabilize": (lambda b: isinstance(b, bool), "must be True or False"),
-    "deadband": (lambda x: x >= 0, "must be >= 0"),
-    "r_policy": (lambda s: s in ("strict", "warn"),
-                 "must be 'strict' or 'warn'"),
-    "flight_dt": (lambda x: x is None or 0 < x < np.inf,
-                  "must be finite and > 0"),
-    "q_diag": (lambda t: len(t) == 5 and all(0 <= q < np.inf for q in t),
-               "needs 5 finite values >= 0"),
-    "r_diag": (lambda t: len(t) == 2 and all(0 < r < np.inf for r in t),
-               "needs 2 finite values > 0"),
-    "fd_scheme": (lambda s: s in ("central", "forward"),
-                  "must be 'central' or 'forward'"),
-    "fd_step": (lambda x: x is None or 0 < x < np.inf,
-                "must be finite and > 0"),
-}
+from .model import MAX_IMPULSES  # noqa: F401 (read as harness.MAX_IMPULSES)
+from .model import FullState, JuggleSpec, StickParams, accept, validate
 
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """Knobs for one episode run; SETTING_RULES says which values are valid."""
+    """Knobs for one episode run, each valid by model.RULES and its type."""
 
     k_max: int = 20
     stabilize: bool = False
@@ -63,10 +40,7 @@ class EpisodeConfig:
     fd_step: float | None = None       # None: linearize's default
 
     def __post_init__(self) -> None:
-        for name, (check, reason) in SETTING_RULES.items():
-            value = getattr(self, name)
-            if not passes(check, value):
-                raise ValueError(f"{name} {reason}, got {value!r}")
+        accept(self, strict=True)
 
 
 @dataclass(eq=False, init=False)
@@ -186,9 +160,9 @@ def run_episode(s0: FullState, target: JuggleSpec | OrbitSpec,
                     # fly raises NonFinite first: a sampled flight is finite
                     x_pre, x = x, fly(x, impulse, offset, delta, inst, g)
                     if flight_dt is not None:
-                        samples = sample_flight(  # a Fraction dt as well
+                        samples = sample_flight(
                             jump(x_pre, impulse, offset, inst.normal, params),
-                            delta, float(flight_dt), params, budget, t)
+                            delta, flight_dt, params, budget, t)
                         budget -= len(samples)
                         log.flights.append(samples)
                     t += delta

@@ -107,6 +107,81 @@ def test_usage(argv, capsys):
     assert "compare_outputs.py OLD_SRC NEW_SRC" in capsys.readouterr().err
 
 
+# --numeric on hand-made dumps: an episode's termination and records
+EPISODE = ("termination completed\n"
+           "k=1 0x1.0000000000000p+0 -0x1.8000000000000p+1 0.25\n")
+
+
+def _numeric(tmp_path, monkeypatch, capsys, new_text):
+    """main(["--numeric", ...]) on a dump of EPISODE against one of
+    new_text: its exit status and printed lines."""
+    old = _dump(tmp_path / "old_src", {"escapes.txt": EPISODE})
+    new = _dump(tmp_path / "new_src", {"escapes.txt": new_text})
+    monkeypatch.setattr(compare_outputs, "_run_tree",
+                        lambda src, out: shutil.copytree(src, out))
+    status = compare_outputs.main(["--numeric", str(old), str(new)])
+    return status, capsys.readouterr().out.splitlines()
+
+
+def test_numeric_identical(tmp_path, monkeypatch, capsys):
+    assert _numeric(tmp_path, monkeypatch, capsys, EPISODE) == (
+        0, ["identical"])
+
+
+@pytest.mark.parametrize("new_number, relative, ulps", [
+    ("0x1.0000000000001p+0", "2.22e-16", 1),     # one ulp up
+    # its sign: down to 0.0 and, one ulp on, up from -0.0 to -1.0
+    ("-0x1.0000000000000p+0", "2", 2 * 0x3FF0000000000000 + 1),
+])
+def test_numeric_sizes_a_changed_number(tmp_path, monkeypatch, capsys,
+                                        new_number, relative, ulps):
+    old_line = "k=1 0x1.0000000000000p+0 -0x1.8000000000000p+1 0.25"
+    new_line = old_line.replace("0x1.0000000000000p+0", new_number, 1)
+    status, lines = _numeric(tmp_path, monkeypatch, capsys,
+                             EPISODE.replace(old_line, new_line))
+    shown = ["  escapes.txt:2", f"    old: {old_line}", f"    new: {new_line}"]
+    assert (status, lines) == (1, [
+        "escapes.txt: 1 differing lines",
+        "  1 lines differ only in numbers",
+        f"  largest relative difference {relative}:", *shown,
+        f"  largest ulp distance {ulps}:", *shown,
+        "  0 lines differ otherwise"])
+
+
+def test_numeric_shows_a_changed_termination_in_full(
+        tmp_path, monkeypatch, capsys):
+    # the names of a line differ, not only its numbers: k=1 stays a number
+    termination = "termination NonFinite: non-finite command at k=1"
+    status, lines = _numeric(tmp_path, monkeypatch, capsys, EPISODE.replace(
+        "termination completed", termination))
+    assert (status, lines) == (1, [
+        "escapes.txt: 1 differing lines",
+        "  0 lines differ only in numbers",
+        "  1 lines differ otherwise",
+        "escapes.txt:1", "  old: termination completed",
+        f"  new: {termination}"])
+
+
+def test_numeric_shows_a_line_only_one_side_writes(
+        tmp_path, monkeypatch, capsys):
+    warning = "RuntimeWarning: overflow encountered in scalar multiply"
+    status, lines = _numeric(tmp_path, monkeypatch, capsys,
+                             EPISODE + warning + "\n")
+    assert (status, lines) == (1, [
+        "escapes.txt: 1 differing lines, 2 lines vs 3",
+        "  0 lines differ only in numbers",
+        "  1 lines differ otherwise",
+        "escapes.txt:-/3", f"  new: {warning}"])
+
+
+@pytest.mark.parametrize("argv", [["--numeric"], ["--numeric", "one"],
+                                  ["one", "--numeric", "two"]])
+def test_numeric_usage(argv, capsys):
+    assert compare_outputs.main(argv) == 2
+    assert "compare_outputs.py --numeric OLD_SRC NEW_SRC" in (
+        capsys.readouterr().err)
+
+
 @pytest.fixture
 def handler():
     """The gate's message handler on the package logger, attached as dump

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -132,6 +133,29 @@ def test_design_orbit_underflowing_denominator_is_degenerate(alpha, m,
                       alpha=alpha, beta=3.0)
     with pytest.raises(Degenerate, match="underflows to 0"):
         design_orbit(spec, omega_star, StickParams(m=m, ell=0.5))
+
+
+@pytest.mark.parametrize("omega_star, accepted", [
+    (-10**400, False), (10**400, False),  # escaped as a bare OverflowError
+    (np.float32(-3.1), True),             # designed a float32 orbit
+    (np.float64(-3.1), True), (np.float32(math.nan), False)],
+    ids=["-10**400", "10**400", "float32", "float64", "float32-nan"])
+def test_design_orbit_takes_a_rate_through_its_rule_and_then_its_float(
+        spec, params, omega_star, accepted):
+    # the loader's rule for omega_star, through passes: a rate without a
+    # float, or not < 0, is WrongSign; an accepted one designs the orbit
+    # of its float, bit for bit, and every number of it is a float
+    if not accepted:
+        with pytest.raises(WrongSign, match="^odd-instant rate must be < 0"):
+            design_orbit(spec, omega_star, params)
+        return
+    orbit = design_orbit(spec, omega_star, params)
+    reference = design_orbit(spec, float(omega_star), params)
+    names = ("omega_star", "omega_even", "delta_odd", "delta_even", "I_mag",
+             "r_star")
+    assert [type(getattr(orbit, name)) for name in names] == [float] * 6
+    assert [getattr(orbit, name).hex() for name in names] == [
+        getattr(reference, name).hex() for name in names]
 
 
 def test_symmetric_rate_reference_value(spec, params):

@@ -608,6 +608,75 @@ def test_an_odd_value_in_any_field_ends_in_a_check_or_a_log(stabilize):
     assert escaped == []
 
 
+def _boundary_episode(change, stabilize):
+    """sim_vhc with the fields in change replaced and its start on the
+    changed theta_odd, stabilized (forward scheme) on its own rate-symmetric
+    orbit or not: the JugglingError its orbit raised, or its log."""
+    kw = {**SIM_VHC, "stabilize": stabilize, **change}
+    kw["theta"] = change.get("theta", kw["theta_odd"])
+    params, spec, s0, cfg = (
+        cls(**{f.name: kw[f.name] for f in dataclasses.fields(cls)
+               if f.name in kw}) for cls in EPISODE_TYPES)
+    try:
+        target = (design_orbit(spec, symmetric_omega_star(spec, params),
+                               params) if stabilize else spec)
+    except juggling_errors.JugglingError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return run_episode(s0, target, params, cfg)
+
+
+def _log_bits(log):
+    """Everything an episode log holds, floats as hex, arrays as bytes."""
+    from devilstick import harness
+    if isinstance(log, str):
+        return log
+    return (log.termination, log.sim_duration.hex(),
+            [tuple(getattr(rec, name).tobytes() if name == "u"
+                   else float(getattr(rec, name)).hex()
+                   for name in harness.ImpulseRecord.__slots__)
+             for rec in log.records],
+            [flight.tobytes() for flight in log.flights])
+
+
+# the float fields of the stick, the schedule, the start and the settings,
+# with the value each takes (J: a given inertia near the rod value)
+FLOAT_FIELDS = {"m": 0.1, "ell": 0.5, "J": 0.0021, "g": 9.81,
+                **{name: SIM_VHC[name] for name in ("theta_odd", "theta_even",
+                                                   "alpha", "beta")},
+                "lambda_x": 0.3, "lambda_y": 0.7, "h": SIM_VHC["h"],
+                "v": SIM_VHC["v"], "omega": SIM_VHC["omega"],
+                "deadband": 0.05, "flight_dt": SIM_VHC["flight_dt"],
+                "q_diag": (2.0, 1.0, 1.0, 1.0, 1.0), "r_diag": (2.0, 2.0),
+                "fd_step": 3e-3}
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.float64])
+@pytest.mark.parametrize("name", [*FLOAT_FIELDS, "theta"])
+def test_a_numpy_scalar_runs_as_its_float(name, kind):
+    """A numpy scalar in a float field is accepted as its float: the episode
+    is, bit for bit, the one of float(value), stabilized or not, and every
+    record field but u holds a Python float or int. For the start's theta
+    the schedule's theta_odd is float(value), so that the start is on it."""
+    from devilstick import harness
+    base = FLOAT_FIELDS.get(name, SIM_VHC["theta_odd"])
+    if isinstance(base, tuple):  # the first entry of a vector field
+        numpy_value = (kind(base[0]), *base[1:])
+        float_value = (float(kind(base[0])), *base[1:])
+    else:
+        numpy_value, float_value = kind(base), float(kind(base))
+    extra = {"theta_odd": float_value} if name == "theta" else {}
+    for stabilize in (False, True):
+        log = _boundary_episode({name: numpy_value, **extra}, stabilize)
+        reference = _boundary_episode({name: float_value, **extra}, stabilize)
+        assert _log_bits(log) == _log_bits(reference)
+        if isinstance(log, str):
+            continue
+        assert log.records, log.termination
+        assert {type(getattr(rec, slot)) for rec in log.records
+                for slot in harness.ImpulseRecord.__slots__
+                if slot != "u"} <= {float, int}
+
+
 # out-of-range parameter sets, each failing one validate check
 BROKEN = [{"m": 0.0}, {"g": 0.0}, {"alpha": -1.0}, {"lambda_x": 1.0},
           {"theta_odd": math.pi / 2}, {"theta_even": 0.5, "theta_odd": 0.5}]
