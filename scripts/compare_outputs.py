@@ -874,18 +874,6 @@ def _lines(path: Path) -> list[str]:
     return path.read_text().splitlines()
 
 
-def _differing(a: list[str], b: list[str]) -> list[tuple]:
-    """(old line number, new line number) of each differing line of a and
-    b, aligned by difflib; None where only one tree wrote the line."""
-    differing = []
-    opcodes = difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
-    for tag, i1, i2, j1, j2 in opcodes:
-        if tag != "equal":
-            differing += itertools.zip_longest(range(i1 + 1, i2 + 1),
-                                               range(j1 + 1, j2 + 1))
-    return differing
-
-
 def _shown(rel: Path, a: list[str], b: list[str], i, j) -> list[str]:
     return ([f"{rel}:{i}" if i == j else f"{rel}:{i or '-'}/{j or '-'}"]
             + ([f"  old: {a[i - 1]}"] if i else [])
@@ -943,7 +931,15 @@ def differences(old: Path, new: Path, numeric: bool = False) -> list[str]:
         a, b = _lines(old / rel), _lines(new / rel)
         if a == b:
             continue
-        differing = _differing(a, b)
+        # (old line number, new line number) of each differing line, None
+        # where only one tree wrote it
+        differing = []
+        opcodes = difflib.SequenceMatcher(None, a, b,
+                                          autojunk=False).get_opcodes()
+        for tag, i1, i2, j1, j2 in opcodes:
+            if tag != "equal":
+                differing += itertools.zip_longest(range(i1 + 1, i2 + 1),
+                                                   range(j1 + 1, j2 + 1))
         report.append(f"{rel}: {len(differing)} differing lines"
                       + (f", {len(a)} lines vs {len(b)}"
                          if len(a) != len(b) else ""))
