@@ -614,6 +614,13 @@ def _escape_lines(devilstick) -> list[str]:
           "theta": np.float32(0.5235987755982988)}, False),
         ({"omega": np.float32(-5.7)}, True),
         ({"deadband": np.float32(0.05)}, True),
+        # a setting that passed its check as given and failed as its float,
+        # and failing numpy values that design_orbit or validate computed on
+        ({"fd_step": np.longdouble("1e4000")}, True),
+        ({"q_diag": (np.longdouble("1e4000"), 1, 1, 1, 1)}, True),
+        ({"m": np.float64(0.0), "J": 0.01}, True),
+        ({"theta_odd": np.float64(-1e308), "theta_even": np.float64(1e308)},
+         False),
     ]
     types = (devilstick.StickParams, devilstick.JuggleSpec,
              devilstick.FullState, devilstick.EpisodeConfig)

@@ -423,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="scenario file; repeat for a batch")
     sim.add_argument("--out", default="out", help="output directory")
     sim.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers for batches")
+                     help="parallel workers for batches, at least 1")
 
     ana = sub.add_parser("analyze", help="orbit family table for a rate sweep")
     ana.add_argument("--scenario", required=True)
@@ -446,6 +446,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "simulate":
+            if args.jobs < 1:
+                raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
             outroot = Path(args.out)
             jobs = [(p, str(outroot / Path(p).stem)) for p in args.scenario]
             first = {}  # output directory: the first scenario it is for
@@ -478,15 +480,13 @@ def main(argv: list[str] | None = None) -> int:
             scenario = load_scenario(args.scenario)
             out = Path(args.out) if args.out else None
             return cmd_linearize(scenario, out)
-        if args.command == "plot":
-            return cmd_plot(
-                Path(args.impulses) if args.impulses else None,
-                Path(args.trajectory) if args.trajectory else None,
-                Path(args.out))
+        return cmd_plot(  # the parser takes no other command
+            Path(args.impulses) if args.impulses else None,
+            Path(args.trajectory) if args.trajectory else None,
+            Path(args.out))
     except (JugglingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 def run(argv: list[str] | None = None) -> int:

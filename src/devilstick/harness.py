@@ -39,8 +39,7 @@ class EpisodeConfig:
     fd_scheme: str = "central"
     fd_step: float | None = None       # None: linearize's default
 
-    def __post_init__(self) -> None:
-        accept(self, strict=True)
+    __post_init__ = accept
 
 
 @dataclass(eq=False, init=False)

@@ -57,7 +57,8 @@ Rule = namedtuple("Rule", "key check reason kind parse",
                   defaults=(None, float, float))
 # field: Rule(scenario key, check (via passes), reason, kernel type of an
 # accepted value or tuple entry, key parser), in the loader's key order. The
-# loader checks the fields with a reason; validate and FullState the others.
+# loader and EpisodeConfig, which read the rows with a reason, enforce them;
+# validate and FullState check the others.
 RULES = {
     "m": Rule("m_kg", lambda m: m > 0),
     "ell": Rule("ell_m", lambda ell: ell > 0),
@@ -107,23 +108,24 @@ RULES = {
 }
 
 
-def accept(obj, strict: bool = False) -> None:
-    """Convert each field of obj that passes its rule to its kernel type."""
+def accept(obj) -> None:
+    """Store each field of obj as its kernel type where it passes its check
+    or, in a row without a reason, is a number that check judges (through
+    passes). A row with a reason raises it unless the value stored passes."""
     for f in fields(obj):
         _, check, reason, kind, _ = RULES[f.name]
         value = getattr(obj, f.name)
-        if not passes(check, value):
-            if strict:
-                raise ValueError(f"{f.name} {reason}, got {value!r}")
-        elif isinstance(value, (tuple, list)):
-            object.__setattr__(obj, f.name, tuple(map(kind, value)))
-        elif value is not None:
-            object.__setattr__(obj, f.name, kind(value))
+        if value is not None and passes(
+                check if reason else lambda x: check(x) is not None, value):
+            object.__setattr__(obj, f.name, kind(value) if not isinstance(
+                value, (tuple, list)) else tuple(map(kind, value)))
+        if reason and not passes(check, getattr(obj, f.name)):
+            raise ValueError(f"{f.name} {reason}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class StickParams:
-    """Physical constants of the stick; each accepted value is a float.
+    """Physical constants of the stick; each number is held as its float.
 
     J stays None unless given: inertia then reads the rod value m*ell*ell/12.
     """
@@ -137,15 +139,14 @@ class StickParams:
 
     @cached_property
     def inertia(self) -> float:
-        """J, or m*ell*ell/12 on the floats of m and ell: an m or ell kept as
-        it failed its check overflows to inf silently, as floats do."""
-        return (float(self.m) * (float(self.ell) * float(self.ell)) / 12.0
-                if self.J is None else self.J)
+        """J, or the rod value m*ell*ell/12, inf where that overflows."""
+        return (self.m * (self.ell * self.ell) / 12.0 if self.J is None
+                else self.J)
 
 
 @dataclass(frozen=True)
 class JuggleSpec:
-    """Constraint and scheduling parameters; each accepted value is a float.
+    """Constraint and scheduling parameters; each number is held as its float.
 
     alpha scales the horizontal placement of the center-of-mass with
     tan(theta); beta is its constant height. lambda_x, lambda_y are the

@@ -722,6 +722,20 @@ def test_pool_is_capped_by_scenarios_and_cores(tmp_path, monkeypatch, jobs,
                for name in ("a", "b", "c"))
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_rejected_before_any_scenario_runs(
+        tmp_path, capsys, monkeypatch, jobs):
+    # it ran serially and exited 0; now no scenario is loaded or written
+    monkeypatch.setattr(cli, "_simulate_worker", mock.Mock())
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(SIM_VHC), "--out", str(out),
+                 "--jobs", jobs]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --jobs must be at least 1, got {jobs}\n")
+    cli._simulate_worker.assert_not_called()
+    assert not out.exists()
+
+
 def test_main_never_freezes_and_run_freezes_once(tmp_path):
     # main() runs many times in one process (tests, scripts, perfbench), so
     # it must not freeze; run() is the program entry point and freezes once

@@ -556,6 +556,49 @@ def test_values_that_escaped_end_in_their_checks(change, outcome, stabilize):
     assert _sim_vhc_with(change, stabilize) == outcome
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(float).max,
+                    reason="no long double past the float range")
+@pytest.mark.parametrize("name, reason", [
+    ("fd_step", "must be finite and > 0"),
+    ("flight_dt", "must be finite and > 0"),
+    ("r_diag", "needs 2 finite values > 0"),
+    ("q_diag", "needs 5 finite values >= 0"),
+])
+def test_a_setting_is_judged_as_the_float_it_stores(name, reason):
+    # the value passed its check as given and was stored as its float, inf
+    huge = np.longdouble("1e4000")
+    default = getattr(EpisodeConfig(), name)
+    value = (huge, *default[1:]) if isinstance(default, tuple) else huge
+    with pytest.raises(ValueError) as exc:
+        EpisodeConfig(**{name: value})
+    assert str(exc.value) == f"{name} {reason}, got {value!r}"
+
+
+def test_a_failing_numpy_mass_divides_as_its_float(spec):
+    # np.float64(0.0) was kept as given, and design_orbit divided by it
+    # with a numpy warning and returned r_star = inf
+    params = StickParams(m=np.float64(0.0), ell=0.5, J=0.01)
+    assert type(params.m) is float
+    with pytest.raises(juggling_errors.Degenerate,
+                       match="^an orbit denominator underflows to 0$"):
+        design_orbit(spec, -3.0, params)
+
+
+@pytest.mark.parametrize("odd, even, failures", [
+    # validate subtracted the two numpy values: overflow, then invalid
+    (np.float64(-1e308), np.float64(1e308), ["theta_odd", "theta_even"]),
+    (np.float64(-np.inf), np.float64(-np.inf),
+     ["theta_odd", "theta_even", "delta_theta"]),
+])
+def test_failing_numpy_orientations_are_judged_as_floats(params, odd, even,
+                                                         failures):
+    spec = JuggleSpec(theta_odd=odd, theta_even=even, alpha=0.6, beta=3.0)
+    assert (type(spec.theta_odd), type(spec.theta_even)) == (float, float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate(spec, params) == failures
+
+
 # values of the wrong type or past the float range, for any field
 ODD_VALUES = [HUGE, -HUGE, np.ones(1), np.ones(2), np.float32(0.5),
               np.int64(3), fractions.Fraction(1, 3), fractions.Fraction(HUGE),

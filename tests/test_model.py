@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devilstick import FullState, JuggleSpec, StickParams, model, validate
+from devilstick import (EpisodeConfig, FullState, JuggleSpec, StickParams,
+                        model, validate)
 from devilstick.model import SCHEDULE_TOL, passes
 
 
@@ -55,6 +56,9 @@ def test_validate_is_pure_and_idempotent(spec, params):
     # the default J raised TypeError on m * (ell * ell)
     ({"m": "x"}, {}, ["m", "J"]),
     ({"ell": None}, {}, ["ell", "J"]),
+    # text is kept as given, so the default J has no value: m * (ell * ell)
+    # raises TypeError
+    ({"m": "0.5"}, {}, ["m", "J"]),
 ])
 def test_a_value_of_the_wrong_type_fails_its_check(spec, params_kw, spec_kw,
                                                    failures):
@@ -116,6 +120,15 @@ def test_a_complex_value_fails_without_a_warning(spec, value):
         assert validate(spec, StickParams(m=value, ell=0.5)) == ["m", "J"]
 
 
+@pytest.mark.parametrize("value", [np.float64(-1.0), np.float32(-1.0),
+                                   np.int64(-1), np.array(-1.0), -1, False])
+def test_a_failing_number_in_the_stick_is_stored_as_its_float(spec, value):
+    params = StickParams(m=value, ell=0.5)
+    assert type(params.m) is float and params.m == float(value)
+    assert repr(params).startswith(f"StickParams(m={float(value)!r}, ")
+    assert validate(spec, params) == ["m", "J"]
+
+
 def _numpy_passes(check, value):
     """passes with its numpy guards on every value: the reference for its
     exact-float shortcut."""
@@ -150,6 +163,64 @@ def test_exact_floats_pass_as_on_the_numpy_path_without_numpy(check, value):
     assert passes(check, value) is _numpy_passes(check, value)
     with mock.patch.object(model, "np", None):  # numpy would raise here
         assert passes(check, value) is _numpy_passes(check, value)
+
+
+# a value for any field of the stick, the schedule or the settings: Python
+# and numpy numbers of each kind, in and past the float range, complex
+# values, arrays, text and None
+_LONG = ["1e4000", "-1e4000", "1e-4000", "-1e-4000"]  # past the float range
+_ANY_VALUE = st.one_of(
+    _float, st.integers(-10**400, 10**400), st.booleans(), st.fractions(),
+    st.sampled_from([fractions.Fraction(s, 10**400) for s in (1, -1)]),
+    st.floats(width=16).map(np.float16), st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64), st.floats().map(np.longdouble),
+    st.sampled_from(_LONG if np.finfo(np.longdouble).max
+                    > np.finfo(float).max else ["nan"]).map(np.longdouble),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.complex_numbers(), st.complex_numbers().map(np.complex128),
+    st.floats().map(np.array),
+    st.lists(st.floats(), min_size=1, max_size=3).map(np.array),
+    st.sampled_from(["x", "0.5", None]))
+_GIVEN = {StickParams: {"m": 0.1, "ell": 0.5},
+          JuggleSpec: {"theta_odd": math.pi / 6, "theta_even": 5 * math.pi / 6,
+                       "alpha": 0.6131, "beta": 3.0},
+          EpisodeConfig: {}}
+
+
+@settings(max_examples=400, deadline=None)
+@given(field=st.sampled_from([(cls, f) for cls in _GIVEN
+                              for f in dataclasses.fields(cls)]),
+       value=_ANY_VALUE)
+def test_each_field_stores_one_value_that_its_row_judges(field, value):
+    """A value in a field, or as the first entry of a tuple field: a row
+    with a reason raises a ValueError that starts with the field's name or
+    holds a value its check passes, a row without one never raises; no
+    stored field or entry is a real numpy scalar that has a float, and
+    validate never raises. A real numpy scalar with no float is kept as
+    given, as passes' guard reads it: a long double that rounds nonzero
+    to 0."""
+    cls, f = field
+    name, rule = f.name, model.RULES[f.name]
+    if isinstance(f.default, tuple):
+        value = (value, *f.default[1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            obj = cls(**{**_GIVEN[cls], name: value})
+        except ValueError as exc:
+            assert rule.reason and str(exc).startswith(f"{name} ")
+            return
+        if rule.reason:
+            assert passes(rule.check, getattr(obj, name))
+        for stored in vars(obj).values():
+            for x in stored if isinstance(stored, tuple) else (stored,):
+                assert not (isinstance(x, np.generic)
+                            and not np.iscomplexobj(x)
+                            and passes(lambda _: True, x)), (name, x)
+        if cls is not EpisodeConfig:
+            params, spec = (obj if isinstance(obj, c) else c(**_GIVEN[c])
+                            for c in (StickParams, JuggleSpec))
+            validate(spec, params)
 
 
 def test_inertia_default_is_exact_rod_value():
