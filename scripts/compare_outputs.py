@@ -117,6 +117,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from operator import attrgetter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -327,8 +328,8 @@ def _termination_lines(devilstick, handler: _Messages) -> list[str]:
                 ("kernel", lambda: kernel(
                     x, k, instant(theta, k, spec, call_params), call_params,
                     "warn")),
-                ("steady_inputs", lambda: dataclasses.astuple(steady_inputs(
-                    omega, k, spec, call_params, "warn")))]:
+                ("steady_inputs", lambda: attrgetter("I", "r", "delta")(
+                    steady_inputs(omega, k, spec, call_params, "warn")))]:
             try:
                 result = _floats(call())
             except Exception as exc:  # compared by name and message
@@ -547,9 +548,9 @@ def _off_schedule_lines(devilstick, handler: _Messages) -> list[str]:
 
 def _escape_lines(devilstick) -> list[str]:
     """Values that escaped StickParams, EpisodeConfig, FullState,
-    design_orbit or run_episode as an untyped error or a numpy warning, or
-    ran complex or in single precision, and float32 values of each kind of
-    field, one row each: sim_vhc with the named fields replaced, 20
+    design_orbit or run_episode as an untyped error or a numpy warning, ran
+    complex or in single precision, or were kept as another value (a bool
+    k_max), and float32 values of each kind of field, one row each: sim_vhc with the named fields replaced, 20
     impulses, and the forward-scheme stabilizer where a row says so, on the
     orbit designed from the row's stick and schedule at sim_vhc's
     rate-symmetric omega*. A row prints the episode, or the name and
@@ -621,6 +622,8 @@ def _escape_lines(devilstick) -> list[str]:
         ({"m": np.float64(0.0), "J": 0.01}, True),
         ({"theta_odd": np.float64(-1e308), "theta_even": np.float64(1e308)},
          False),
+        # a bool that the k_max row took as the int 1
+        ({"k_max": True}, False),
     ]
     types = (devilstick.StickParams, devilstick.JuggleSpec,
              devilstick.FullState, devilstick.EpisodeConfig)

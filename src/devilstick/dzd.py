@@ -12,6 +12,7 @@ no periodic motion exists there.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,13 +21,8 @@ from .errors import AsymmetricSpec, Degenerate, WrongSign
 from .model import RULES, JuggleSpec, StickParams, parity_sign, passes
 
 
-@dataclass(frozen=True)
-class DzdState:
-    """Passive state at impulse k; theta is pinned to the schedule."""
-
-    theta: float
-    omega: float
-    k: int
+# Passive state at impulse k; theta is pinned to the schedule.
+DzdState = namedtuple("DzdState", "theta omega k")
 
 
 @dataclass(frozen=True)

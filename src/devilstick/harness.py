@@ -9,6 +9,7 @@ typed reason so that sweeps over infeasible regions stay runnable.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,6 @@ from .dynamics import (MAX_FLIGHT_SAMPLES, fly, jump, sample_flight,
 from .dynamics import flight, impulsive_update  # noqa: F401 (perfbench traces)
 from .dzd import OrbitSpec
 from .errors import JugglingError, ScenarioError
-from .model import MAX_IMPULSES  # noqa: F401 (read as harness.MAX_IMPULSES)
 from .model import FullState, JuggleSpec, StickParams, accept, validate
 
 
@@ -86,10 +86,10 @@ class EpisodeLog:
         return self.termination == "completed"
 
 
-@dataclass(eq=False)
-class EpisodeMetrics:
-    rho_contraction_dev: float      # max |rho_{k+1} - lambda*rho_k|
-    terminal_error: float | None    # section distance of the last odd record
+# rho_contraction_dev: max |rho_{k+1} - lambda*rho_k|; terminal_error: the
+# section distance of the last odd record, None without an orbit.
+EpisodeMetrics = namedtuple("EpisodeMetrics",
+                            "rho_contraction_dev terminal_error")
 
 
 def design_stabilizer(orbit: OrbitSpec, cfg: EpisodeConfig

@@ -80,7 +80,8 @@ RULES = {
     "lambda_y": Rule("lambda_y", lambda lam: 0.0 <= lam < 1.0),
     "theta": Rule("theta0_rad", math.isfinite),
     "k_max": Rule("k_max",
-                  lambda n: isinstance(n, int) and 1 <= n <= MAX_IMPULSES,
+                  lambda n: isinstance(n, int) and not isinstance(n, bool)
+                  and 1 <= n <= MAX_IMPULSES,
                   f"must be an integer from 1 to {MAX_IMPULSES}", int,
                   lambda text: int(float(text))),
     "stabilize": Rule("stabilizer", lambda b: isinstance(b, bool),
@@ -215,13 +216,8 @@ class FullState:
         return (*self.h.tolist(), *self.v.tolist(), self.theta, self.omega)
 
 
-@dataclass(frozen=True)
-class ImpulseCmd:
-    """One impulsive actuation: impulse I, offset r, time of flight delta."""
-
-    I: float
-    r: float
-    delta: float
+# One impulsive actuation: impulse I, offset r, time of flight delta.
+ImpulseCmd = namedtuple("ImpulseCmd", "I r delta")
 
 
 def validate(spec: JuggleSpec, params: StickParams) -> list[str]:

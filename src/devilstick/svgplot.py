@@ -6,7 +6,7 @@ timestamps or generated ids, so identical inputs give byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 PANEL_W = 300
 PANEL_H = 210
@@ -24,15 +24,9 @@ def _tick(x: float) -> str:
     return f"{x:.4g}"
 
 
-@dataclass
-class Panel:
-    """One line plot: y against x with point markers."""
-
-    x: list[float]
-    y: list[float]
-    title: str = ""
-    x_label: str = ""
-    markers: bool = True
+# One line plot: y against x with point markers.
+Panel = namedtuple("Panel", "x y title x_label markers",
+                   defaults=("", "", True))
 
 
 def _panel_svg(p: Panel, ox: float, oy: float) -> list[str]:

@@ -673,7 +673,7 @@ def test_batch_of_two_scenarios_with_one_stem_exits_2(tmp_path, capsys,
 
 
 def test_k_max_bound_is_accepted(tmp_path):
-    from devilstick.harness import MAX_IMPULSES
+    from devilstick.model import MAX_IMPULSES
     path = write_scenario(tmp_path, k_max=str(MAX_IMPULSES))
     assert load_scenario(path).config.k_max == MAX_IMPULSES
 
@@ -1065,7 +1065,7 @@ def test_writer_bytes_at_and_near_17_digit_ties(fast):
 
 @pytest.mark.parametrize("fast", WRITER_PATHS)
 def test_writer_prints_impulse_indices_as_with_percent_d(fast):
-    from devilstick.harness import MAX_IMPULSES
+    from devilstick.model import MAX_IMPULSES
     ks = np.unique(np.concatenate([
         np.arange(1, 2001), 10 ** np.arange(7), 10 ** np.arange(1, 7) - 1,
         np.random.default_rng(5).integers(1, MAX_IMPULSES, 2000),

@@ -1035,7 +1035,7 @@ def test_loop_records_equal_records_built_by_init(case, ic_state, spec,
 
 
 def test_k_max_is_bounded():
-    from devilstick.harness import MAX_IMPULSES
+    from devilstick.model import MAX_IMPULSES
     assert EpisodeConfig(k_max=MAX_IMPULSES).k_max == MAX_IMPULSES
     for k_max in (MAX_IMPULSES + 1, 10**15):
         with pytest.raises(ValueError, match=f"k_max .*{MAX_IMPULSES}"):

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devilstick import (EpisodeConfig, FullState, JuggleSpec, StickParams,
+from devilstick import (DzdState, EpisodeConfig, EpisodeLog, EpisodeMetrics,
+                        FeedbackGain, FullState, JuggleSpec, StickParams,
                         model, validate)
+from devilstick.harness import ImpulseRecord
 from devilstick.model import SCHEDULE_TOL, passes
+from devilstick.svgplot import Panel
 
 
 def test_reference_spec_validates(spec, params):
@@ -314,3 +317,51 @@ def test_read_only_arrays_cannot_be_made_writable_again(params):
     assert feedback([1.0, 0.0, 0.0, 0.0, 0.0], lin, gain).tolist() == [
         1.0, 1.0]
     assert feedback(np.zeros(5), lin, gain) is stabilizer.NO_CORRECTION
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_k_max_raises_its_rows_error(flag):
+    # a bool is an int to isinstance; the row takes no bool, as before it
+    # took none of numpy's ints, and the loader still parses int(float(text))
+    reason = model.RULES["k_max"].reason
+    with pytest.raises(ValueError, match=f"^k_max {reason}, got {flag!r}$"):
+        EpisodeConfig(k_max=flag)
+    with pytest.raises(ValueError, match="^k_max "):
+        EpisodeConfig(k_max=np.int64(20))
+    assert model.RULES["k_max"].parse("20.0") == 20
+
+
+_RESULTS = {  # type: (field order, keyword values, their repr)
+    model.ImpulseCmd: (("I", "r", "delta"), {"I": 0.25, "r": -0.01,
+                                            "delta": 0.5},
+                       "ImpulseCmd(I=0.25, r=-0.01, delta=0.5)"),
+    DzdState: (("theta", "omega", "k"), {"theta": 0.5, "omega": -3.0, "k": 1},
+               "DzdState(theta=0.5, omega=-3.0, k=1)"),
+    EpisodeMetrics: (("rho_contraction_dev", "terminal_error"),
+                     {"rho_contraction_dev": 1e-3, "terminal_error": None},
+                     "EpisodeMetrics(rho_contraction_dev=0.001, "
+                     "terminal_error=None)"),
+    Panel: (("x", "y", "title", "x_label", "markers"),
+            {"x": [0.0, 1.0], "y": [2.0, 3.0]},
+            "Panel(x=[0.0, 1.0], y=[2.0, 3.0], title='', x_label='', "
+            "markers=True)"),
+}
+
+
+@pytest.mark.parametrize("cls", _RESULTS, ids=lambda cls: cls.__name__)
+def test_a_result_only_type_is_a_named_tuple(cls):
+    names, kw, text = _RESULTS[cls]
+    assert issubclass(cls, tuple) and cls._fields == names
+    value = cls(**kw)
+    assert repr(value) == text
+    assert value == tuple(value) and value[0] == kw[names[0]]
+    with pytest.raises(AttributeError):
+        setattr(value, names[0], 1.0)
+
+
+def test_panel_defaults_and_the_types_that_stay_dataclasses():
+    assert Panel._field_defaults == {"title": "", "x_label": "",
+                                     "markers": True}
+    # FeedbackGain and ImpulseRecord hold arrays; EpisodeLog is mutated
+    for cls in (FeedbackGain, ImpulseRecord, EpisodeLog):
+        assert dataclasses.is_dataclass(cls) and not issubclass(cls, tuple)
