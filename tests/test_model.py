@@ -321,8 +321,8 @@ def test_read_only_arrays_cannot_be_made_writable_again(params):
 
 @pytest.mark.parametrize("flag", [True, False])
 def test_a_bool_k_max_raises_its_rows_error(flag):
-    # a bool is an int to isinstance; the row takes no bool, as before it
-    # took none of numpy's ints, and the loader still parses int(float(text))
+    # a bool is an int to isinstance, but the row takes none, as it takes
+    # none of numpy's ints; the loader parses int(float(text))
     reason = model.RULES["k_max"].reason
     with pytest.raises(ValueError, match=f"^k_max {reason}, got {flag!r}$"):
         EpisodeConfig(k_max=flag)
